@@ -11,7 +11,7 @@ import (
 )
 
 func main() {
-	res := exps.RunFig51(exps.Fig51Config{
+	res := exps.RunFig51(&exps.Env{}, exps.Fig51Config{
 		Keys:         3,
 		TracesPerKey: 5,
 		Sched:        exps.CFS,

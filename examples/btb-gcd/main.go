@@ -18,7 +18,7 @@ func main() {
 	fmt.Println("each iteration takes the if-block (TA≥TB) or else-block — the secret")
 	fmt.Println()
 
-	res := exps.RunFig54(exps.Fig54Config{Pairs: 6, Seed: 11})
+	res := exps.RunFig54(&exps.Env{}, exps.Fig54Config{Pairs: 6, Seed: 11})
 	fmt.Printf("branch-direction recovery over %d prime pairs: %.1f%% (paper: 97.3%%)\n",
 		res.Config.Pairs, 100*res.BranchAccuracy)
 	fmt.Printf("mean GCD loop iterations: %.1f (paper: 20–30)\n\n", res.MeanIterations)

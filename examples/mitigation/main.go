@@ -17,15 +17,15 @@ func main() {
 	fmt.Println("Chapter 6 — hardening the thread scheduler")
 	fmt.Println()
 
-	r := exps.RunAblationNoWakeupPreemption(1)
+	r := exps.RunAblationNoWakeupPreemption(&exps.Env{}, 1)
 	fmt.Print(r)
 	fmt.Println()
 
-	g := exps.RunAblationGentleFairSleepers(2)
+	g := exps.RunAblationGentleFairSleepers(&exps.Env{}, 2)
 	fmt.Print(g)
 	fmt.Println()
 
-	s := exps.RunAblationDefaultTimerSlack(3)
+	s := exps.RunAblationDefaultTimerSlack(&exps.Env{}, 3)
 	fmt.Print(s)
 	fmt.Println()
 

@@ -12,7 +12,7 @@ import (
 )
 
 func main() {
-	res := exps.RunFig52(exps.Fig52Config{Keys: 2, Seed: 7})
+	res := exps.RunFig52(&exps.Env{}, exps.Fig52Config{Keys: 2, Seed: 7})
 
 	fmt.Println("SGX base64 PEM decode — LLC Prime+Probe from userspace")
 	fmt.Printf("mean PEM body length: %.0f base64 characters (paper: 872)\n\n", res.MeanChars)

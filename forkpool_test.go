@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/exps"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -68,10 +69,10 @@ func TestForkedMachineGoldenIdentity(t *testing.T) {
 
 // TestPooledCampaignMatchesUnpooled runs the campaign gate at width 2 with
 // machine pooling on (the default) and off, and requires byte-identical
-// manifests. Under -race this additionally exercises the goroutine-scoped
-// pool hand-off: entries run on fresh contained goroutines that check
-// machine pools in and out of the shared PoolSet, and no machine may ever
-// be reachable from two goroutines at once.
+// manifests. Under -race this additionally exercises the pool hand-off:
+// entries run on fresh contained goroutines that check machine pools in
+// and out of the shared PoolSet, and no machine may ever be reachable from
+// two goroutines at once.
 func TestPooledCampaignMatchesUnpooled(t *testing.T) {
 	run := func(noPool bool) []byte {
 		t.Helper()
@@ -94,5 +95,41 @@ func TestPooledCampaignMatchesUnpooled(t *testing.T) {
 	unpooled := run(true)
 	if string(pooled) != string(unpooled) {
 		t.Fatalf("pooled manifest differs from unpooled:\npooled:\n%s\nunpooled:\n%s", pooled, unpooled)
+	}
+}
+
+// TestPooledCampaignPoolCounts: the machine pools of one plan share the
+// planning registry's pool counters (kern_forks_total, hits, misses). Pools
+// report them when an entry checks its pool back into the plan's PoolSet,
+// under the set's lock, so concurrent entries never increment them at once
+// (-race checks this) and a width-2 campaign counts every fork a width-1
+// replay counts. Only the hit/miss split may differ: each concurrently
+// used pool builds its own first shell.
+func TestPooledCampaignPoolCounts(t *testing.T) {
+	const n = 64
+	counts := func(width int) (forks, hits, misses int64) {
+		t.Helper()
+		reg := metrics.New()
+		prev := metrics.SetAmbient(reg)
+		plan := MicroBenchEntries(n)
+		metrics.SetAmbient(prev)
+		c, err := campaign.New(campaign.Config{Seed: 1}, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RunParallel(context.Background(), width); err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		return reg.Counter("kern_forks_total").Value(),
+			reg.Counter("kern_pool_hits_total").Value(),
+			reg.Counter("kern_pool_misses_total").Value()
+	}
+	forks1, hits1, misses1 := counts(1)
+	forks2, hits2, misses2 := counts(2)
+	if forks1 != n || misses1 != 1 || hits1 != n-1 {
+		t.Fatalf("width 1: forks/hits/misses = %d/%d/%d, want %d/%d/1", forks1, hits1, misses1, n, n-1)
+	}
+	if forks2 != forks1 || hits2+misses2 != forks2 || misses2 < 1 || misses2 > 2 {
+		t.Fatalf("width 2: forks/hits/misses = %d/%d/%d, want %d forks split over at most 2 misses", forks2, hits2, misses2, forks1)
 	}
 }

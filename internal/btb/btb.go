@@ -58,12 +58,17 @@ type BTB struct {
 	}
 }
 
+// lookupNames are the lookup-outcome counter names, built once: every core
+// instruments its BTB at each machine construction and pool fork.
+var lookupNames = metrics.FamilyNames("btb_lookup_total", "outcome", "hit", "miss")
+
 // InstrumentMetrics wires BTB telemetry into a registry: prediction
 // hits/misses, branch-resolution updates, and NightVision invalidations
 // (non-branch executions killing a colliding entry). Per-core BTBs share
 // the metric names, so counts aggregate machine-wide.
 func (b *BTB) InstrumentMetrics(r *metrics.Registry) {
-	fam := r.CounterFamily("btb_lookup_total", "outcome", []string{"hit", "miss"})
+	var fam [2]*metrics.Counter
+	r.CounterFamily(fam[:], lookupNames)
 	b.tel.hits, b.tel.misses = fam[0], fam[1]
 	b.tel.branchUpdates = r.Counter("btb_branch_updates_total")
 	b.tel.nvInvalidates = r.Counter("btb_nonbranch_invalidations_total")

@@ -370,16 +370,22 @@ type System struct {
 	}
 }
 
+// accessNames are the per-level access counter names, built once: a
+// machine instruments its hierarchy at every construction and pool fork.
+var accessNames = func() []string {
+	levels := make([]string, len(System{}.tel.access))
+	for lvl := range levels {
+		levels[lvl] = Level(lvl).String()
+	}
+	return metrics.FamilyNames("cache_access_total", "level", levels...)
+}()
+
 // InstrumentMetrics wires the hierarchy into a telemetry registry: accesses
 // by hit level, LLC capacity evictions (inclusive back-invalidations),
 // coherence-wide flushes and noise-model disturb evictions. Counting is
 // write-only — instrumentation cannot change any access outcome.
 func (s *System) InstrumentMetrics(r *metrics.Registry) {
-	levels := make([]string, len(s.tel.access))
-	for lvl := range levels {
-		levels[lvl] = Level(lvl).String()
-	}
-	copy(s.tel.access[:], r.CounterFamily("cache_access_total", "level", levels))
+	r.CounterFamily(s.tel.access[:], accessNames)
 	s.tel.llcEvictions = r.Counter("cache_llc_capacity_evictions_total")
 	s.tel.flushes = r.Counter("cache_flush_total")
 	s.tel.disturbs = r.Counter("cache_disturb_evictions_total")

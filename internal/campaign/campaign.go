@@ -60,6 +60,12 @@ type Attempt struct {
 	Degraded bool
 	// Err is the final failure; nil means Rendered/Metrics are valid.
 	Err error
+	// Telemetry is the entry's own metric counts (flattened names, zero
+	// values dropped — metrics.Registry.Counts), recorded verbatim as
+	// Record.Telemetry. An entry owns its registry: it builds one per run
+	// and reports only what that run counted, so concurrent entries can
+	// never bleed into each other's records.
+	Telemetry map[string]int64
 }
 
 // Config tunes a campaign.
@@ -97,6 +103,10 @@ type Config struct {
 	FS durable.FS
 	// Log receives progress lines (nil discards them).
 	Log io.Writer
+	// Obs, when set, is the tracing context the campaign's spans nest
+	// under (labd passes its job span here); nil falls back to the
+	// process-wide obs.Ambient().
+	Obs *obs.Ctx
 }
 
 // fs resolves the configured filesystem.
@@ -190,23 +200,15 @@ type job struct {
 	id      string
 	skip    bool // no runner: record skipped, don't count toward HaltAfter
 	seed    uint64
-	prev    *Record
+	prev    *Record // the record at snapshot time; nil for a position never recorded
 	entry   Entry
 	session int
 }
 
-// containResult is what one contained entry execution hands the sequencer.
-type containResult struct {
-	att       Attempt
-	telemetry map[string]int64
-}
-
 // RunParallel executes the plan with up to workers entries in flight at
-// once. Each entry runs in its own contained goroutine with a private
-// telemetry registry (installed as that goroutine's scoped ambient
-// registry, so the machines it builds report into it); a sequencer on the
-// calling goroutine folds results into the manifest and checkpoints them in
-// strict plan order. Because seeds are fixed up front, each entry's
+// once. Each entry runs in its own contained goroutine and reports its own
+// telemetry (Attempt.Telemetry); a sequencer on the calling goroutine folds
+// results into the manifest and checkpoints them in strict plan order. Because seeds are fixed up front, each entry's
 // execution is isolated, and commits are ordered, the manifest — and every
 // checkpoint prefix of it — is byte-identical to a serial run's.
 //
@@ -214,11 +216,10 @@ type containResult struct {
 // commits the completed in-order prefix and returns ErrHalted — the same
 // resumable state an injected halt leaves.
 //
-// When an ambient telemetry registry is installed on the calling goroutine,
+// When a process-wide telemetry registry is installed (metrics.SetAmbient),
 // RunParallel counts entries, failures, skips, checkpoints and resume hits
-// there; per-entry telemetry always comes from the entry's private
-// registry, never the shared one, so overlapping entries cannot bleed
-// counts into each other's records.
+// there, on the sequencer; per-entry telemetry always comes from the entry
+// itself, never the shared registry.
 func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, error) {
 	// Open the durable store before anything runs: a fresh campaign
 	// discards prior generations and seeds its journal; a resumed one
@@ -242,9 +243,8 @@ func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, err
 		}
 	}
 
-	// Resolve every campaign counter once up front: metrics.Ambient() walks
-	// the goroutine-scoped override chain and Counter() is a map lookup, and
-	// the sequencer otherwise pays both per checkpoint.
+	// Resolve every campaign counter once up front: Counter() is a map
+	// lookup, and the sequencer otherwise pays it per checkpoint.
 	reg := metrics.Ambient()
 	mEntries := reg.Counter("campaign_entries_total")
 	mFailures := reg.Counter("campaign_failures_total")
@@ -252,11 +252,14 @@ func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, err
 	mResumeHits := reg.Counter("campaign_resume_hits_total")
 	mCheckpoints := reg.Counter("campaign_checkpoints_total")
 
-	// Ambient span context, resolved once like the registry. The campaign
-	// span roots this run's entry spans; when a caller (labd) already
-	// opened a parent (the job span), entries nest under a campaign span
-	// below it so multi-campaign processes stay separable.
-	octx := obs.Ambient()
+	// Span context, resolved once like the registry. The campaign span
+	// roots this run's entry spans; when a caller (labd) already opened a
+	// parent (the job span), entries nest under a campaign span below it so
+	// multi-campaign processes stay separable.
+	octx := c.cfg.Obs
+	if octx == nil {
+		octx = obs.Ambient()
+	}
 	var root *obs.Span
 	if octx.Enabled() {
 		root = octx.Tracer.Start("campaign", obs.TierCampaign, octx.Parent)
@@ -267,17 +270,24 @@ func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, err
 
 	// Snapshot the work: plan order, minus final records. Seeds and session
 	// numbers are derived here, before anything runs, so they cannot depend
-	// on execution order.
+	// on execution order. pending counts the plan positions without any
+	// record; the commit loop decrements it as they land, so "is the plan
+	// complete?" (Manifest.Complete) costs O(1) per commit instead of a
+	// scan of the whole plan.
 	var jobs []job
+	pending := 0
 	for i, id := range c.man.IDs {
 		rec := c.man.Entries[id]
+		if rec == nil {
+			pending++
+		}
 		if rec != nil && rec.Status.Final() {
 			mResumeHits.Inc()
 			continue
 		}
 		e, ok := c.entries[id]
 		if !ok || e.Run == nil {
-			jobs = append(jobs, job{pos: i, id: id, skip: true})
+			jobs = append(jobs, job{pos: i, id: id, skip: true, prev: rec})
 			continue
 		}
 		prevFails := 0
@@ -294,10 +304,10 @@ func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, err
 	ranThisSession := 0
 	halted := false
 	err := pool.Run(ctx, workers, len(jobs),
-		func(_ context.Context, i int) containResult {
+		func(_ context.Context, i int) Attempt {
 			j := jobs[i]
 			if j.skip {
-				return containResult{}
+				return Attempt{}
 			}
 			c.logf("campaign: %s (seed %d, session %d)", j.id, j.seed, j.session)
 			start := time.Now()
@@ -310,20 +320,23 @@ func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, err
 					esp.SetAttr("failed_sessions", strconv.Itoa(j.prev.FailedSessions))
 				}
 			}
-			res := c.contain(j.id, j.entry, j.seed, octx.Child(esp))
+			att := c.contain(j.id, j.entry, j.seed, octx.Child(esp))
 			if esp != nil {
-				esp.SetAttr("attempts", strconv.Itoa(res.att.Attempts))
-				esp.SetAttr("outcome", outcomeOf(j, res))
-				if res.att.Err != nil {
-					esp.SetAttr("error", firstLine(res.att.Err.Error()))
+				esp.SetAttr("attempts", strconv.Itoa(att.Attempts))
+				esp.SetAttr("outcome", outcomeOf(j, att))
+				if att.Err != nil {
+					esp.SetAttr("error", firstLine(att.Err.Error()))
 				}
 				esp.Finish()
 			}
 			c.logf("campaign: %s finished in %v", j.id, time.Since(start).Round(time.Millisecond))
-			return res
+			return att
 		},
-		func(i int, res containResult) (bool, error) {
+		func(i int, att Attempt) (bool, error) {
 			j := jobs[i]
+			if j.prev == nil {
+				pending--
+			}
 			if j.skip {
 				mSkipped.Inc()
 				c.man.Entries[j.id] = &Record{ID: j.id, Status: StatusSkipped,
@@ -332,18 +345,17 @@ func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, err
 				return false, c.checkpoint(mCheckpoints, c.man.Entries[j.id])
 			}
 			mEntries.Inc()
-			if res.att.Err != nil {
+			if att.Err != nil {
 				mFailures.Inc()
 			}
-			rec := buildRecord(j.id, j.seed, j.prev, res.att)
-			rec.Telemetry = res.telemetry
+			rec := buildRecord(j.id, j.seed, j.prev, att)
 			c.man.Entries[j.id] = rec
 			c.notify(rec)
 			if err := c.checkpoint(mCheckpoints, rec); err != nil {
 				return false, err
 			}
 			ranThisSession++
-			if !c.man.Complete() {
+			if pending > 0 {
 				if c.cfg.HaltAfter > 0 && ranThisSession >= c.cfg.HaltAfter {
 					c.logf("campaign: halting after %d experiments (resumable)", ranThisSession)
 					halted = true
@@ -382,11 +394,11 @@ func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, err
 // outcomeOf labels an entry span's result, carrying retry/resume
 // provenance: "retried" marks a success that needed a prior failed
 // session's seed bump.
-func outcomeOf(j job, res containResult) string {
+func outcomeOf(j job, att Attempt) string {
 	switch {
-	case res.att.Err != nil:
+	case att.Err != nil:
 		return "failed"
-	case res.att.Degraded:
+	case att.Degraded:
 		return "degraded"
 	case j.prev != nil && j.prev.FailedSessions > 0:
 		return "retried"
@@ -415,43 +427,38 @@ func (c *Campaign) notify(rec *Record) {
 	}
 }
 
-// contain runs one entry on its own goroutine with panic recovery, a
-// private telemetry registry and the per-entry wall budget. A timed-out
-// runner is abandoned, not killed: the deterministic simulation holds
-// nothing that needs unwinding. The entry's telemetry is flattened on the
-// contained goroutine itself (even on the panic path), so an abandoned
-// runner can never race the sequencer over its registry; a timed-out entry
-// records no telemetry.
-func (c *Campaign) contain(id string, e Entry, seed uint64, octx *obs.Ctx) containResult {
-	ch := make(chan containResult, 1)
+// contain runs one entry on its own goroutine with panic recovery and the
+// per-entry wall budget. A timed-out runner is abandoned, not killed: the
+// deterministic simulation holds nothing that needs unwinding. An entry
+// that panics outside its own recovery, or times out, records no
+// telemetry — its counts died with it.
+//
+// For a traced campaign, octx — the entry's span context — is the one
+// goroutine-scoped value left: it is scoped to the entry goroutine so the
+// machines built there phase under the entry's span (obs.ScopeAmbient).
+func (c *Campaign) contain(id string, e Entry, seed uint64, octx *obs.Ctx) Attempt {
+	ch := make(chan Attempt, 1)
 	go func() {
-		reg := metrics.New()
-		restore := metrics.ScopeAmbient(reg)
-		// The entry's span context is scoped to this goroutine the same
-		// way its registry is, so machines built here phase under the
-		// entry's span and parallel entries never share a parent.
 		var restoreObs func()
 		if octx != nil {
 			restoreObs = obs.ScopeAmbient(octx)
 		}
-		var res containResult
+		var att Attempt
 		defer func() {
 			if r := recover(); r != nil {
 				err, ok := r.(error)
 				if !ok {
 					err = fmt.Errorf("%v", r)
 				}
-				res.att = Attempt{Attempts: 1, Err: fmt.Errorf("entry %s panicked outside its guarded runner: %w", id, err)}
+				att = Attempt{Attempts: 1, Err: fmt.Errorf("entry %s panicked outside its guarded runner: %w", id, err)}
 			}
 			if octx != nil {
 				octx.ClosePhase() // a panicking entry still logs its open machine phase
 				restoreObs()
 			}
-			restore()
-			res.telemetry = metrics.Delta(nil, reg.Flatten())
-			ch <- res
+			ch <- att
 		}()
-		res.att = e.Run(seed)
+		att = e.Run(seed)
 	}()
 	if c.cfg.ExpWall <= 0 {
 		return <-ch
@@ -459,16 +466,17 @@ func (c *Campaign) contain(id string, e Entry, seed uint64, octx *obs.Ctx) conta
 	timer := time.NewTimer(c.cfg.ExpWall)
 	defer timer.Stop()
 	select {
-	case res := <-ch:
-		return res
+	case att := <-ch:
+		return att
 	case <-timer.C:
-		return containResult{att: Attempt{Attempts: 1, Err: fmt.Errorf("entry %s exceeded its wall budget %s (runner abandoned)", id, c.cfg.ExpWall)}}
+		return Attempt{Attempts: 1, Err: fmt.Errorf("entry %s exceeded its wall budget %s (runner abandoned)", id, c.cfg.ExpWall)}
 	}
 }
 
 // buildRecord folds an attempt into the entry's record.
 func buildRecord(id string, seed uint64, prev *Record, att Attempt) *Record {
-	rec := &Record{ID: id, Attempts: att.Attempts, Seed: seed, Sessions: sessionsOf(prev) + 1}
+	rec := &Record{ID: id, Attempts: att.Attempts, Seed: seed, Sessions: sessionsOf(prev) + 1,
+		Telemetry: att.Telemetry}
 	if prev != nil {
 		rec.FailedSessions = prev.FailedSessions
 	}

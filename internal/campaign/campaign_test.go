@@ -353,23 +353,26 @@ func TestLoadRejectsBadManifest(t *testing.T) {
 	}
 }
 
-// telEntry deterministically bumps ambient counters as a stand-in for an
-// instrumented experiment: the per-entry delta depends only on the id/seed,
-// never on what ran before it.
+// telEntry counts into its own registry as a stand-in for an instrumented
+// experiment, the way repro's entries own theirs: the per-entry counts
+// depend only on the id/seed, never on what ran before it.
 func telEntry(id string, events int64) Entry {
 	return Entry{ID: id, Run: func(seed uint64) Attempt {
-		metrics.Ambient().Counter("kern_events_total").Add(events + int64(seed))
-		metrics.Ambient().Counter(`sim_probe_total{kind="test"}`).Inc()
+		reg := metrics.New()
+		reg.Counter("kern_events_total").Add(events + int64(seed))
+		reg.Counter(`sim_probe_total{kind="test"}`).Inc()
 		return Attempt{
-			Rendered: fmt.Sprintf("%s result (seed %d)\n", id, seed),
-			Metrics:  map[string]float64{"seed": float64(seed)},
-			Attempts: 1,
+			Rendered:  fmt.Sprintf("%s result (seed %d)\n", id, seed),
+			Metrics:   map[string]float64{"seed": float64(seed)},
+			Attempts:  1,
+			Telemetry: reg.Counts(),
 		}
 	}}
 }
 
-// TestTelemetryDeltaRecorded a campaign under an ambient registry attaches
-// each entry's metric delta to its record and counts campaign-level events.
+// TestTelemetryDeltaRecorded a campaign under a process-wide registry
+// attaches each entry's own counts to its record, and counts campaign-level
+// events in the process-wide registry only.
 func TestTelemetryDeltaRecorded(t *testing.T) {
 	reg := metrics.New()
 	prev := metrics.SetAmbient(reg)
@@ -408,10 +411,10 @@ func TestTelemetryDeltaRecorded(t *testing.T) {
 }
 
 // TestHaltResumeByteIdenticalWithTelemetry is the acceptance property with
-// metrics enabled: campaign-level counters are kept out of the per-entry
-// delta window, so a halted+resumed campaign checkpoints a manifest
+// metrics enabled: campaign-level counters stay out of the entry-owned
+// telemetry, so a halted+resumed campaign checkpoints a manifest
 // byte-identical to an uninterrupted one even though the resumed session's
-// ambient registry starts cold.
+// process-wide registry starts cold.
 func TestHaltResumeByteIdenticalWithTelemetry(t *testing.T) {
 	dir := t.TempDir()
 	entries := func() []Entry {

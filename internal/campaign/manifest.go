@@ -83,11 +83,11 @@ type Record struct {
 	Metrics  map[string]float64 `json:"metrics,omitempty"`
 	Rendered string             `json:"rendered,omitempty"`
 	Failure  *Failure           `json:"failure,omitempty"`
-	// Telemetry is the ambient metric delta attributable to this entry's
-	// recorded run (counter/gauge deltas plus histogram _sum/_count deltas),
-	// captured when a telemetry registry was installed. It is omitted
-	// entirely when telemetry is off, so such manifests are unchanged from
-	// earlier format revisions.
+	// Telemetry is what the entry's recorded run counted in its own
+	// registry (Attempt.Telemetry: counter and gauge values plus histogram
+	// _sum/_count, zero values dropped). It is omitted entirely when the
+	// entry reported none, so such manifests are unchanged from earlier
+	// format revisions.
 	Telemetry map[string]int64 `json:"telemetry,omitempty"`
 }
 

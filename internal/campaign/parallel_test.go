@@ -15,21 +15,23 @@ import (
 // TestParallelTelemetryIsolation is the regression test for per-entry
 // telemetry capture under concurrency: two entries rendezvous so their
 // executions fully overlap, then bump the same counter by different
-// amounts. Capturing deltas from a shared ambient registry (the old
-// before/after-Flatten scheme) would attribute both entries' increments to
-// whichever delta window was open — this test fails under that scheme and
-// passes only when each entry's telemetry comes from its own private
-// registry.
+// amounts while a process-wide registry is installed. Capturing deltas
+// from a shared registry (the old before/after-Flatten scheme) would
+// attribute both entries' increments to whichever delta window was open;
+// each record must instead carry exactly what its own entry counted —
+// neither the other entry's counts nor the campaign's own counters.
 func TestParallelTelemetryIsolation(t *testing.T) {
+	defer metrics.SetAmbient(metrics.SetAmbient(metrics.New()))
 	aStarted := make(chan struct{})
 	bStarted := make(chan struct{})
 	mk := func(id string, mine, other chan struct{}, events int64) Entry {
 		return Entry{ID: id, Run: func(seed uint64) Attempt {
+			reg := metrics.New()
 			close(mine)
 			<-other // both entries are now mid-flight simultaneously
-			metrics.Ambient().Counter("kern_events_total").Add(events)
-			metrics.Ambient().Counter(fmt.Sprintf(`sim_probe_total{kind=%q}`, id)).Inc()
-			return Attempt{Rendered: id + "\n", Attempts: 1}
+			reg.Counter("kern_events_total").Add(events)
+			reg.Counter(fmt.Sprintf(`sim_probe_total{kind=%q}`, id)).Inc()
+			return Attempt{Rendered: id + "\n", Attempts: 1, Telemetry: reg.Counts()}
 		}}
 	}
 	c, err := New(Config{Seed: 1}, []Entry{

@@ -64,8 +64,8 @@ func ablationAttack(timerSlack timebase.Duration) kern.Func {
 // ablationProbe runs the probe attack against a machine configuration and
 // reports (median burst length, median victim instructions per attacker
 // interleave).
-func ablationProbe(seed uint64, slack timebase.Duration, opts ...MachineOption) (int64, int64) {
-	m := NewMachine(CFS, seed, opts...)
+func ablationProbe(env *Env, seed uint64, slack timebase.Duration, opts ...MachineOption) (int64, int64) {
+	m := env.NewMachine(CFS, seed, opts...)
 	defer m.Shutdown()
 	victim := m.Spawn("victim", func(e *kern.Env) {
 		e.RunLoopForever(loopvictim.DefaultBody())
@@ -92,10 +92,10 @@ func ablationProbe(seed uint64, slack timebase.Duration, opts ...MachineOption) 
 // RunAblationNoWakeupPreemption evaluates the Linux security team's
 // recommended mitigation (Chapter 6): with NO_WAKEUP_PREEMPTION the waking
 // attacker cannot preempt the victim mid-slice and the attack collapses.
-func RunAblationNoWakeupPreemption(seed uint64) *AblationResult {
-	defer scopeTrialPool()()
-	bb, bs := ablationProbe(seed, 0)
-	vb, vs := ablationProbe(seed+1, 0, WithSchedParams(func(sp *sched.Params) {
+func RunAblationNoWakeupPreemption(env *Env, seed uint64) *AblationResult {
+	env = env.withTrialPool()
+	bb, bs := ablationProbe(env, seed, 0)
+	vb, vs := ablationProbe(env, seed+1, 0, WithSchedParams(func(sp *sched.Params) {
 		sp.WakeupPreemption = false
 	}))
 	return &AblationResult{
@@ -109,10 +109,10 @@ func RunAblationNoWakeupPreemption(seed uint64) *AblationResult {
 // RunAblationGentleFairSleepers evaluates GENTLE_FAIR_SLEEPERS off
 // (S_slack = S_bnd = 24ms instead of 12ms): the preemption budget grows
 // from 8ms to 20ms, ~2.5× more preemptions per hibernation.
-func RunAblationGentleFairSleepers(seed uint64) *AblationResult {
-	defer scopeTrialPool()()
-	bb, bs := ablationProbe(seed, 0)
-	vb, vs := ablationProbe(seed+1, 0, WithSchedParams(func(sp *sched.Params) {
+func RunAblationGentleFairSleepers(env *Env, seed uint64) *AblationResult {
+	env = env.withTrialPool()
+	bb, bs := ablationProbe(env, seed, 0)
+	vb, vs := ablationProbe(env, seed+1, 0, WithSchedParams(func(sp *sched.Params) {
 		sp.GentleFairSleepers = false
 	}))
 	return &AblationResult{
@@ -126,10 +126,10 @@ func RunAblationGentleFairSleepers(seed uint64) *AblationResult {
 // RunAblationDefaultTimerSlack evaluates skipping the PR_SET_TIMERSLACK
 // step of §4.2: with the default 50µs slack, wake-up times smear across
 // tens of microseconds and temporal resolution is destroyed.
-func RunAblationDefaultTimerSlack(seed uint64) *AblationResult {
-	defer scopeTrialPool()()
-	bb, bs := ablationProbe(seed, 0)
-	vb, vs := ablationProbe(seed+1, 50*timebase.Microsecond)
+func RunAblationDefaultTimerSlack(env *Env, seed uint64) *AblationResult {
+	env = env.withTrialPool()
+	bb, bs := ablationProbe(env, seed, 0)
+	vb, vs := ablationProbe(env, seed+1, 50*timebase.Microsecond)
 	return &AblationResult{
 		Name:          "default timer slack (no PR_SET_TIMERSLACK)",
 		BaselineBurst: bb, VariantBurst: vb,
@@ -141,13 +141,13 @@ func RunAblationDefaultTimerSlack(seed uint64) *AblationResult {
 // RunAblationRoundRobin contrasts the single-thread budget against the
 // §4.3 round-robin extension for an attack needing more preemptions than
 // one budget holds.
-func RunAblationRoundRobin(seed uint64, target int) *AblationResult {
+func RunAblationRoundRobin(env *Env, seed uint64, target int) *AblationResult {
 	if target <= 0 {
 		target = 2500
 	}
-	defer scopeTrialPool()()
+	env = env.withTrialPool()
 	// Single thread: bursts with re-hibernation gaps.
-	m1 := NewMachine(CFS, seed)
+	m1 := env.NewMachine(CFS, seed)
 	m1.Spawn("victim", func(e *kern.Env) {
 		e.RunLoopForever(loopvictim.DefaultBody())
 	}, kern.WithPin(0))
@@ -173,7 +173,7 @@ func RunAblationRoundRobin(seed uint64, target int) *AblationResult {
 	m1.Shutdown()
 
 	// Round-robin with 8 threads: continuous.
-	m2 := NewMachine(CFS, seed+1)
+	m2 := env.NewMachine(CFS, seed+1)
 	m2.Spawn("victim", func(e *kern.Env) {
 		e.RunLoopForever(loopvictim.DefaultBody())
 	}, kern.WithPin(0))

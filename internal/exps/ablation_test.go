@@ -3,7 +3,7 @@ package exps
 import "testing"
 
 func TestAblationNoWakeupPreemption(t *testing.T) {
-	r := RunAblationNoWakeupPreemption(41)
+	r := RunAblationNoWakeupPreemption(&Env{}, 41)
 	t.Log("\n" + r.String())
 	if r.BaselineBurst < 300 {
 		t.Fatalf("baseline burst = %d", r.BaselineBurst)
@@ -18,7 +18,7 @@ func TestAblationNoWakeupPreemption(t *testing.T) {
 }
 
 func TestAblationGentleFairSleepers(t *testing.T) {
-	r := RunAblationGentleFairSleepers(43)
+	r := RunAblationGentleFairSleepers(&Env{}, 43)
 	t.Log("\n" + r.String())
 	// Budget 8ms → 20ms: ≈2.5× more preemptions.
 	ratio := float64(r.VariantBurst) / float64(r.BaselineBurst)
@@ -32,7 +32,7 @@ func TestAblationGentleFairSleepers(t *testing.T) {
 }
 
 func TestAblationDefaultTimerSlack(t *testing.T) {
-	r := RunAblationDefaultTimerSlack(47)
+	r := RunAblationDefaultTimerSlack(&Env{}, 47)
 	t.Log("\n" + r.String())
 	// With 50µs slack the victim runs far longer per step.
 	if r.VariantStep < 20*r.BaselineStep {
@@ -41,7 +41,7 @@ func TestAblationDefaultTimerSlack(t *testing.T) {
 }
 
 func TestAblationRoundRobin(t *testing.T) {
-	r := RunAblationRoundRobin(53, 1500)
+	r := RunAblationRoundRobin(&Env{}, 53, 1500)
 	t.Log("\n" + r.String())
 	// Round-robin avoids the per-budget re-hibernation, so it is
 	// substantially faster to the same preemption count.

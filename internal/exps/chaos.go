@@ -62,7 +62,7 @@ type ChaosResult struct {
 // RunChaos measures attack success against escalating fault injection: for
 // each rate, a fresh machine with a loop victim and a robust attacker on
 // core 0, a sample target, and a watchdog.
-func RunChaos(cfg ChaosConfig) *ChaosResult {
+func RunChaos(env *Env, cfg ChaosConfig) *ChaosResult {
 	if len(cfg.Rates) == 0 {
 		cfg.Rates = []float64{0, 0.02, 0.05, 0.1, 0.2}
 	}
@@ -77,14 +77,14 @@ func RunChaos(cfg ChaosConfig) *ChaosResult {
 	}
 	res := &ChaosResult{Target: cfg.Target}
 	for _, rate := range cfg.Rates {
-		res.Rows = append(res.Rows, runChaosRate(cfg, rate))
+		res.Rows = append(res.Rows, runChaosRate(env, cfg, rate))
 	}
 	return res
 }
 
 // runChaosRate runs one row of the sweep.
-func runChaosRate(cfg ChaosConfig, rate float64) ChaosRow {
-	m := NewMachine(CFS, cfg.Seed, WithKernParams(func(kp *kern.Params) {
+func runChaosRate(env *Env, cfg ChaosConfig, rate float64) ChaosRow {
+	m := env.NewMachine(CFS, cfg.Seed, WithKernParams(func(kp *kern.Params) {
 		kp.Faults = fault.Config{Rate: rate}
 	}))
 	defer m.Shutdown()
@@ -108,7 +108,7 @@ func runChaosRate(cfg ChaosConfig, rate float64) ChaosRow {
 		finished = true
 	}, kern.WithPin(0))
 
-	wd := NewWatchdog(cfg.Budget)
+	wd := env.NewWatchdog(cfg.Budget)
 	wd.Run(m, func() bool { return finished })
 
 	rep := att.Report()

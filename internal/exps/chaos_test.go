@@ -8,18 +8,10 @@ import (
 	"repro/internal/timebase"
 )
 
-// withChaos installs an ambient fault configuration for the duration of a
-// subtest and restores the previous one afterwards.
-func withChaos(t *testing.T, cfg fault.Config) {
-	t.Helper()
-	prev := SetChaos(cfg)
-	t.Cleanup(func() { SetChaos(prev) })
-}
-
 // smallFig43 runs a shrunken fig4.3a (one ε, few samples) and fingerprints
 // the outcome.
-func smallFig43(seed uint64) string {
-	r := RunFig43(Fig43Config{
+func smallFig43(env *Env, seed uint64) string {
+	r := RunFig43(env, Fig43Config{
 		Variant:  Fig43a,
 		Epsilons: []timebase.Duration{2 * timebase.Microsecond},
 		Samples:  300,
@@ -38,14 +30,14 @@ func TestDriversSurviveEachFaultKind(t *testing.T) {
 	for _, k := range fault.Kinds() {
 		for seed := uint64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", k, seed), func(t *testing.T) {
-				withChaos(t, fault.Config{Rate: 0.05, Kinds: []fault.Kind{k}})
-				a41 := RunFig41(seed).String()
-				b41 := RunFig41(seed).String()
+				env := &Env{Faults: fault.Config{Rate: 0.05, Kinds: []fault.Kind{k}}}
+				a41 := RunFig41(env, seed).String()
+				b41 := RunFig41(env, seed).String()
 				if a41 != b41 {
 					t.Errorf("fig4.1 under %s faults not deterministic", k)
 				}
-				a43 := smallFig43(seed)
-				b43 := smallFig43(seed)
+				a43 := smallFig43(env, seed)
+				b43 := smallFig43(env, seed)
 				if a43 != b43 {
 					t.Errorf("fig4.3 under %s faults not deterministic", k)
 				}
@@ -56,11 +48,11 @@ func TestDriversSurviveEachFaultKind(t *testing.T) {
 
 // TestDriversSurviveAllFaultsTogether mixes every kind at once.
 func TestDriversSurviveAllFaultsTogether(t *testing.T) {
-	withChaos(t, fault.Config{Rate: 0.05})
-	if got := RunFig41(1).String(); got == "" {
+	env := &Env{Faults: fault.Config{Rate: 0.05}}
+	if got := RunFig41(env, 1).String(); got == "" {
 		t.Fatal("empty fig4.1 result")
 	}
-	if got := smallFig43(1); got == "" {
+	if got := smallFig43(env, 1); got == "" {
 		t.Fatal("empty fig4.3 result")
 	}
 }
@@ -74,7 +66,7 @@ func TestRunChaosSweep(t *testing.T) {
 		Budget: 10 * timebase.Second,
 		Seed:   1,
 	}
-	r1 := RunChaos(cfg)
+	r1 := RunChaos(&Env{}, cfg)
 	if len(r1.Rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(r1.Rows))
 	}
@@ -92,7 +84,7 @@ func TestRunChaosSweep(t *testing.T) {
 	if noisy.Collected == 0 {
 		t.Fatalf("attack collected nothing at rate 0.1: %+v", noisy)
 	}
-	r2 := RunChaos(cfg)
+	r2 := RunChaos(&Env{}, cfg)
 	if r1.String() != r2.String() {
 		t.Fatalf("chaos sweep not deterministic:\n%s\nvs\n%s", r1, r2)
 	}
@@ -101,7 +93,7 @@ func TestRunChaosSweep(t *testing.T) {
 // TestWatchdogTimesOut an impossible condition must end at the budget with
 // TimedOut latched.
 func TestWatchdogTimesOut(t *testing.T) {
-	m := NewMachine(CFS, 1)
+	m := (&Env{}).NewMachine(CFS, 1)
 	defer m.Shutdown()
 	wd := &Watchdog{Budget: timebase.Millisecond}
 	start := m.Now()

@@ -38,17 +38,17 @@ type ColoResult struct {
 // machine: 15 pinned dummies, an unpinned victim that lands on the idle
 // core, the attacker pinned there afterwards, and the load balancer left
 // running to show the victim stays put.
-func RunColo(cfg ColoConfig) *ColoResult {
+func RunColo(env *Env, cfg ColoConfig) *ColoResult {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 10
 	}
 	// Every trial's machine shares one configuration: fork them all from
 	// one pooled template instead of booting 16 cores per trial.
-	defer scopeTrialPool()()
+	env = env.withTrialPool()
 	res := &ColoResult{Config: cfg, Trials: cfg.Trials}
 	for trial := 0; trial < cfg.Trials; trial++ {
 		seed := cfg.Seed + uint64(trial)*7919
-		m := NewMachine(CFS, seed)
+		m := env.NewMachine(CFS, seed)
 		m.StartBalancer()
 		rec := ktrace.NewRecorder()
 		m.SetTracer(rec)

@@ -9,7 +9,7 @@ import (
 // seeds and diverge for different ones.
 func TestHistogramDeterminism(t *testing.T) {
 	run := func(seed uint64) string {
-		return RunFig43(Fig43Config{Variant: Fig43a, Samples: 600, Seed: seed}).String()
+		return RunFig43(&Env{}, Fig43Config{Variant: Fig43a, Samples: 600, Seed: seed}).String()
 	}
 	a1, a2, b := run(9), run(9), run(10)
 	if a1 != a2 {
@@ -23,7 +23,7 @@ func TestHistogramDeterminism(t *testing.T) {
 // TestAttackDeterminism: the AES attack's recovered accuracy is seed-stable.
 func TestAttackDeterminism(t *testing.T) {
 	run := func() float64 {
-		return RunFig51(Fig51Config{Keys: 2, TracesPerKey: 3, Sched: CFS, Seed: 55}).NibbleAccuracy
+		return RunFig51(&Env{}, Fig51Config{Keys: 2, TracesPerKey: 3, Sched: CFS, Seed: 55}).NibbleAccuracy
 	}
 	if run() != run() {
 		t.Fatal("AES attack not deterministic")

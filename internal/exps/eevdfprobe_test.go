@@ -13,7 +13,7 @@ import (
 // placement: it logs the vruntime gap, deadlines and lag at the first nap
 // and asserts the burst is in the budget's ballpark.
 func TestProbeEEVDFBudget(t *testing.T) {
-	m := NewMachine(EEVDF, 77)
+	m := (&Env{}).NewMachine(EEVDF, 77)
 	defer m.Shutdown()
 	victim := m.Spawn("victim", func(e *kern.Env) {
 		e.RunLoopForever(loopvictim.DefaultBody())

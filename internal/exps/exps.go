@@ -8,18 +8,10 @@ package exps
 import (
 	"fmt"
 
-	"repro/internal/cfs"
-	"repro/internal/defense"
-	"repro/internal/eevdf"
-	"repro/internal/fault"
-	"repro/internal/gls"
 	"repro/internal/isa"
 	"repro/internal/kern"
-	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/timebase"
-	"repro/internal/trace"
 )
 
 // Sched selects the scheduler under attack.
@@ -56,259 +48,6 @@ func WithSchedParams(mut func(*sched.Params)) MachineOption {
 // WithKernParams overrides kernel parameters (speculation, jitter).
 func WithKernParams(mut func(*kern.Params)) MachineOption {
 	return func(kp *kern.Params, _ *sched.Params) { mut(kp) }
-}
-
-// chaos is the package-wide fault configuration applied to every machine
-// NewMachine builds (unless the experiment sets its own). The cplab CLI's
-// -faults flag and the chaos tests set it; experiments stay oblivious.
-// Determinism is unaffected: each machine forks its injector stream off its
-// own seed. scopedChaos carries the goroutine-scoped override a parallel
-// campaign worker installs around its entry, so concurrent experiments can
-// run under different fault configurations without sharing state.
-var (
-	chaos       fault.Config
-	scopedChaos gls.Store[fault.Config]
-)
-
-// SetChaos installs cfg as the process-wide ambient fault configuration for
-// subsequently built experiment machines and returns the previous
-// configuration (restore it when done). The zero Config turns injection
-// off. Only call it from a driving goroutine with no experiments in
-// flight; concurrent runners use ScopeChaos instead.
-func SetChaos(cfg fault.Config) fault.Config {
-	prev := chaos
-	chaos = cfg
-	return prev
-}
-
-// ScopeChaos installs cfg as the calling goroutine's fault configuration
-// and returns the restore function (defer it on the same goroutine). The
-// override shadows SetChaos for machines this goroutine builds.
-func ScopeChaos(cfg fault.Config) (restore func()) { return scopedChaos.Set(cfg) }
-
-// Chaos returns the ambient fault configuration, scope-first.
-func Chaos() fault.Config {
-	if cfg, ok := scopedChaos.Get(); ok {
-		return cfg
-	}
-	return chaos
-}
-
-// defenseCfg is the package-wide countermeasure configuration applied to
-// every machine NewMachine builds, mirroring the chaos plumbing: the cplab
-// CLI's -defense flag and the matrix harness set it; experiments stay
-// oblivious. The zero Config installs nothing — the machine is byte-for-byte
-// the undefended machine. scopedDefense carries the goroutine-scoped
-// override a parallel campaign worker installs around its entry.
-var (
-	defenseCfg    defense.Config
-	scopedDefense gls.Store[defense.Config]
-)
-
-// SetDefense installs cfg as the process-wide ambient defense configuration
-// for subsequently built experiment machines and returns the previous
-// configuration (restore it when done). The zero Config turns the defense
-// layer off. Only call it from a driving goroutine with no experiments in
-// flight; concurrent runners use ScopeDefense instead.
-func SetDefense(cfg defense.Config) defense.Config {
-	prev := defenseCfg
-	defenseCfg = cfg
-	return prev
-}
-
-// ScopeDefense installs cfg as the calling goroutine's defense configuration
-// and returns the restore function (defer it on the same goroutine). The
-// override shadows SetDefense for machines this goroutine builds.
-func ScopeDefense(cfg defense.Config) (restore func()) { return scopedDefense.Set(cfg) }
-
-// Defense returns the ambient defense configuration, scope-first.
-func Defense() defense.Config {
-	if cfg, ok := scopedDefense.Get(); ok {
-		return cfg
-	}
-	return defenseCfg
-}
-
-// traceCap, when non-nil, attaches a passive trace.Collector to every
-// machine NewMachine builds (alongside whatever tracer the experiment
-// installs). Like SetChaos it is ambient package state driven by the
-// harness; experiments stay oblivious and runs are unperturbed (collectors
-// consume no randomness).
-var traceCap *traceCapture
-
-type traceCapture struct {
-	max      int
-	machines []capturedMachine
-}
-
-type capturedMachine struct {
-	seed  uint64
-	label string
-	col   *trace.Collector
-}
-
-// StartTraceCapture begins recording the kernel event stream of every
-// machine built from here on. maxEventsPerMachine bounds each machine's
-// share (0 = unbounded); a capped recording is marked truncated. Not safe
-// for concurrent experiment runs — like SetChaos, it is harness state.
-func StartTraceCapture(maxEventsPerMachine int) {
-	traceCap = &traceCapture{max: maxEventsPerMachine}
-}
-
-// StopTraceCapture ends recording and returns the merged trace: one
-// EvMachine boundary event per machine, in construction order, followed by
-// that machine's scheduling events. It returns an empty trace when capture
-// was never started.
-func StopTraceCapture() *trace.Trace {
-	tc := traceCap
-	traceCap = nil
-	tr := &trace.Trace{}
-	if tc == nil {
-		return tr
-	}
-	for _, cm := range tc.machines {
-		tr.Events = append(tr.Events, trace.Event{Kind: trace.EvMachine, Seed: cm.seed, Label: cm.label})
-		tr.Events = append(tr.Events, cm.col.Events()...)
-		tr.Truncated = tr.Truncated || cm.col.Truncated()
-	}
-	return tr
-}
-
-// watchdogBudget is the ambient simulated-time deadline for
-// watchdog-guarded experiment phases; 0 leaves each experiment's own
-// default in force. The campaign/trace CLI paths set it via
-// repro.Options.SimBudget. scopedBudget is the goroutine-scoped override
-// for concurrent campaign workers.
-var (
-	watchdogBudget timebase.Duration
-	scopedBudget   gls.Store[timebase.Duration]
-)
-
-// SetWatchdogBudget installs d as the process-wide ambient simulated-time
-// budget for Watchdogs built with NewWatchdog and returns the previous
-// value (restore it when done). 0 disables the override. Like SetChaos it
-// must only run with no experiments in flight.
-func SetWatchdogBudget(d timebase.Duration) timebase.Duration {
-	prev := watchdogBudget
-	watchdogBudget = d
-	return prev
-}
-
-// ScopeWatchdogBudget installs d as the calling goroutine's watchdog
-// budget and returns the restore function (defer it on the same
-// goroutine).
-func ScopeWatchdogBudget(d timebase.Duration) (restore func()) { return scopedBudget.Set(d) }
-
-// WatchdogBudget returns the ambient budget, scope-first (0 = no override).
-func WatchdogBudget() timebase.Duration {
-	if d, ok := scopedBudget.Get(); ok {
-		return d
-	}
-	return watchdogBudget
-}
-
-// NewWatchdog returns a Watchdog honouring the ambient budget, falling back
-// to the experiment's own default when none is set.
-func NewWatchdog(fallback timebase.Duration) *Watchdog {
-	if d := WatchdogBudget(); d > 0 {
-		return &Watchdog{Budget: d}
-	}
-	return &Watchdog{Budget: fallback}
-}
-
-// invariantStride is the ambient full-invariant-scan cadence applied to
-// every machine NewMachine builds; 0 leaves the kernel default (every 2048
-// events) in force and negative values disable checking. The bench and
-// campaign hot paths relax the stride — invariant scans are pure checking,
-// so the stride never changes simulation behaviour, only how soon a
-// corruption is caught. scopedStride is the goroutine-scoped override for
-// concurrent campaign workers.
-var (
-	invariantStride int
-	scopedStride    gls.Store[int]
-)
-
-// SetInvariantStride installs n as the process-wide ambient invariant
-// stride for subsequently built machines and returns the previous value
-// (restore it when done). Like SetChaos it must only run with no
-// experiments in flight.
-func SetInvariantStride(n int) int {
-	prev := invariantStride
-	invariantStride = n
-	return prev
-}
-
-// ScopeInvariantStride installs n as the calling goroutine's invariant
-// stride and returns the restore function (defer it on the same goroutine).
-func ScopeInvariantStride(n int) (restore func()) { return scopedStride.Set(n) }
-
-// InvariantStride returns the ambient stride, scope-first (0 = kernel
-// default).
-func InvariantStride() int {
-	if n, ok := scopedStride.Get(); ok {
-		return n
-	}
-	return invariantStride
-}
-
-// NewMachine builds the experiment machine for the given scheduler and
-// seed. When an ambient sim-time profiler is installed, each machine opens
-// a new profiling phase, so a multi-machine experiment's wall-clock cost is
-// attributed per machine in construction order. When an ambient MachinePool
-// is scoped (ScopeMachinePool), the machine is a seeded fork of the pool's
-// template for this configuration — byte-identical to a fresh build, minus
-// the boot cost — unless an option installed its own scheduler constructor
-// or telemetry sink, which always builds fresh.
-func NewMachine(kind Sched, seed uint64, opts ...MachineOption) *kern.Machine {
-	if prof := metrics.AmbientProfiler(); prof != nil {
-		prof.BeginPhase(fmt.Sprintf("%s seed=%d", kind, seed))
-	}
-	sp := sched.DefaultParams(Cores)
-	// NewSched stays nil until every option ran: a non-nil constructor
-	// afterwards means an option supplied a custom scheduler, which the
-	// fingerprint cannot see — those machines bypass the pool.
-	p := kern.DefaultParams(Cores, nil)
-	p.Seed = seed
-	p.Faults = Chaos()
-	p.Defense = Defense()
-	p.InvariantStride = InvariantStride()
-	for _, o := range opts {
-		o(&p, &sp)
-	}
-	p.Sched = sp
-	custom := p.NewSched != nil
-	if !custom {
-		switch kind {
-		case EEVDF:
-			p.NewSched = func() sched.Scheduler { return eevdf.New(sp) }
-		default:
-			p.NewSched = func() sched.Scheduler { return cfs.New(sp) }
-		}
-	}
-	var m *kern.Machine
-	if mp, ok := scopedPool.Get(); ok && !custom && p.Metrics == nil && p.Profiler == nil {
-		m = mp.get(kind, p)
-	}
-	if m == nil {
-		m = kern.NewMachine(p)
-	}
-	if traceCap != nil {
-		col := trace.NewCollector(traceCap.max)
-		m.AttachTracer(col)
-		traceCap.machines = append(traceCap.machines,
-			capturedMachine{seed: seed, label: kind.String(), col: col})
-	}
-	// Same cadence as the profiler phases: when an ambient span context is
-	// installed, each machine opens a machine-tier span (ending the prior
-	// machine's), so the timeline attributes the entry's wall and sim time
-	// per machine. A nil context makes this one predicted branch.
-	if c := obs.Ambient(); c.Enabled() {
-		c.BeginMachinePhase(fmt.Sprintf("%s seed=%d", kind, seed), m)
-		if p.Defense.Enabled() {
-			c.Mark("defense "+p.Defense.Summary(), nil)
-		}
-	}
-	return m
 }
 
 // Watchdog bounds an experiment phase by a simulated-time budget, so a

@@ -30,7 +30,7 @@ func TestTable21(t *testing.T) {
 }
 
 func TestFig41(t *testing.T) {
-	r := RunFig41(2)
+	r := RunFig41(&Env{}, 2)
 	if r.SlackAtWake < 11*timebase.Millisecond || r.SlackAtWake > 12500*timebase.Microsecond {
 		t.Fatalf("Δ at wake = %v, want ≈S_slack 12ms", r.SlackAtWake)
 	}
@@ -43,7 +43,7 @@ func TestFig41(t *testing.T) {
 }
 
 func TestFig43aShape(t *testing.T) {
-	r := RunFig43(Fig43Config{Variant: Fig43a, Samples: 2000, Seed: 3})
+	r := RunFig43(&Env{}, Fig43Config{Variant: Fig43a, Samples: 2000, Seed: 3})
 	t.Log("\n" + r.String())
 	// Small ε: sizable zero steps and small counts; larger ε: more
 	// instructions per preemption.
@@ -60,7 +60,7 @@ func TestFig43aShape(t *testing.T) {
 }
 
 func TestFig43bSingleSteps(t *testing.T) {
-	r := RunFig43(Fig43Config{Variant: Fig43b, Samples: 2000, Seed: 4})
+	r := RunFig43(&Env{}, Fig43Config{Variant: Fig43b, Samples: 2000, Seed: 4})
 	t.Log("\n" + r.String())
 	// With iTLB eviction, a mid ε should give a majority of single steps.
 	best := 0.0
@@ -75,7 +75,7 @@ func TestFig43bSingleSteps(t *testing.T) {
 }
 
 func TestFig43cTimer(t *testing.T) {
-	r := RunFig43(Fig43Config{Variant: Fig43c, Samples: 1500, Seed: 5})
+	r := RunFig43(&Env{}, Fig43Config{Variant: Fig43c, Samples: 1500, Seed: 5})
 	t.Log("\n" + r.String())
 	if s := r.SmallFrac(0); s < 0.5 {
 		t.Errorf("timer method small-step fraction = %.2f", s)
@@ -83,7 +83,7 @@ func TestFig43cTimer(t *testing.T) {
 }
 
 func TestFig47EEVDF(t *testing.T) {
-	r := RunFig43(Fig43Config{Variant: Fig47, Samples: 1500, Seed: 6})
+	r := RunFig43(&Env{}, Fig43Config{Variant: Fig47, Samples: 1500, Seed: 6})
 	t.Log("\n" + r.String())
 	best := 0.0
 	for i := range r.Epsilons {
@@ -98,7 +98,7 @@ func TestFig47EEVDF(t *testing.T) {
 
 func TestFig44Fit(t *testing.T) {
 	us := func(x int64) timebase.Duration { return timebase.Duration(x) * timebase.Microsecond }
-	r := RunFig44(Fig44Config{
+	r := RunFig44(&Env{}, Fig44Config{
 		Measures: []timebase.Duration{us(10), us(25), us(60)},
 		Trials:   6,
 		Seed:     7,
@@ -110,7 +110,7 @@ func TestFig44Fit(t *testing.T) {
 }
 
 func TestFig45NiceSweep(t *testing.T) {
-	r := RunFig45(Fig45Config{Nices: []int{-20, -10, 0}, Trials: 4, Seed: 8})
+	r := RunFig45(&Env{}, Fig45Config{Nices: []int{-20, -10, 0}, Trials: 4, Seed: 8})
 	t.Log("\n" + r.String())
 	if !r.HundredsEvenAtHighestPriority() {
 		t.Errorf("nice -20 median = %d, want hundreds", r.Medians[0])
@@ -122,7 +122,7 @@ func TestFig45NiceSweep(t *testing.T) {
 }
 
 func TestSec45Median(t *testing.T) {
-	r := RunSec45(Sec45Config{Trials: 40, Seed: 9})
+	r := RunSec45(&Env{}, Sec45Config{Trials: 40, Seed: 9})
 	t.Log("\n" + r.String())
 	if r.Median() < 150 || r.Median() > 300 {
 		t.Errorf("EEVDF median = %d, paper reports 219", r.Median())
@@ -130,7 +130,7 @@ func TestSec45Median(t *testing.T) {
 }
 
 func TestFig46Noise(t *testing.T) {
-	r := RunFig46(Fig46Config{Seed: 10})
+	r := RunFig46(&Env{}, Fig46Config{Seed: 10})
 	t.Log("\n" + r.String())
 	if r.ConvergeAt == 0 {
 		t.Fatal("victim and noise vruntimes never converged")
@@ -154,7 +154,7 @@ func truncate(s string, n int) string {
 }
 
 func TestFig11Comparison(t *testing.T) {
-	r := RunFig11(Fig11Config{PriorThreads: 10, Target: 100, Seed: 11})
+	r := RunFig11(&Env{}, Fig11Config{PriorThreads: 10, Target: 100, Seed: 11})
 	t.Log("\n" + r.String())
 	if r.MaxPriorBurst() > int64(r.Config.PriorThreads) {
 		t.Errorf("prior bursts exceed thread count: %d", r.MaxPriorBurst())
@@ -168,7 +168,7 @@ func TestFig11Comparison(t *testing.T) {
 }
 
 func TestColo(t *testing.T) {
-	r := RunColo(ColoConfig{Trials: 3, Seed: 12})
+	r := RunColo(&Env{}, ColoConfig{Trials: 3, Seed: 12})
 	t.Log("\n" + r.String())
 	if r.Landed != r.Trials {
 		t.Errorf("victim landed on target in %d/%d trials", r.Landed, r.Trials)
@@ -179,7 +179,7 @@ func TestColo(t *testing.T) {
 }
 
 func TestFig51AES(t *testing.T) {
-	r := RunFig51(Fig51Config{Keys: 4, TracesPerKey: 5, Sched: CFS, Seed: 13})
+	r := RunFig51(&Env{}, Fig51Config{Keys: 4, TracesPerKey: 5, Sched: CFS, Seed: 13})
 	t.Log("\n" + r.String())
 	if r.NibbleAccuracy < 0.9 {
 		t.Errorf("AES nibble accuracy = %.3f, paper reports 0.989", r.NibbleAccuracy)
@@ -187,7 +187,7 @@ func TestFig51AES(t *testing.T) {
 }
 
 func TestFig51AESEEVDF(t *testing.T) {
-	r := RunFig51(Fig51Config{Keys: 3, TracesPerKey: 5, Sched: EEVDF, Seed: 14})
+	r := RunFig51(&Env{}, Fig51Config{Keys: 3, TracesPerKey: 5, Sched: EEVDF, Seed: 14})
 	t.Log("\n" + r.String())
 	if r.NibbleAccuracy < 0.85 {
 		t.Errorf("AES/EEVDF nibble accuracy = %.3f, paper reports 0.981", r.NibbleAccuracy)
@@ -195,7 +195,7 @@ func TestFig51AESEEVDF(t *testing.T) {
 }
 
 func TestFig52SGX(t *testing.T) {
-	r := RunFig52(Fig52Config{Keys: 2, Seed: 15})
+	r := RunFig52(&Env{}, Fig52Config{Keys: 2, Seed: 15})
 	t.Log("\n" + r.String())
 	if r.SingleCoverage < 0.4 || r.SingleCoverage > 0.85 {
 		t.Errorf("single-run coverage = %.3f, paper reports 0.615", r.SingleCoverage)
@@ -209,7 +209,7 @@ func TestFig52SGX(t *testing.T) {
 }
 
 func TestFig54BTB(t *testing.T) {
-	r := RunFig54(Fig54Config{Pairs: 4, Seed: 16})
+	r := RunFig54(&Env{}, Fig54Config{Pairs: 4, Seed: 16})
 	t.Log("\n" + r.String())
 	if r.BranchAccuracy < 0.9 {
 		t.Errorf("branch accuracy = %.3f, paper reports 0.973", r.BranchAccuracy)

@@ -33,7 +33,7 @@ type ExtEEVDFResult struct {
 }
 
 // RunExtEEVDF sweeps ΔI on the EEVDF scheduler.
-func RunExtEEVDF(cfg ExtEEVDFConfig) *ExtEEVDFResult {
+func RunExtEEVDF(env *Env, cfg ExtEEVDFConfig) *ExtEEVDFResult {
 	if len(cfg.Measures) == 0 {
 		us := func(x int64) timebase.Duration { return timebase.Duration(x) * timebase.Microsecond }
 		cfg.Measures = []timebase.Duration{us(6), us(9), us(12), us(18), us(25), us(40)}
@@ -42,14 +42,14 @@ func RunExtEEVDF(cfg ExtEEVDFConfig) *ExtEEVDFResult {
 		cfg.Trials = 15
 	}
 	res := &ExtEEVDFResult{Config: cfg}
-	defer scopeTrialPool()()
+	env = env.withTrialPool()
 	seed := cfg.Seed
 	for _, m := range cfg.Measures {
 		var lens []int64
 		var dIs []int64
 		for trial := 0; trial < cfg.Trials; trial++ {
 			seed++
-			p := runBurstTrial(EEVDF, 0, m, seed)
+			p := runBurstTrial(env, EEVDF, 0, m, seed)
 			lens = append(lens, p.Preemptions)
 			dIs = append(dIs, int64(p.DeltaI))
 		}

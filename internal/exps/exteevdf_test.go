@@ -8,7 +8,7 @@ import (
 
 func TestExtEEVDFScalingLaw(t *testing.T) {
 	us := func(x int64) timebase.Duration { return timebase.Duration(x) * timebase.Microsecond }
-	r := RunExtEEVDF(ExtEEVDFConfig{
+	r := RunExtEEVDF(&Env{}, ExtEEVDFConfig{
 		Measures: []timebase.Duration{us(8), us(16), us(32)},
 		Trials:   6,
 		Seed:     31,

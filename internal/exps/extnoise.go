@@ -29,7 +29,7 @@ type ExtNoiseResult struct {
 
 // RunExtNoise measures AES upper-nibble accuracy across
 // {quiet, noisy} × {1 trace, 5 traces}.
-func RunExtNoise(cfg ExtNoiseConfig) *ExtNoiseResult {
+func RunExtNoise(env *Env, cfg ExtNoiseConfig) *ExtNoiseResult {
 	if cfg.Keys <= 0 {
 		cfg.Keys = 6
 	}
@@ -37,7 +37,7 @@ func RunExtNoise(cfg ExtNoiseConfig) *ExtNoiseResult {
 		cfg.Noise = 4
 	}
 	run := func(traces int, noiseRate float64, seedOff uint64) float64 {
-		r := RunFig51(Fig51Config{
+		r := RunFig51(env, Fig51Config{
 			Keys:         cfg.Keys,
 			TracesPerKey: traces,
 			Sched:        CFS,

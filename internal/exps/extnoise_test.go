@@ -3,7 +3,7 @@ package exps
 import "testing"
 
 func TestExtNoise(t *testing.T) {
-	r := RunExtNoise(ExtNoiseConfig{Keys: 3, Seed: 21})
+	r := RunExtNoise(&Env{}, ExtNoiseConfig{Keys: 3, Seed: 21})
 	t.Log("\n" + r.String())
 	if r.QuietFiveTraces < 0.9 {
 		t.Errorf("quiet 5-trace accuracy = %.3f", r.QuietFiveTraces)

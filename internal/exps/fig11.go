@@ -41,7 +41,7 @@ type Fig11Result struct {
 // spend one preemption per thread wake and must recharge for S_bnd-scale
 // time, so sustained fine-grain preemption needs many threads; Controlled
 // Preemption gets hundreds of preemptions from one thread per hibernation.
-func RunFig11(cfg Fig11Config) *Fig11Result {
+func RunFig11(env *Env, cfg Fig11Config) *Fig11Result {
 	if cfg.PriorThreads <= 0 {
 		cfg.PriorThreads = 40
 	}
@@ -52,7 +52,7 @@ func RunFig11(cfg Fig11Config) *Fig11Result {
 
 	// Baseline: recharge-style rotation.
 	{
-		m := NewMachine(CFS, cfg.Seed)
+		m := env.NewMachine(CFS, cfg.Seed)
 		m.Spawn("victim", func(e *kern.Env) {
 			e.RunLoopForever(loopvictim.DefaultBody())
 		}, kern.WithPin(0))
@@ -80,7 +80,7 @@ func RunFig11(cfg Fig11Config) *Fig11Result {
 
 	// Controlled Preemption: one thread.
 	{
-		m := NewMachine(CFS, cfg.Seed+1)
+		m := env.NewMachine(CFS, cfg.Seed+1)
 		m.Spawn("victim", func(e *kern.Env) {
 			e.RunLoopForever(loopvictim.DefaultBody())
 		}, kern.WithPin(0))

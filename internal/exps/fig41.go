@@ -27,8 +27,8 @@ type Fig41Result struct {
 }
 
 // RunFig41 reproduces Figure 4.1 as a measured trace.
-func RunFig41(seed uint64) *Fig41Result {
-	m := NewMachine(CFS, seed)
+func RunFig41(env *Env, seed uint64) *Fig41Result {
+	m := env.NewMachine(CFS, seed)
 	defer m.Shutdown()
 	victim := m.Spawn("victim", func(e *kern.Env) {
 		e.RunLoopForever(loopvictim.DefaultBody())

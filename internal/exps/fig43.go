@@ -85,7 +85,7 @@ type Fig43Result struct {
 
 // RunFig43 reproduces one panel of Figure 4.3 (or Figure 4.7): the
 // distribution of victim instructions retired per preemption, per ε.
-func RunFig43(cfg Fig43Config) *Fig43Result {
+func RunFig43(env *Env, cfg Fig43Config) *Fig43Result {
 	if cfg.Samples <= 0 {
 		cfg.Samples = 20000
 	}
@@ -94,18 +94,18 @@ func RunFig43(cfg Fig43Config) *Fig43Result {
 	}
 	res := &Fig43Result{Variant: cfg.Variant, Epsilons: cfg.Epsilons}
 	for i, eps := range cfg.Epsilons {
-		res.Hists = append(res.Hists, runFig43One(cfg, eps, cfg.Seed+uint64(i)))
+		res.Hists = append(res.Hists, runFig43One(env, cfg, eps, cfg.Seed+uint64(i)))
 	}
 	return res
 }
 
 // runFig43One collects one histogram.
-func runFig43One(cfg Fig43Config, eps timebase.Duration, seed uint64) *stats.Hist {
+func runFig43One(env *Env, cfg Fig43Config, eps timebase.Duration, seed uint64) *stats.Hist {
 	kind := CFS
 	if cfg.Variant == Fig47 {
 		kind = EEVDF
 	}
-	m := NewMachine(kind, seed)
+	m := env.NewMachine(kind, seed)
 	defer m.Shutdown()
 
 	victimOpts := []kern.SpawnOption{kern.WithPin(0)}

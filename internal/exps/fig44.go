@@ -46,7 +46,7 @@ type Fig44Result struct {
 // RunFig44 reproduces Figure 4.4: the number of repeated preemptions as a
 // function of I_attacker − I_victim, against the expected
 // ⌈(S_slack−S_preempt)/ΔI⌉ curve.
-func RunFig44(cfg Fig44Config) *Fig44Result {
+func RunFig44(env *Env, cfg Fig44Config) *Fig44Result {
 	if len(cfg.Measures) == 0 {
 		us := func(x int64) timebase.Duration { return timebase.Duration(x) * timebase.Microsecond }
 		cfg.Measures = []timebase.Duration{us(8), us(12), us(18), us(25), us(35), us(50), us(70), us(100)}
@@ -55,12 +55,12 @@ func RunFig44(cfg Fig44Config) *Fig44Result {
 		cfg.Trials = 50
 	}
 	res := &Fig44Result{Config: cfg}
-	defer scopeTrialPool()()
+	env = env.withTrialPool()
 	seed := cfg.Seed
 	for _, mdur := range cfg.Measures {
 		for trial := 0; trial < cfg.Trials; trial++ {
 			seed++
-			res.Points = append(res.Points, runBurstTrial(cfg.Sched, cfg.Nice, mdur, seed))
+			res.Points = append(res.Points, runBurstTrial(env, cfg.Sched, cfg.Nice, mdur, seed))
 		}
 	}
 	// Both schedulers run the same tunables; the budget is a pure function
@@ -75,13 +75,13 @@ func RunFig44(cfg Fig44Config) *Fig44Result {
 // must sleep longer before the Equation 2.1 placement clamps (the paper's
 // 5s launch hibernation covers the whole nice range; the fast-forwarding
 // simulation makes the long sleep free).
-func runBurstTrial(kind Sched, nice int, measure timebase.Duration, seed uint64) Fig44Point {
-	return runBurstTrialEps(kind, nice, measure, 2*timebase.Microsecond, seed)
+func runBurstTrial(env *Env, kind Sched, nice int, measure timebase.Duration, seed uint64) Fig44Point {
+	return runBurstTrialEps(env, kind, nice, measure, 2*timebase.Microsecond, seed)
 }
 
 // runBurstTrialEps additionally controls ε (and therefore I_victim).
-func runBurstTrialEps(kind Sched, nice int, measure, epsilon timebase.Duration, seed uint64) Fig44Point {
-	m := NewMachine(kind, seed)
+func runBurstTrialEps(env *Env, kind Sched, nice int, measure, epsilon timebase.Duration, seed uint64) Fig44Point {
+	m := env.NewMachine(kind, seed)
 	defer m.Shutdown()
 	victim := m.Spawn("victim", func(e *kern.Env) {
 		e.RunLoopForever(loopvictim.DefaultBody())

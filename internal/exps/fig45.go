@@ -34,7 +34,7 @@ type Fig45Result struct {
 // RunFig45 reproduces Figure 4.5: repeated preemptions as a function of
 // the victim's nice value. ΔI is kept in the paper's 10–15µs band at
 // nice 0 by the measurement length.
-func RunFig45(cfg Fig45Config) *Fig45Result {
+func RunFig45(env *Env, cfg Fig45Config) *Fig45Result {
 	if len(cfg.Nices) == 0 {
 		cfg.Nices = []int{-20, -15, -10, -5, 0}
 	}
@@ -50,11 +50,11 @@ func RunFig45(cfg Fig45Config) *Fig45Result {
 	// cost (the Goldilocks arithmetic of §4.2).
 	const iVic = epsilon + 300*timebase.Nanosecond - 1500*timebase.Nanosecond
 	res := &Fig45Result{Config: cfg, Nices: cfg.Nices}
-	defer scopeTrialPool()()
+	env = env.withTrialPool()
 	seed := cfg.Seed
 
 	// Calibrate effective I_attacker from a nice-0 trial.
-	calib := runBurstTrialEps(CFS, 0, measure, epsilon, seed+99991)
+	calib := runBurstTrialEps(env, CFS, 0, measure, epsilon, seed+99991)
 	iAtt := calib.DeltaI + iVic // ΔI at nice 0 ≈ I_att − I_vic
 
 	budget := sched.DefaultParams(Cores).PreemptionBudget()
@@ -62,7 +62,7 @@ func RunFig45(cfg Fig45Config) *Fig45Result {
 		var lens []int64
 		for trial := 0; trial < cfg.Trials; trial++ {
 			seed++
-			p := runBurstTrialEps(CFS, nice, measure, epsilon, seed)
+			p := runBurstTrialEps(env, CFS, nice, measure, epsilon, seed)
 			lens = append(lens, p.Preemptions)
 		}
 		res.Medians = append(res.Medians, stats.MedianInt64(lens))

@@ -55,14 +55,14 @@ type Fig46Result struct {
 // with a third compute-bound thread, plus the template-attack presence
 // oracle that keeps the attack usable after the victim and noise vruntimes
 // converge.
-func RunFig46(cfg Fig46Config) *Fig46Result {
+func RunFig46(env *Env, cfg Fig46Config) *Fig46Result {
 	if cfg.NoiseHeadStart <= 0 {
 		cfg.NoiseHeadStart = 30 * timebase.Millisecond
 	}
 	if cfg.AttackFor <= 0 {
 		cfg.AttackFor = 400 * timebase.Millisecond
 	}
-	m := NewMachine(CFS, cfg.Seed)
+	m := env.NewMachine(CFS, cfg.Seed)
 	defer m.Shutdown()
 
 	rec := ktrace.NewRecorder()

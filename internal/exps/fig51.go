@@ -61,7 +61,7 @@ type aesTrace struct {
 // Flush+Reload, 5 traces per key, combining the traces with a
 // collision-robust per-byte score (the prior work the paper matches [7]
 // ships similarly careful key-retrieval algorithms).
-func RunFig51(cfg Fig51Config) *Fig51Result {
+func RunFig51(env *Env, cfg Fig51Config) *Fig51Result {
 	if cfg.Keys <= 0 {
 		cfg.Keys = 100
 	}
@@ -91,7 +91,7 @@ func RunFig51(cfg Fig51Config) *Fig51Result {
 		for t := 0; t < cfg.TracesPerKey; t++ {
 			pt := make([]byte, 16)
 			r.Bytes(pt)
-			tr := collectAESTrace(cfg, ek, pt, cfg.Seed+uint64(k*31+t))
+			tr := collectAESTrace(env, cfg, ek, pt, cfg.Seed+uint64(k*31+t))
 			sampleCount += int64(len(tr.samples))
 			traceCount++
 			if res.Heatmap == nil {
@@ -146,8 +146,8 @@ func RunFig51(cfg Fig51Config) *Fig51Result {
 
 // collectAESTrace runs one victim invocation under attack and returns the
 // Flush+Reload trace.
-func collectAESTrace(cfg Fig51Config, key *aes.Key, pt []byte, seed uint64) *aesTrace {
-	m := NewMachine(cfg.Sched, seed, WithKernParams(func(kp *kern.Params) {
+func collectAESTrace(env *Env, cfg Fig51Config, key *aes.Key, pt []byte, seed uint64) *aesTrace {
+	m := env.NewMachine(cfg.Sched, seed, WithKernParams(func(kp *kern.Params) {
 		kp.NoiseEvictionsPerWake = cfg.AmbientNoise
 	}))
 	defer m.Shutdown()

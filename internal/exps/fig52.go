@@ -62,7 +62,7 @@ type sgxRun struct {
 // RunFig52 reproduces §5.2: LLC Prime+Probe against OpenSSL-style base64
 // PEM decoding inside an SGX enclave, from userspace, including the
 // insufficient-budget problem and its two-run trace-splicing fix.
-func RunFig52(cfg Fig52Config) *Fig52Result {
+func RunFig52(env *Env, cfg Fig52Config) *Fig52Result {
 	if cfg.Keys <= 0 {
 		cfg.Keys = 30
 	}
@@ -79,7 +79,7 @@ func RunFig52(cfg Fig52Config) *Fig52Result {
 		charSum += float64(len(input))
 
 		// Run 1: attack from the start of the decode.
-		run1 := runSGXOnce(input, 0, cfg.Seed+uint64(k*97))
+		run1 := runSGXOnce(env, input, 0, cfg.Seed+uint64(k*97))
 		if res.TraceRows == nil {
 			res.TraceNames = []string{"code", "LUT[0]", "LUT[1]"}
 			n := len(run1.codeLat)
@@ -97,9 +97,9 @@ func RunFig52(cfg Fig52Config) *Fig52Result {
 
 		// Run 2: profile the victim's standalone duration, then start the
 		// attack a bit before the halfway point and splice.
-		profile := profileSGXDuration(input, cfg.Seed+uint64(k*97)+3)
+		profile := profileSGXDuration(env, input, cfg.Seed+uint64(k*97)+3)
 		delay := timebase.Duration(float64(profile) * 0.45)
-		run2 := runSGXOnce(input, delay, cfg.Seed+uint64(k*97)+7)
+		run2 := runSGXOnce(env, input, delay, cfg.Seed+uint64(k*97)+7)
 		full := spliceTraces(run1.bits, run2.bits, len(truth))
 		fullSum += prefixAccuracy(full, truth)
 		rep := leak.Analyze(input, full)
@@ -119,12 +119,12 @@ func RunFig52(cfg Fig52Config) *Fig52Result {
 
 // runSGXOnce attacks one victim execution, starting the preemption loop
 // startDelay after the victim is invoked.
-func runSGXOnce(input string, startDelay timebase.Duration, seed uint64) *sgxRun {
+func runSGXOnce(env *Env, input string, startDelay timebase.Duration, seed uint64) *sgxRun {
 	// The paper's SGX victim is compiled with the LVI mitigation
 	// (MITIGATION-CVE2020-0551=LOAD), which fences every load and thereby
 	// suppresses the speculative touches that would otherwise smear the
 	// cache channel (§5.2).
-	m := NewMachine(CFS, seed, WithKernParams(func(kp *kern.Params) {
+	m := env.NewMachine(CFS, seed, WithKernParams(func(kp *kern.Params) {
 		kp.SpecProb = 0
 	}))
 	defer m.Shutdown()
@@ -246,8 +246,8 @@ func snapChunk(group []int) []int {
 
 // profileSGXDuration measures the victim's unattacked execution time — the
 // offline profiling run the attacker uses to time its run-2 hibernation.
-func profileSGXDuration(input string, seed uint64) timebase.Duration {
-	m := NewMachine(CFS, seed)
+func profileSGXDuration(env *Env, input string, seed uint64) timebase.Duration {
+	m := env.NewMachine(CFS, seed)
 	defer m.Shutdown()
 	prog, _, err := base64.BuildProgram(input, base64.DefaultLayout, base64.DefaultBuildOptions)
 	if err != nil {

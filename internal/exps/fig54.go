@@ -38,7 +38,7 @@ type Fig54Result struct {
 // directions of mbedtls_mpi_gcd via the BTB side channel (NightVision),
 // with Controlled Preemption instead of SGX-Step, and the Figure 5.3
 // Train+Probe gadgets instead of privileged performance counters.
-func RunFig54(cfg Fig54Config) *Fig54Result {
+func RunFig54(env *Env, cfg Fig54Config) *Fig54Result {
 	if cfg.Pairs <= 0 {
 		cfg.Pairs = 30
 	}
@@ -46,14 +46,14 @@ func RunFig54(cfg Fig54Config) *Fig54Result {
 	r := rng.New(cfg.Seed ^ 0xb7b)
 
 	// The paper's worked example first (Figure 5.4).
-	exTruth, exGot := runGCDAttack(mpi.New(1001941), mpi.New(300463), cfg.Seed+1)
+	exTruth, exGot := runGCDAttack(env, mpi.New(1001941), mpi.New(300463), cfg.Seed+1)
 	res.ExampleTruth, res.ExampleGot = exTruth, exGot
 
 	var correct, total, iters int
 	for p := 0; p < cfg.Pairs; p++ {
 		a := mpi.New(randomPrime20(r))
 		b := mpi.New(randomPrime20(r))
-		truth, got := runGCDAttack(a, b, cfg.Seed+uint64(p*131)+17)
+		truth, got := runGCDAttack(env, a, b, cfg.Seed+uint64(p*131)+17)
 		iters += len(truth)
 		n := len(got)
 		if n > len(truth) {
@@ -96,11 +96,11 @@ func isSmallPrime(n uint64) bool {
 
 // runGCDAttack runs one attacked gcd(a,b) and returns (ground truth,
 // recovered) branch directions.
-func runGCDAttack(a, b *mpi.Int, seed uint64) (truth, got []bool) {
+func runGCDAttack(env *Env, a, b *mpi.Int, seed uint64) (truth, got []bool) {
 	// The BTB channel is immune to data-cache speculation smear, but the
 	// victim is built like the §5.2 one (LVI-mitigated enclave code), so
 	// the same suppression applies.
-	m := NewMachine(CFS, seed, WithKernParams(func(kp *kern.Params) {
+	m := env.NewMachine(CFS, seed, WithKernParams(func(kp *kern.Params) {
 		kp.SpecProb = 0
 	}))
 	defer m.Shutdown()

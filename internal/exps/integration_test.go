@@ -18,7 +18,7 @@ import (
 // through one encryption with Controlled Preemption, and recover first-round
 // upper nibbles — all while the load balancer runs.
 func TestEndToEndColocatedAESAttack(t *testing.T) {
-	m := NewMachine(CFS, 20260706)
+	m := (&Env{}).NewMachine(CFS, 20260706)
 	defer m.Shutdown()
 	m.StartBalancer()
 	rec := ktrace.NewRecorder()

@@ -64,9 +64,9 @@ type MatrixCellResult struct {
 func MatrixAttacks() []string { return []string{"nanosleep", "ptimer", "colocate"} }
 
 // RunMatrixCell runs one attack-vs-defense cell. The defense is installed
-// via the ambient goroutine scope, so the attack drivers themselves stay
-// oblivious — exactly how a campaign worker would install it.
-func RunMatrixCell(cfg MatrixCellConfig) (*MatrixCellResult, error) {
+// through the environment, so the attack drivers themselves stay
+// oblivious — exactly how a defended run of any experiment installs it.
+func RunMatrixCell(env *Env, cfg MatrixCellConfig) (*MatrixCellResult, error) {
 	dcfg, err := defense.Preset(cfg.Defense)
 	if err != nil {
 		return nil, err
@@ -88,29 +88,26 @@ func RunMatrixCell(cfg MatrixCellConfig) (*MatrixCellResult, error) {
 	// One pool spans the whole cell: the defended attack machines, the
 	// colocation trials and the two overhead machines each fork from their
 	// own per-configuration template (the defense config is part of the
-	// template fingerprint).
-	defer scopeTrialPool()()
+	// template key).
+	env = env.withTrialPool()
 
-	// Attack phase, under the cell's defense. Scoped even for "off", so an
-	// ambient SetDefense cannot leak into a baseline cell.
-	restore := ScopeDefense(dcfg)
+	// Attack phase, under the cell's defense. Installed even for "off", so
+	// a defense the caller's env carries cannot leak into a baseline cell.
 	switch cfg.Attack {
 	case "nanosleep", "ptimer":
-		runMatrixTimerCell(cfg, res)
+		runMatrixTimerCell(env.withDefense(dcfg), cfg, res)
 	case "colocate":
-		runMatrixColoCell(cfg, res)
+		runMatrixColoCell(env.withDefense(dcfg), cfg, res)
 	default:
-		restore()
 		return nil, fmt.Errorf("matrix: unknown attack %q (known: %s)",
 			cfg.Attack, strings.Join(MatrixAttacks(), ", "))
 	}
-	restore()
 
 	// Overhead phase: the same benign workload on an undefended and a
-	// defended machine, same seed. The undefended run is scoped too, so the
-	// baseline is the true zero-defense machine whatever the ambient state.
-	base := benignRetired(cfg.Seed, defense.Config{})
-	defended := benignRetired(cfg.Seed, dcfg)
+	// defended machine, same seed. The undefended run sets its defense too,
+	// so the baseline is the true zero-defense machine whatever env holds.
+	base := benignRetired(env, cfg.Seed, defense.Config{})
+	defended := benignRetired(env, cfg.Seed, dcfg)
 	if base > 0 {
 		res.Overhead = 1 - float64(defended)/float64(base)
 	}
@@ -120,8 +117,8 @@ func RunMatrixCell(cfg MatrixCellConfig) (*MatrixCellResult, error) {
 // runMatrixTimerCell measures the residual success of the §4.2 wake-up
 // methods: loop victim and robust attacker share core 0, like the chaos
 // harness rows.
-func runMatrixTimerCell(cfg MatrixCellConfig, res *MatrixCellResult) {
-	m := NewMachine(CFS, cfg.Seed)
+func runMatrixTimerCell(env *Env, cfg MatrixCellConfig, res *MatrixCellResult) {
+	m := env.NewMachine(CFS, cfg.Seed)
 	defer m.Shutdown()
 	m.Spawn("victim", func(e *kern.Env) {
 		e.RunLoopForever(loopvictim.DefaultBody())
@@ -161,7 +158,7 @@ func runMatrixTimerCell(cfg MatrixCellConfig, res *MatrixCellResult) {
 		finished = true
 	}, kern.WithPin(0))
 
-	wd := NewWatchdog(cfg.Budget)
+	wd := env.NewWatchdog(cfg.Budget)
 	wd.Run(m, func() bool { return finished })
 
 	st := att.Stats()
@@ -177,12 +174,12 @@ func runMatrixTimerCell(cfg MatrixCellConfig, res *MatrixCellResult) {
 // runMatrixColoCell measures the residual success of the §4.4 colocation
 // recipe: occupy all cores but one, let placement deliver the victim, pin
 // the preemption thread after it. A cordon breaks each step.
-func runMatrixColoCell(cfg MatrixCellConfig, res *MatrixCellResult) {
+func runMatrixColoCell(env *Env, cfg MatrixCellConfig, res *MatrixCellResult) {
 	succeeded := 0
 	var totalPre int64
 	for trial := 0; trial < cfg.Trials; trial++ {
 		seed := cfg.Seed + uint64(trial)*7919
-		m := NewMachine(CFS, seed)
+		m := env.NewMachine(CFS, seed)
 		m.StartBalancer()
 		rec := ktrace.NewRecorder()
 		m.SetTracer(rec)
@@ -228,10 +225,8 @@ func runMatrixColoCell(cfg MatrixCellConfig, res *MatrixCellResult) {
 // benignRetired runs a defense-agnostic mixed workload — oversubscribed
 // compute plus periodic sleepers, the shapes every countermeasure taxes
 // differently — and returns total retired instructions after 20ms.
-func benignRetired(seed uint64, d defense.Config) int64 {
-	restore := ScopeDefense(d)
-	defer restore()
-	m := NewMachine(CFS, seed)
+func benignRetired(env *Env, seed uint64, d defense.Config) int64 {
+	m := env.withDefense(d).NewMachine(CFS, seed)
 	defer m.Shutdown()
 	m.StartBalancer()
 	threads := make([]*kern.Thread, 0, Cores+6)

@@ -10,11 +10,11 @@ import (
 
 func TestMatrixCellDeterministicPerSeed(t *testing.T) {
 	cfg := MatrixCellConfig{Attack: "nanosleep", Defense: "slackrand", Target: 200, Seed: 7}
-	a, err := RunMatrixCell(cfg)
+	a, err := RunMatrixCell(&Env{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMatrixCell(cfg)
+	b, err := RunMatrixCell(&Env{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestMatrixCellDeterministicPerSeed(t *testing.T) {
 }
 
 func TestMatrixCellOffBaseline(t *testing.T) {
-	r, err := RunMatrixCell(MatrixCellConfig{Attack: "nanosleep", Defense: "off", Target: 200, Seed: 1})
+	r, err := RunMatrixCell(&Env{}, MatrixCellConfig{Attack: "nanosleep", Defense: "off", Target: 200, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +40,11 @@ func TestMatrixCellOffBaseline(t *testing.T) {
 }
 
 func TestMatrixCellCordonCollapsesTimerAttack(t *testing.T) {
-	off, err := RunMatrixCell(MatrixCellConfig{Attack: "nanosleep", Defense: "off", Target: 200, Seed: 1})
+	off, err := RunMatrixCell(&Env{}, MatrixCellConfig{Attack: "nanosleep", Defense: "off", Target: 200, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cor, err := RunMatrixCell(MatrixCellConfig{Attack: "nanosleep", Defense: "cordon", Target: 200, Seed: 1})
+	cor, err := RunMatrixCell(&Env{}, MatrixCellConfig{Attack: "nanosleep", Defense: "cordon", Target: 200, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,48 +61,45 @@ func TestMatrixCellCordonCollapsesTimerAttack(t *testing.T) {
 }
 
 func TestMatrixCellRejectsUnknownAxes(t *testing.T) {
-	if _, err := RunMatrixCell(MatrixCellConfig{Attack: "rowhammer", Defense: "off"}); err == nil {
+	if _, err := RunMatrixCell(&Env{}, MatrixCellConfig{Attack: "rowhammer", Defense: "off"}); err == nil {
 		t.Fatal("unknown attack accepted")
 	}
-	if _, err := RunMatrixCell(MatrixCellConfig{Attack: "nanosleep", Defense: "prayer"}); err == nil {
+	if _, err := RunMatrixCell(&Env{}, MatrixCellConfig{Attack: "nanosleep", Defense: "prayer"}); err == nil {
 		t.Fatal("unknown defense preset accepted")
 	}
 }
 
+// TestDefenseAmbientScoping: a defense lives in the Env that carries it.
+// Concurrent runs under different Envs each get their own countermeasures,
+// and deriving a defended Env never changes the one it came from.
 func TestDefenseAmbientScoping(t *testing.T) {
-	cordon := defense.Config{CordonCores: []int{0}, CordonAllow: []string{"victim"}}
-	slack := defense.Config{SlackRandMax: 10 * timebase.Microsecond}
-	prev := SetDefense(cordon)
-	defer SetDefense(prev)
-	if got := Defense(); !reflect.DeepEqual(got, cordon) {
-		t.Fatalf("process-wide defense not visible: %+v", got)
+	cordon := &Env{Defense: defense.Config{CordonCores: []int{0}, CordonAllow: []string{"victim"}}}
+	slack := cordon.withDefense(defense.Config{SlackRandMax: 10 * timebase.Microsecond})
+	summaries := make(chan string, 2)
+	for _, env := range []*Env{cordon, slack} {
+		go func(env *Env) {
+			m := env.NewMachine(CFS, 1)
+			defer m.Shutdown()
+			summaries <- m.Defense().Config().Summary()
+		}(env)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		restore := ScopeDefense(slack)
-		if got := Defense(); !reflect.DeepEqual(got, slack) {
-			t.Errorf("scoped defense not visible: %+v", got)
-		}
-		restore()
-		if got := Defense(); !reflect.DeepEqual(got, cordon) {
-			t.Errorf("restore did not fall back to process-wide: %+v", got)
-		}
-	}()
-	<-done
-	// The other goroutine's scope never leaked here.
-	if got := Defense(); !reflect.DeepEqual(got, cordon) {
-		t.Fatalf("scope leaked across goroutines: %+v", got)
+	got := map[string]bool{<-summaries: true, <-summaries: true}
+	if !got["cordon=0:victim"] || len(got) != 2 {
+		t.Fatalf("concurrent envs installed %v, want the cordon and the slack defense", got)
+	}
+	if !reflect.DeepEqual(cordon.Defense.CordonCores, []int{0}) || cordon.Defense.SlackRandMax != 0 {
+		t.Fatalf("withDefense changed the env it derived from: %+v", cordon.Defense)
 	}
 }
 
+// TestDefenseAmbientReachesMachine: the env's defense is installed into
+// every machine built from it.
 func TestDefenseAmbientReachesMachine(t *testing.T) {
-	restore := ScopeDefense(defense.Config{CordonCores: []int{0}, CordonAllow: []string{"victim"}})
-	defer restore()
-	m := NewMachine(CFS, 1)
+	env := &Env{Defense: defense.Config{CordonCores: []int{0}, CordonAllow: []string{"victim"}}}
+	m := env.NewMachine(CFS, 1)
 	defer m.Shutdown()
 	if m.Defense() == nil {
-		t.Fatal("ambient defense not installed into the machine")
+		t.Fatal("env defense not installed into the machine")
 	}
 	if got := m.Defense().Config().Summary(); got != "cordon=0:victim" {
 		t.Fatalf("installed config %q", got)

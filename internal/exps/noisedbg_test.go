@@ -14,7 +14,7 @@ func TestNoiseRemovesHits(t *testing.T) {
 	pt := make([]byte, 16)
 	ek, _ := aes.ExpandKey(key)
 	count := func(noiseRate float64) int {
-		tr := collectAESTrace(Fig51Config{Sched: CFS, AmbientNoise: noiseRate}, ek, pt, 333)
+		tr := collectAESTrace(&Env{}, Fig51Config{Sched: CFS, AmbientNoise: noiseRate}, ek, pt, 333)
 		hits := 0
 		for _, s := range tr.samples {
 			for tbl := 0; tbl < 4; tbl++ {

@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/gls"
+	"repro/internal/cache"
+	"repro/internal/fault"
 	"repro/internal/kern"
 	"repro/internal/metrics"
+	"repro/internal/sched"
+	"repro/internal/timebase"
 )
 
 // Machine pooling: NewMachine costs ~a millisecond of arena carving and
@@ -24,54 +27,150 @@ import (
 // Pooling is therefore invisible in results, traces and manifests; it only
 // changes wall-clock time.
 
-// fingerprint canonicalizes a machine configuration: everything in
-// kern.Params except the seed (the fork axis) and the unprintable
-// per-machine attachments (NewSched is rebuilt per template; Metrics and
-// Profiler force a pool bypass in NewMachine before fingerprinting). Two
-// calls agree on a fingerprint iff a template built for one serves the
-// other, so per-iteration parameter mutation in a trial loop is validated
-// structurally, up front: a mutated configuration can never silently reuse
-// the old template — it misses the cache and boots its own.
-func fingerprint(kind Sched, p kern.Params) string {
-	fp := p
-	fp.Seed = 0
-	fp.NewSched = nil
-	fp.Metrics = nil
-	fp.Profiler = nil
-	return fmt.Sprintf("%s|%+v", kind, fp)
+// poolKey is the comparable form of a machine configuration: a copy of
+// every kern.Params field except the seed (the fork axis), NewSched
+// (rebuilt per template from kind and Sched) and the per-fork Metrics and
+// Profiler sinks, which each fork resolves anew. The slice-valued fault
+// and defense knobs are canonicalized into slices only when one is
+// non-empty, so the common path formats nothing. Two configurations share
+// a key iff a template built for one serves the other, so per-iteration
+// parameter mutation in a trial loop can never silently reuse the old
+// template — it misses the cache and boots its own.
+type poolKey struct {
+	kind                  Sched
+	cores                 int
+	clock                 timebase.Clock
+	sched                 sched.Params
+	switchCost            timebase.Duration
+	switchJitter          timebase.Duration
+	timerIRQLat           timebase.Duration
+	timerIRQJitter        timebase.Duration
+	timerSlackDefault     timebase.Duration
+	syscallEntry          timebase.Duration
+	signalDeliver         timebase.Duration
+	interruptCost         timebase.Duration
+	timestampCycles       int64
+	tickPeriod            timebase.Duration
+	balancePeriod         timebase.Duration
+	wellSleptMin          timebase.Duration
+	specWindow            int
+	specProb              float64
+	noiseEvictionsPerWake float64
+	cacheConfig           cache.SystemConfig
+	faultRate             float64
+	faultWindow           fault.Window
+	faultCheckPeriod      timebase.Duration
+	faultIRQDelayMax      timebase.Duration
+	faultSlackSpikeMax    timebase.Duration
+	faultDropRetry        timebase.Duration
+	slackRandMax          timebase.Duration
+	periodicJitterMax     timebase.Duration
+	wakeNoiseProb         float64
+	preemptCap            int
+	preemptWindow         timebase.Duration
+	invariantStride       int
+	flightRecorderDepth   int
+	slices                string
 }
 
-// MachinePool caches pristine machine templates by configuration
-// fingerprint and hands out seeded forks. A MachinePool is single-goroutine,
-// like the kern.Pools it wraps: scope it to the goroutine building machines
-// (ScopeMachinePool), and use a PoolSet to share warm pools across the
-// sequential entries of a parallel campaign.
+// keyOf builds the pool key of a machine configuration.
+func keyOf(kind Sched, p kern.Params) poolKey {
+	f, d := p.Faults, p.Defense
+	k := poolKey{
+		kind:                  kind,
+		cores:                 p.Cores,
+		clock:                 p.Clock,
+		sched:                 p.Sched,
+		switchCost:            p.SwitchCost,
+		switchJitter:          p.SwitchJitter,
+		timerIRQLat:           p.TimerIRQLat,
+		timerIRQJitter:        p.TimerIRQJitter,
+		timerSlackDefault:     p.TimerSlackDefault,
+		syscallEntry:          p.SyscallEntry,
+		signalDeliver:         p.SignalDeliver,
+		interruptCost:         p.InterruptCost,
+		timestampCycles:       p.TimestampCycles,
+		tickPeriod:            p.TickPeriod,
+		balancePeriod:         p.BalancePeriod,
+		wellSleptMin:          p.WellSleptMin,
+		specWindow:            p.SpecWindow,
+		specProb:              p.SpecProb,
+		noiseEvictionsPerWake: p.NoiseEvictionsPerWake,
+		cacheConfig:           p.CacheConfig,
+		faultRate:             f.Rate,
+		faultWindow:           f.Window,
+		faultCheckPeriod:      f.CheckPeriod,
+		faultIRQDelayMax:      f.IRQDelayMax,
+		faultSlackSpikeMax:    f.SlackSpikeMax,
+		faultDropRetry:        f.DropRetry,
+		slackRandMax:          d.SlackRandMax,
+		periodicJitterMax:     d.PeriodicJitterMax,
+		wakeNoiseProb:         d.WakeNoiseProb,
+		preemptCap:            d.PreemptCap,
+		preemptWindow:         d.PreemptWindow,
+		invariantStride:       p.InvariantStride,
+		flightRecorderDepth:   p.FlightRecorderDepth,
+	}
+	if len(f.Kinds) > 0 || len(d.CordonCores) > 0 || len(d.CordonAllow) > 0 {
+		k.slices = fmt.Sprintf("%v|%v|%q", f.Kinds, d.CordonCores, d.CordonAllow)
+	}
+	return k
+}
+
+// MachinePool caches pristine machine templates by configuration and hands
+// out seeded forks. A MachinePool is single-goroutine, like the kern.Pools
+// it wraps: give it to one Env at a time, and use a PoolSet to share warm
+// pools across the sequential entries of a parallel campaign.
 type MachinePool struct {
-	// reg receives the pooling telemetry (kern_forks_total,
-	// kern_pool_hits/misses_total, kern_snapshot_bytes). It is captured at
-	// construction — deliberately not the ambient registry at fork time —
-	// so per-entry campaign registries stay free of pooling counters and
-	// manifests are byte-identical whether pooling is on or off.
-	reg *metrics.Registry
-	// pools maps fingerprint → template pool; a nil value records a
+	// pools maps configuration → template pool; a nil value records a
 	// configuration that failed to snapshot (so it is not re-attempted).
-	pools map[string]*kern.Pool
+	pools map[poolKey]*kern.Pool
+	// tel receives the pooling telemetry of a standalone pool after every
+	// fork; pools in a PoolSet report through the set instead.
+	tel poolTelemetry
+	// reported is the activity already added to a registry; snapBytes is
+	// the size of the most recently booted template.
+	reported  kern.PoolStats
+	snapBytes int64
+}
+
+// poolTelemetry holds the pooling instruments (kern_forks_total,
+// kern_pool_hits/misses_total, kern_snapshot_bytes), resolved once. They
+// live in the registry the pool was built with — deliberately never a
+// machine's per-fork registry — so per-entry campaign registries stay free
+// of pooling counters and manifests are byte-identical whether pooling is
+// on or off.
+type poolTelemetry struct {
+	forks, hits, misses *metrics.Counter
+	bytes               *metrics.Gauge
+}
+
+func newPoolTelemetry(reg *metrics.Registry) poolTelemetry {
+	return poolTelemetry{
+		forks:  reg.Counter("kern_forks_total"),
+		hits:   reg.Counter("kern_pool_hits_total"),
+		misses: reg.Counter("kern_pool_misses_total"),
+		bytes:  reg.Gauge("kern_snapshot_bytes"),
+	}
 }
 
 // NewMachinePool returns an empty pool reporting into reg (nil disables the
 // pooling telemetry).
 func NewMachinePool(reg *metrics.Registry) *MachinePool {
-	return &MachinePool{reg: reg, pools: map[string]*kern.Pool{}}
+	return &MachinePool{pools: map[poolKey]*kern.Pool{}, tel: newPoolTelemetry(reg)}
 }
 
 // get returns a machine for the fully resolved parameters, forked from the
-// fingerprint's template (booting the template on first miss), or nil when
-// the configuration cannot be pooled — the caller then builds fresh.
+// configuration's template (booting the template on first miss), or nil
+// when the configuration cannot be pooled — the caller then builds fresh.
 func (mp *MachinePool) get(kind Sched, p kern.Params) *kern.Machine {
-	key := fingerprint(kind, p)
+	key := keyOf(kind, p)
 	kp, known := mp.pools[key]
 	if !known {
-		tmpl := kern.NewMachine(p)
+		tp := p
+		tp.NewSched = newSched(kind, p.Sched)
+		tp.Metrics, tp.Profiler = nil, nil
+		tmpl := kern.NewMachine(tp)
 		snap, err := tmpl.Snapshot()
 		tmpl.Shutdown()
 		if err != nil {
@@ -81,80 +180,83 @@ func (mp *MachinePool) get(kind Sched, p kern.Params) *kern.Machine {
 			mp.pools[key] = nil
 			return nil
 		}
-		kp = kern.NewPool(snap, mp.reg)
+		kp = kern.NewPool(snap)
 		mp.pools[key] = kp
+		mp.snapBytes = snap.Bytes()
 	}
 	if kp == nil {
 		return nil
 	}
-	m, err := kp.GetSeeded(p.Seed)
+	m, err := kp.GetSeeded(p.Seed, p.Metrics, p.Profiler)
 	if err != nil {
 		return nil
+	}
+	if mp.tel.forks != nil {
+		mp.report(&mp.tel)
 	}
 	return m
 }
 
-// scopedPool carries the goroutine-scoped ambient MachinePool, mirroring
-// scopedChaos: a campaign entry (or a trial-loop driver) installs its pool
-// on its own goroutine and every NewMachine call from that goroutine forks
-// from it, with no locks on the machine-construction hot path.
-var scopedPool gls.Store[*MachinePool]
-
-// ScopeMachinePool installs mp as the calling goroutine's machine pool and
-// returns the restore function (defer it on the same goroutine). While
-// scoped, NewMachine serves poolable configurations as template forks.
-func ScopeMachinePool(mp *MachinePool) (restore func()) { return scopedPool.Set(mp) }
-
-// scopeTrialPool gives a multi-trial driver a throwaway machine pool when
-// the caller has not scoped one, so its per-iteration machines fork from
-// one template instead of booting from scratch. With a pool already ambient
-// (a campaign entry), it is a no-op and the entry's warm pool serves the
-// trials.
-func scopeTrialPool() (restore func()) {
-	if _, ok := scopedPool.Get(); ok {
-		return func() {}
+// report adds the pool's activity since the last report to tel.
+func (mp *MachinePool) report(tel *poolTelemetry) {
+	var now kern.PoolStats
+	for _, kp := range mp.pools {
+		if kp != nil {
+			s := kp.Stats()
+			now.Forks += s.Forks
+			now.Hits += s.Hits
+			now.Misses += s.Misses
+		}
 	}
-	return ScopeMachinePool(NewMachinePool(nil))
+	tel.forks.Add(now.Forks - mp.reported.Forks)
+	tel.hits.Add(now.Hits - mp.reported.Hits)
+	tel.misses.Add(now.Misses - mp.reported.Misses)
+	if mp.snapBytes > 0 {
+		tel.bytes.Set(mp.snapBytes)
+	}
+	mp.reported = now
 }
 
 // PoolSet shares MachinePools across the goroutine-per-entry structure of a
-// parallel campaign. Each contained entry goroutine acquires one
-// MachinePool for its whole entry (creating it on first use, up to one per
-// concurrent worker), scopes it, and releases it when the entry finishes —
-// so pools migrate between entry goroutines but are only ever used by one
-// at a time, and a width-N campaign converges on N warm pools whose
-// templates and free machines are reused for the rest of the plan.
+// parallel campaign. Each entry checks one MachinePool out for its whole
+// run (creating it on first use, up to one per concurrent worker) and
+// checks it back in when it finishes — so pools migrate between entry
+// goroutines but are only ever used by one at a time, and a width-N
+// campaign converges on N warm pools whose templates and free machines are
+// reused for the rest of the plan.
 type PoolSet struct {
 	mu   sync.Mutex
-	reg  *metrics.Registry
+	tel  poolTelemetry
 	free []*MachinePool
 }
 
 // NewPoolSet returns an empty set whose pools report into reg (nil disables
-// pooling telemetry). reg is shared by every pool in the set — hand it the
-// harness registry, never a per-entry one.
-func NewPoolSet(reg *metrics.Registry) *PoolSet { return &PoolSet{reg: reg} }
+// pooling telemetry). Pools report at check-in, under the set's lock, so
+// concurrent entries never touch the shared counters at once — hand the set
+// the harness registry, never a per-entry one.
+func NewPoolSet(reg *metrics.Registry) *PoolSet { return &PoolSet{tel: newPoolTelemetry(reg)} }
 
-// Scope acquires a MachinePool, installs it as the calling goroutine's
-// ambient pool, and returns the release function (defer it on the same
-// goroutine): release restores the previous scope and returns the pool —
-// with its now-warm templates — to the set.
-func (ps *PoolSet) Scope() (release func()) {
+// Get checks a MachinePool out of the set for the caller's exclusive use.
+func (ps *PoolSet) Get() *MachinePool {
 	ps.mu.Lock()
-	var mp *MachinePool
-	if n := len(ps.free); n > 0 {
-		mp = ps.free[n-1]
-		ps.free[n-1] = nil
-		ps.free = ps.free[:n-1]
-	} else {
-		mp = NewMachinePool(ps.reg)
+	defer ps.mu.Unlock()
+	n := len(ps.free)
+	if n == 0 {
+		return NewMachinePool(nil)
 	}
-	ps.mu.Unlock()
-	restore := ScopeMachinePool(mp)
-	return func() {
-		restore()
-		ps.mu.Lock()
-		ps.free = append(ps.free, mp)
-		ps.mu.Unlock()
+	mp := ps.free[n-1]
+	ps.free[n-1] = nil
+	ps.free = ps.free[:n-1]
+	return mp
+}
+
+// Put checks mp — with its now-warm templates — back into the set and
+// reports its pooling activity.
+func (ps *PoolSet) Put(mp *MachinePool) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.tel.forks != nil {
+		mp.report(&ps.tel)
 	}
+	ps.free = append(ps.free, mp)
 }

@@ -25,19 +25,19 @@ type Sec45Result struct {
 // RunSec45 reproduces the §4.5 measurement: on EEVDF, with
 // I_attacker−I_victim in [10µs, 15µs], the attacker repeatedly preempts
 // the victim a median of 219 times across 165 runs.
-func RunSec45(cfg Sec45Config) *Sec45Result {
+func RunSec45(env *Env, cfg Sec45Config) *Sec45Result {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 165
 	}
 	res := &Sec45Result{Config: cfg}
-	defer scopeTrialPool()()
+	env = env.withTrialPool()
 	seed := cfg.Seed
 	for i := 0; i < cfg.Trials; i++ {
 		seed++
 		// Sweep the measurement length across the paper's ΔI band.
 		us := 10 + 5*float64(i)/float64(cfg.Trials)
 		measure := timebase.Duration(us * 1000)
-		p := runBurstTrial(EEVDF, 0, measure, seed)
+		p := runBurstTrial(env, EEVDF, 0, measure, seed)
 		res.Lengths = append(res.Lengths, p.Preemptions)
 	}
 	res.Summary = stats.Summarize(res.Lengths)

@@ -19,7 +19,7 @@ func TestDebugSGXOnce(t *testing.T) {
 	input := "ABCDefgh0123+/IJKLmnop4567QRSTuvwx89abYZ"
 	truth := base64.LineBits(input)
 
-	m := NewMachine(CFS, 42, WithKernParams(func(kp *kern.Params) { kp.SpecProb = 0 }))
+	m := (&Env{}).NewMachine(CFS, 42, WithKernParams(func(kp *kern.Params) { kp.SpecProb = 0 }))
 	defer m.Shutdown()
 	prog, _, err := base64.BuildProgram(input, base64.DefaultLayout, base64.DefaultBuildOptions)
 	if err != nil {

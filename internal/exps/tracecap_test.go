@@ -9,20 +9,18 @@ import (
 	"repro/internal/trace"
 )
 
-// record runs fn under ambient trace capture and returns the merged trace.
-func record(t *testing.T, max int, fn func()) *trace.Trace {
+// record runs fn under an env capturing traces and returns the merged trace.
+func record(t *testing.T, max int, fn func(env *Env)) *trace.Trace {
 	t.Helper()
-	StartTraceCapture(max)
-	defer StopTraceCapture() // belt-and-braces if fn panics
-	fn()
-	tr := StopTraceCapture()
-	return tr
+	env := &Env{Trace: NewTraceCapture(max)}
+	fn(env)
+	return env.Trace.Trace()
 }
 
-// TestTraceCaptureRecordsMachines checks that ambient capture sees every
+// TestTraceCaptureRecordsMachines checks that an env's capture sees every
 // machine an experiment builds, without the experiment opting in.
 func TestTraceCaptureRecordsMachines(t *testing.T) {
-	tr := record(t, 0, func() { RunFig41(1) })
+	tr := record(t, 0, func(env *Env) { RunFig41(env, 1) })
 	if len(tr.Events) == 0 {
 		t.Fatal("capture recorded nothing")
 	}
@@ -43,8 +41,8 @@ func TestTraceCaptureRecordsMachines(t *testing.T) {
 // TestTraceCaptureDeterministic is the golden-trace property: two recordings
 // of the same experiment at the same seed are structurally identical.
 func TestTraceCaptureDeterministic(t *testing.T) {
-	a := record(t, 0, func() { RunFig41(3) })
-	b := record(t, 0, func() { RunFig41(3) })
+	a := record(t, 0, func(env *Env) { RunFig41(env, 3) })
+	b := record(t, 0, func(env *Env) { RunFig41(env, 3) })
 	a.Exp, b.Exp = "fig4.1", "fig4.1"
 	a.Seed, b.Seed = 3, 3
 	if d := trace.Diff(a, b); d != nil {
@@ -57,8 +55,8 @@ func TestTraceCaptureDeterministic(t *testing.T) {
 // golden files rely on.
 func TestTraceCaptureDetectsPerturbation(t *testing.T) {
 	runPerturbed := func(mut func(*sched.Params)) *trace.Trace {
-		tr := record(t, 0, func() {
-			m := NewMachine(CFS, 5, WithSchedParams(mut))
+		tr := record(t, 0, func(env *Env) {
+			m := env.NewMachine(CFS, 5, WithSchedParams(mut))
 			defer m.Shutdown()
 			m.Spawn("victim", func(e *kern.Env) { e.RunLoopForever(pollBody()) }, kern.WithPin(0))
 			m.Spawn("attacker", func(e *kern.Env) {
@@ -89,7 +87,7 @@ func TestTraceCaptureDetectsPerturbation(t *testing.T) {
 
 // TestTraceCaptureCap checks the per-machine cap truncates and flags.
 func TestTraceCaptureCap(t *testing.T) {
-	tr := record(t, 5, func() { RunFig41(1) })
+	tr := record(t, 5, func(env *Env) { RunFig41(env, 1) })
 	if !tr.Truncated {
 		t.Fatal("capped capture not marked truncated")
 	}

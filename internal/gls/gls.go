@@ -1,22 +1,14 @@
-// Package gls provides goroutine-scoped storage for the simulation's
-// ambient harness state (telemetry registries, fault configurations,
-// watchdog budgets).
+// Package gls provides goroutine-scoped storage. Its one user is the span
+// context of a traced campaign entry (obs.ScopeAmbient): the campaign
+// engine scopes each entry's context to the entry's contained goroutine so
+// the machines built there parent their phase spans under that entry.
 //
-// The harness-state pattern — a package-level variable installed by the
-// driver around a run (exps.SetChaos, metrics.SetAmbient) — assumes one
-// experiment runs at a time. The parallel campaign engine breaks that
-// assumption: several workers each run their own experiment concurrently,
-// and each needs its own ambient state without the others seeing it. A
-// Store keys overrides by goroutine ID, so a worker installs its state on
-// its own goroutine and every read from that goroutine resolves to the
-// worker's value while other goroutines fall through to the process-wide
-// default.
-//
-// The deliberate limitation: an override is visible only on the goroutine
-// that installed it, not on goroutines it spawns. That fits the simulator,
-// whose machines are *constructed* (and their registries captured) on the
-// driving goroutine; the lock-stepped thread-body goroutines reach
-// telemetry through the machine, never through ambient lookups.
+// Everything else a run needs — faults, defense, budgets, telemetry
+// registry, profiler, machine pool, trace capture — travels as an explicit
+// value (exps.Env), not through this package: an ID lookup parses a stack
+// dump, and an override is invisible on the goroutines its owner spawns.
+// A Store keeps a cheap path for the common case — no override installed
+// anywhere costs one atomic load per lookup.
 package gls
 
 import (

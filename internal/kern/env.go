@@ -27,10 +27,9 @@ func (e *Env) Thread() *Thread { return e.t }
 func (e *Env) Machine() *Machine { return e.m }
 
 // Metrics returns the machine's telemetry registry (nil when telemetry is
-// off). Receivers constructed inside thread bodies must take instrument
-// handles from here, not from metrics.Ambient(): thread bodies run on
-// their own lock-stepped goroutines, where the goroutine-scoped ambient
-// override installed by a parallel campaign worker is not visible.
+// off). Receivers constructed inside thread bodies take instrument handles
+// from here: the machine's registry is the run's registry, whichever
+// goroutine the body runs on.
 func (e *Env) Metrics() *metrics.Registry { return e.m.reg }
 
 // Now returns the thread's current simulated time.

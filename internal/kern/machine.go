@@ -123,16 +123,14 @@ type Params struct {
 	// Metrics receives the machine's telemetry (package metrics): event
 	// dispatch counts, timer IRQ and context-switch counters, wake
 	// preemption outcomes, queue-depth histograms, plus whatever the
-	// schedulers and microarchitectural models register. nil falls back to
-	// the ambient registry (metrics.Ambient()); when that is nil too,
-	// telemetry is off and every hook collapses to one branch. Metrics are
+	// schedulers and microarchitectural models register. nil turns
+	// telemetry off and every hook collapses to one branch. Metrics are
 	// write-only for the kernel — they never feed back into simulation
 	// state.
 	Metrics *metrics.Registry
 
 	// Profiler attributes wall-clock cost per dispatched event kind
-	// (package metrics). nil falls back to metrics.AmbientProfiler(); when
-	// that is nil too the kernel never reads the host clock.
+	// (package metrics). nil means the kernel never reads the host clock.
 	Profiler *metrics.Profiler
 
 	// FlightRecorderDepth sizes the crash-dump flight recorder: a ring of
@@ -296,6 +294,10 @@ type Machine struct {
 	tracer  Tracer
 	primary Tracer
 	extra   []Tracer
+	// fanout and metricsTr are the storage init reuses across pool forks
+	// for the fan-out and the telemetry tracer (see initTracer).
+	fanout    multiTracer
+	metricsTr metricsTracer
 	// simRNG drives kernel-side jitter; progRNG is handed to programs.
 	simRNG  *rng.RNG
 	progRNG *rng.RNG
@@ -316,7 +318,7 @@ type Machine struct {
 
 	// tel holds the kernel metric handles (always non-nil; no-op handles
 	// when telemetry is off). reg is the registry those handles feed —
-	// captured once at construction (explicit or ambient), nil when
+	// captured once at construction from Params.Metrics, nil when
 	// telemetry is off — so everything attached to this machine reports
 	// into the same namespace regardless of which goroutine it runs on.
 	// prof is the sim-time profiler (nil when off). flight is the
@@ -344,7 +346,7 @@ func NewMachine(p Params) *Machine {
 }
 
 // normalizeParams applies the construction defaults NewMachine documents.
-// It is split out so the pool path can fingerprint and build from the same
+// It is split out so the pool path can key and build from the same
 // normalized view a fresh construction would use.
 func normalizeParams(p Params) Params {
 	if p.Cores <= 0 {
@@ -387,7 +389,7 @@ func buildShell(p Params) *Machine {
 // init brings a shell (fresh from buildShell, or scrubbed by resetForReuse)
 // to the exact state NewMachine establishes: RNG streams derived from
 // p.Seed in construction order, fault injector and its first check event,
-// telemetry resolved against the explicit-or-ambient registry, defense set,
+// telemetry resolved against p.Metrics, defense set,
 // profiler and flight recorder. Reused memory (RNG structs, the telemetry
 // block, the flight ring, runqueue and arena storage) is re-seeded in place
 // rather than reallocated, which is what makes a pooled fork allocation-free
@@ -413,12 +415,9 @@ func (m *Machine) init(p Params) {
 		m.schedule(m.newEvent(m.now.Add(m.faults.CheckPeriod()), evFault))
 	}
 
-	// Telemetry wiring. The registry (explicit or ambient) is strictly
-	// write-only: nothing below feeds a metric value back into sim state.
+	// Telemetry wiring. The registry is strictly write-only: nothing below
+	// feeds a metric value back into sim state.
 	reg := p.Metrics
-	if reg == nil {
-		reg = metrics.Ambient()
-	}
 	m.reg = reg
 	if m.tel == nil {
 		m.tel = &machineTelemetry{}
@@ -437,7 +436,8 @@ func (m *Machine) init(p Params) {
 		m.defense = ds
 	}
 	if reg != nil {
-		m.AttachTracer(&metricsTracer{m: m, tel: m.tel})
+		m.metricsTr = metricsTracer{m: m, tel: m.tel}
+		m.extra = append(m.extra, &m.metricsTr)
 		m.caches.InstrumentMetrics(reg)
 		for _, c := range m.cores {
 			c.cpu.InstrumentMetrics(reg)
@@ -447,9 +447,6 @@ func (m *Machine) init(p Params) {
 		}
 	}
 	m.prof = p.Profiler
-	if m.prof == nil {
-		m.prof = metrics.AmbientProfiler()
-	}
 	if p.FlightRecorderDepth >= 0 {
 		depth := p.FlightRecorderDepth
 		if depth <= 0 {
@@ -460,10 +457,25 @@ func (m *Machine) init(p Params) {
 		} else {
 			m.flight = NewFlightRecorder(p.FlightRecorderDepth)
 		}
-		m.AttachTracer(m.flight)
+		m.extra = append(m.extra, m.flight)
 	} else {
 		m.flight = nil
 	}
+	m.initTracer()
+}
+
+// initTracer builds the fan-out over the tracers init attached, reusing the
+// storage of the shell's previous fan-out: init runs on a shell whose hooks
+// cannot be mid-iteration, so — unlike rebuildTracer — it may overwrite the
+// old slice in place, and a warm pool fork allocates nothing here (the
+// kernel calls through a pointer to the field, which boxes for free).
+func (m *Machine) initTracer() {
+	if len(m.extra) == 0 {
+		m.tracer = m.primary
+		return
+	}
+	m.fanout = append(append(m.fanout[:0], m.primary), m.extra...)
+	m.tracer = &m.fanout
 }
 
 // reseed resets r to state in place, allocating only when r is nil.
@@ -521,8 +533,7 @@ func (m *Machine) Params() Params { return m.p }
 // Metrics returns the telemetry registry the machine reports into (nil
 // when telemetry is off; package metrics instruments no-op on nil).
 // Receivers and attackers running on the machine's thread goroutines take
-// their instrument handles from here rather than from the ambient lookup,
-// which is goroutine-scoped and only meaningful on the driving goroutine.
+// their instrument handles from here.
 func (m *Machine) Metrics() *metrics.Registry { return m.reg }
 
 // Now returns the last processed event time.

@@ -29,9 +29,9 @@ import (
 // after construction, and each fork then spawns and runs its own workload.
 //
 // Telemetry, tracers and profilers are deliberately NOT captured: a fork
-// re-resolves them at fork time (explicit Params.Metrics, else the ambient
-// registry), exactly as a fresh NewMachine would, so per-fork registries
-// see per-fork counts.
+// resolves them at fork time (the snapshot's Params.Metrics/Profiler, or
+// the sinks handed to Pool.GetSeeded), exactly as a fresh NewMachine
+// would, so per-fork registries see per-fork counts.
 type Snapshot struct {
 	p        Params
 	pristine bool
@@ -255,7 +255,7 @@ func (s *Snapshot) Params() Params { return s.p }
 func (s *Snapshot) Pristine() bool { return s.pristine }
 
 // Bytes returns a deterministic estimate of the snapshot's retained size,
-// exported as the kern_snapshot_bytes gauge by Pool.
+// exported as the kern_snapshot_bytes gauge by exps.MachinePool.
 func (s *Snapshot) Bytes() int64 { return s.bytes }
 
 func (s *Snapshot) estimateBytes() int64 {
@@ -279,10 +279,10 @@ func (s *Snapshot) estimateBytes() int64 {
 // Fork builds a fresh machine that is a byte-exact replica of the captured
 // one: same seed, same RNG stream positions, same queued events, threads and
 // runqueue state. Telemetry, tracer and profiler wiring are re-resolved at
-// fork time (explicit Params.Metrics, else ambient), never copied.
+// fork time from the captured Params, never copied.
 func (s *Snapshot) Fork() (*Machine, error) {
 	m := buildShell(s.p)
-	if err := s.applyTo(m, s.p.Seed); err != nil {
+	if err := s.applyTo(m, s.p); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -297,24 +297,25 @@ func (s *Snapshot) ForkSeeded(seed uint64) (*Machine, error) {
 	if seed != s.p.Seed && !s.pristine {
 		return nil, fmt.Errorf("kern: ForkSeeded on a non-pristine snapshot (threads or time captured); only the original seed %d can be forked", s.p.Seed)
 	}
-	m := buildShell(s.p)
-	if err := s.applyTo(m, seed); err != nil {
+	p := s.p
+	p.Seed = seed
+	m := buildShell(p)
+	if err := s.applyTo(m, p); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
 // applyTo completes a machine shell (fresh or pool-scrubbed) from the
-// snapshot. With the original seed the captured state is restored verbatim;
-// with a new seed (pristine snapshots only) construction is re-run from the
-// new seed and the template's post-construction event schedule (a started
-// balancer) is replayed.
-func (s *Snapshot) applyTo(m *Machine, seed uint64) error {
-	p := s.p
-	p.Seed = seed
+// snapshot under p: the captured parameters with the fork's seed and
+// telemetry sinks. With the original seed the captured state is restored
+// verbatim; with a new seed (pristine snapshots only) construction is
+// re-run from the new seed and the template's post-construction event
+// schedule (a started balancer) is replayed.
+func (s *Snapshot) applyTo(m *Machine, p Params) error {
 	m.init(p)
 
-	if seed != s.p.Seed {
+	if p.Seed != s.p.Seed {
 		// Re-seeded pristine fork: init re-derived everything, including
 		// the fault injector's first check event. Replay only the events a
 		// caller scheduled on the template after construction.
@@ -442,35 +443,26 @@ func (m *Machine) threadByID(id int) *Thread {
 // and flight ring of earlier cycles — the warm fork path allocates nothing.
 //
 // A Pool is single-goroutine, like the machines it manages: parallel
-// campaign workers each keep their own pool (see exps.ScopeMachinePool).
+// campaign workers each keep their own pool (see exps.PoolSet).
 type Pool struct {
-	snap *Snapshot
-	free []*Machine
-
-	// forks counts machines handed out; hits/misses split them by whether
-	// pooled memory was reused; bytes gauges the snapshot size. All nil
-	// (no-op) when the pool is built without a registry.
-	forks  *metrics.Counter
-	hits   *metrics.Counter
-	misses *metrics.Counter
-	bytes  *metrics.Gauge
+	snap  *Snapshot
+	free  []*Machine
+	stats PoolStats
 }
 
-// NewPool builds a pool over s, reporting kern_forks_total,
-// kern_pool_hits_total, kern_pool_misses_total and kern_snapshot_bytes into
-// r (which may be nil for no telemetry). Pool metrics are bound to r once,
-// here — never to the per-fork registries the machines themselves resolve.
-func NewPool(s *Snapshot, r *metrics.Registry) *Pool {
-	p := &Pool{
-		snap:   s,
-		forks:  r.Counter("kern_forks_total"),
-		hits:   r.Counter("kern_pool_hits_total"),
-		misses: r.Counter("kern_pool_misses_total"),
-		bytes:  r.Gauge("kern_snapshot_bytes"),
-	}
-	p.bytes.Set(s.Bytes())
-	return p
+// PoolStats counts a pool's activity: Forks machines handed out, split by
+// whether pooled memory was reused (Hits) or a shell was built (Misses).
+// They are plain counts, not registry instruments, so the owner decides
+// when (and under which lock) to publish them.
+type PoolStats struct {
+	Forks, Hits, Misses int64
 }
+
+// NewPool builds a pool over s.
+func NewPool(s *Snapshot) *Pool { return &Pool{snap: s} }
+
+// Stats returns the pool's activity so far.
+func (p *Pool) Stats() PoolStats { return p.stats }
 
 // Snapshot returns the pool's template snapshot.
 func (p *Pool) Snapshot() *Snapshot { return p.snap }
@@ -478,14 +470,18 @@ func (p *Pool) Snapshot() *Snapshot { return p.snap }
 // Idle returns how many scrubbed machines are parked in the pool.
 func (p *Pool) Idle() int { return len(p.free) }
 
-// Get forks the snapshot under its original seed, reusing pooled memory
-// when available. Shutdown returns the machine here.
-func (p *Pool) Get() (*Machine, error) { return p.GetSeeded(p.snap.p.Seed) }
+// Get forks the snapshot under its original seed and sinks, reusing pooled
+// memory when available. Shutdown returns the machine here.
+func (p *Pool) Get() (*Machine, error) {
+	return p.GetSeeded(p.snap.p.Seed, p.snap.p.Metrics, p.snap.p.Profiler)
+}
 
 // GetSeeded forks the snapshot under the given seed (pristine snapshots
-// only, unless the seed is the original). Shutdown returns the machine
-// here.
-func (p *Pool) GetSeeded(seed uint64) (*Machine, error) {
+// only, unless the seed is the original), reporting into reg and prof
+// (either may be nil) instead of the snapshot's own sinks — so one
+// template serves machines with per-fork registries. Shutdown returns the
+// machine here.
+func (p *Pool) GetSeeded(seed uint64, reg *metrics.Registry, prof *metrics.Profiler) (*Machine, error) {
 	if seed != p.snap.p.Seed && !p.snap.pristine {
 		return nil, fmt.Errorf("kern: pool over a non-pristine snapshot can only fork the original seed %d", p.snap.p.Seed)
 	}
@@ -495,16 +491,18 @@ func (p *Pool) GetSeeded(seed uint64) (*Machine, error) {
 		p.free[n-1] = nil
 		p.free = p.free[:n-1]
 		m.inPool = false
-		p.hits.Inc()
+		p.stats.Hits++
 	} else {
 		m = buildShell(p.snap.p)
-		p.misses.Inc()
+		p.stats.Misses++
 	}
-	if err := p.snap.applyTo(m, seed); err != nil {
+	fp := p.snap.p
+	fp.Seed, fp.Metrics, fp.Profiler = seed, reg, prof
+	if err := p.snap.applyTo(m, fp); err != nil {
 		return nil, err
 	}
 	m.pool = p
-	p.forks.Inc()
+	p.stats.Forks++
 	return m, nil
 }
 

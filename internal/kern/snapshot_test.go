@@ -253,12 +253,12 @@ func TestPoolReuseStaysByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	pool := NewPool(snap, nil)
+	pool := NewPool(snap)
 
 	seeds := []uint64{3, 11, 3, 11, 3}
 	want := map[uint64][2]string{}
 	for cycle, seed := range seeds {
-		m, err := pool.GetSeeded(seed)
+		m, err := pool.GetSeeded(seed, nil, nil)
 		if err != nil {
 			t.Fatalf("GetSeeded(%d): %v", seed, err)
 		}
@@ -293,7 +293,7 @@ func TestShutdownMidRunDoesNotPool(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	pool := NewPool(snap, nil)
+	pool := NewPool(snap)
 	m, err := pool.Get()
 	if err != nil {
 		t.Fatalf("Get: %v", err)
@@ -325,7 +325,7 @@ func TestForkZeroAllocsSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	pool := NewPool(snap, nil)
+	pool := NewPool(snap)
 	cycle := func() {
 		m, err := pool.Get()
 		if err != nil {

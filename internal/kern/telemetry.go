@@ -29,24 +29,24 @@ type machineTelemetry struct {
 	migrations *metrics.Counter
 }
 
-// telemetryKinds and telemetryReasons are the label-value tables resolve
-// feeds to CounterFamily, computed once: resolve runs per machine
-// construction and per pool fork, so per-call rebuilding of static string
-// slices is wasted work on the campaign path.
-var telemetryKinds = func() []string {
+// eventNames and schedOutNames are the counter-family names resolve feeds
+// to CounterFamily, built once: resolve runs per machine construction and
+// per pool fork, so per-call name building is wasted work on the campaign
+// path.
+var eventNames = func() []string {
 	kinds := make([]string, numEventKinds)
 	for k := range kinds {
 		kinds[k] = eventKind(k).String()
 	}
-	return kinds
+	return metrics.FamilyNames("kern_events_total", "kind", kinds...)
 }()
 
-var telemetryReasons = func() []string {
+var schedOutNames = func() []string {
 	reasons := make([]string, int(OutPreemptedFault)+1)
 	for reason := range reasons {
 		reasons[reason] = SchedOutReason(reason).String()
 	}
-	return reasons
+	return metrics.FamilyNames("kern_sched_out_total", "reason", reasons...)
 }()
 
 // resolve re-points the telemetry block at r (which may be nil, yielding
@@ -60,13 +60,13 @@ func (tel *machineTelemetry) resolve(r *metrics.Registry) {
 	if r == nil {
 		return
 	}
-	copy(tel.events[:], r.CounterFamily("kern_events_total", "kind", telemetryKinds))
+	r.CounterFamily(tel.events[:], eventNames)
 	tel.timerArmedNanosleep = r.Counter(`kern_timer_armed_total{type="nanosleep"}`)
 	tel.timerArmedPeriodic = r.Counter(`kern_timer_armed_total{type="periodic"}`)
 	tel.timerFired = r.Counter("kern_timer_fired_total")
 	tel.timerDropped = r.Counter("kern_timer_dropped_total")
 	tel.schedIn = r.Counter("kern_sched_in_total")
-	copy(tel.schedOut[:], r.CounterFamily("kern_sched_out_total", "reason", telemetryReasons))
+	r.CounterFamily(tel.schedOut[:], schedOutNames)
 	tel.wakes = r.Counter("kern_wake_total")
 	tel.wakePreemptHit = r.Counter(`kern_wake_preempt_total{outcome="hit"}`)
 	tel.wakePreemptMis = r.Counter(`kern_wake_preempt_total{outcome="miss"}`)

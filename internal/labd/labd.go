@@ -419,13 +419,14 @@ func (s *Server) runJob(j *job) {
 	s.mu.Unlock()
 
 	// The job span roots this worker's share of the submitter's trace;
-	// the campaign below runs under a goroutine-scoped child context so
-	// its entry spans nest here. Disabled tracing makes all of this nil.
+	// the campaign below runs under a child context (campaign.Config.Obs)
+	// so its entry spans nest here. Disabled tracing makes all of this nil.
 	octx := s.cfg.Obs
 	if octx == nil {
 		octx = obs.Ambient()
 	}
 	var jsp *obs.Span
+	var campaignObs *obs.Ctx
 	if octx.Enabled() {
 		jsp = octx.Tracer.StartRemote("job "+j.id, obs.TierJob, trace, traceFrom)
 		jsp.SetAttr("entries", strconv.Itoa(len(spec.IDs)))
@@ -442,8 +443,7 @@ func (s *Server) runJob(j *job) {
 			jsp.Finish()
 			_ = octx.Tracer.Flush()
 		}()
-		restoreObs := obs.ScopeAmbient(octx.Child(jsp))
-		defer restoreObs()
+		campaignObs = octx.Child(jsp)
 	}
 
 	entries := s.wrapEntries(s.cfg.Entries(spec))
@@ -462,6 +462,7 @@ func (s *Server) runJob(j *job) {
 		ExpWall: s.cfg.ExpWall,
 		FS:      s.cfg.FS,
 		Log:     s.cfg.Log,
+		Obs:     campaignObs,
 		OnRecord: func(*campaign.Record) {
 			s.mu.Lock()
 			j.done++

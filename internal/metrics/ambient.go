@@ -1,78 +1,41 @@
 package metrics
 
-import "repro/internal/gls"
-
-// Ambient telemetry follows the same harness-state pattern as
-// exps.SetChaos: experiment drivers construct machines deep inside Run
-// functions with no way to thread a registry through, so the CLI (or a
-// test) installs one ambiently around the run and restores the previous
-// value after. The default is nil — telemetry fully off — and a nil
-// ambient registry/profiler propagates as nil instrument handles, keeping
-// the uninstrumented cost to one branch per site.
+// The process-wide default registry and profiler. A binary (or a test)
+// installs one around a run and restores the previous value after; the
+// default is nil — telemetry fully off. Runs read these defaults once, when
+// they build their explicit run environment (exps.Default); machines then
+// capture their registry at construction and hand cached instrument handles
+// around, so no simulation path looks them up.
 //
-// Two layers compose:
-//
-//   - The process-wide default (SetAmbient / SetAmbientProfiler), written
-//     only from a driving goroutine with no experiments in flight — it is
-//     not synchronized, exactly like the other harness-state globals.
-//   - A goroutine-scoped override (ScopeAmbient / ScopeAmbientProfiler),
-//     which shadows the default for the installing goroutine only. The
-//     parallel campaign engine installs one per worker, so concurrent
-//     entries each report into their own registry while the rest of the
-//     process keeps seeing the default.
-//
-// Ambient() resolves scope-first. Simulation hot paths never call it —
-// machines capture their registry once at construction and hand cached
-// instrument handles around.
+// Like the other harness defaults they are written only from a driving
+// goroutine with no runs in flight; they are not synchronized. Concurrent
+// runs that need their own registry (campaign entries) carry it in their
+// environment instead.
 
 var (
 	ambient     *Registry
 	ambientProf *Profiler
-
-	scopedReg  gls.Store[*Registry]
-	scopedProf gls.Store[*Profiler]
 )
 
-// SetAmbient installs r as the process-wide ambient registry and returns
-// the previous one so callers can restore it (defer metrics.SetAmbient(prev)).
+// SetAmbient installs r as the process-wide registry and returns the
+// previous one so callers can restore it (defer metrics.SetAmbient(prev)).
 func SetAmbient(r *Registry) (prev *Registry) {
 	prev = ambient
 	ambient = r
 	return prev
 }
 
-// Ambient returns the ambient registry: the calling goroutine's scoped
-// override when one is installed, else the process-wide default (nil when
-// telemetry is off).
-func Ambient() *Registry {
-	if r, ok := scopedReg.Get(); ok {
-		return r
-	}
-	return ambient
-}
+// Ambient returns the process-wide registry (nil when telemetry is off).
+func Ambient() *Registry { return ambient }
 
-// ScopeAmbient installs r as the calling goroutine's ambient registry and
-// returns the restore function. Only this goroutine sees r; restore must
-// run on the same goroutine (defer restore()).
-func ScopeAmbient(r *Registry) (restore func()) { return scopedReg.Set(r) }
-
-// SetAmbientProfiler installs p as the process-wide ambient profiler and
-// returns the previous one.
+// SetAmbientProfiler installs p as the process-wide profiler and returns
+// the previous one.
 func SetAmbientProfiler(p *Profiler) (prev *Profiler) {
 	prev = ambientProf
 	ambientProf = p
 	return prev
 }
 
-// AmbientProfiler returns the ambient profiler, scope-first (nil when
-// profiling is off).
-func AmbientProfiler() *Profiler {
-	if p, ok := scopedProf.Get(); ok {
-		return p
-	}
-	return ambientProf
-}
-
-// ScopeAmbientProfiler installs p as the calling goroutine's ambient
-// profiler and returns the restore function.
-func ScopeAmbientProfiler(p *Profiler) (restore func()) { return scopedProf.Set(p) }
+// AmbientProfiler returns the process-wide profiler (nil when profiling is
+// off).
+func AmbientProfiler() *Profiler { return ambientProf }

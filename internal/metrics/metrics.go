@@ -187,27 +187,30 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// CounterFamily pre-resolves one labelled counter per value of a single
-// label, returned in the same order as values: fam[i] is
-// base{label="values[i]"}. Hot sites resolve the family once at
-// registration time and index it with an enum — no label formatting, map
+// FamilyNames builds the names of a labelled counter family over a single
+// label, in the order of values: names[i] is base{label="values[i]"}.
+// Build a family once per package, at init; resolve it per registry with
+// CounterFamily. Values are identifier-like, so quoting is plain
+// concatenation.
+func FamilyNames(base, label string, values ...string) []string {
+	names := make([]string, len(values))
+	for i, v := range values {
+		names[i] = base + "{" + label + `="` + v + `"}`
+	}
+	return names
+}
+
+// CounterFamily resolves one counter per family name (see FamilyNames)
+// into fam, in order. Hot sites resolve the family once per machine (and
+// per pool fork) and index it with an enum — no label formatting, map
 // lookup or allocation per event (the kernel's per-kind event counters and
 // the cache's per-level access counters work this way). A nil registry
-// returns a slice of nil, no-op handles of the same length, so the
-// disabled path stays indexable and zero-cost.
-func (r *Registry) CounterFamily(base, label string, values []string) []*Counter {
-	fam := make([]*Counter, len(values))
-	if r == nil {
-		return fam
+// fills fam with nil, no-op handles, so the disabled path stays indexable
+// and zero-cost.
+func (r *Registry) CounterFamily(fam []*Counter, names []string) {
+	for i, name := range names {
+		fam[i] = r.Counter(name)
 	}
-	for i, v := range values {
-		// Hand-built name: this runs per machine construction (and per pool
-		// fork), where fmt's reflection path showed up as a fifth of the
-		// forked-campaign profile. Values are identifier-like, so quoting is
-		// plain concatenation.
-		fam[i] = r.Counter(base + "{" + label + `="` + v + `"}`)
-	}
-	return fam
 }
 
 // Gauge returns (creating on first use) the named gauge. A nil registry
@@ -295,6 +298,35 @@ func (r *Registry) Flatten() map[string]int64 {
 	for name, h := range r.hists {
 		out[Suffixed(name, "_sum")] = h.sum
 		out[Suffixed(name, "_count")] = h.n
+	}
+	return out
+}
+
+// Counts returns the registry's non-zero values, keyed like Flatten — the
+// delta since an empty registry, Delta(nil, r.Flatten()), in one pass. It
+// returns nil when every value is zero.
+func (r *Registry) Counts() map[string]int64 {
+	var out map[string]int64
+	add := func(name string, v int64) {
+		if v != 0 {
+			if out == nil {
+				out = map[string]int64{}
+			}
+			out[name] = v
+		}
+	}
+	if r == nil {
+		return nil
+	}
+	for name, c := range r.counters {
+		add(name, c.v)
+	}
+	for name, g := range r.gauges {
+		add(name, g.v)
+	}
+	for name, h := range r.hists {
+		add(Suffixed(name, "_sum"), h.sum)
+		add(Suffixed(name, "_count"), h.n)
 	}
 	return out
 }

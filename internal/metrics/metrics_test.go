@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -57,10 +58,9 @@ func TestGetOrCreateSharesInstruments(t *testing.T) {
 
 func TestCounterFamilyResolvesLabelledNames(t *testing.T) {
 	r := New()
-	fam := r.CounterFamily("kern_events_total", "kind", []string{"timer-fire", "tick"})
-	if len(fam) != 2 {
-		t.Fatalf("family length = %d, want 2", len(fam))
-	}
+	names := FamilyNames("kern_events_total", "kind", "timer-fire", "tick")
+	fam := make([]*Counter, len(names))
+	r.CounterFamily(fam, names)
 	// The family must alias the individually resolved handles, so names stay
 	// byte-identical with the pre-family formatting.
 	if fam[0] != r.Counter(`kern_events_total{kind="timer-fire"}`) {
@@ -76,10 +76,8 @@ func TestCounterFamilyResolvesLabelledNames(t *testing.T) {
 	}
 
 	var nilReg *Registry
-	nilFam := nilReg.CounterFamily("x_total", "k", []string{"a", "b", "c"})
-	if len(nilFam) != 3 {
-		t.Fatalf("nil-registry family length = %d, want 3", len(nilFam))
-	}
+	nilFam := []*Counter{{}, {}, {}}
+	nilReg.CounterFamily(nilFam, FamilyNames("x_total", "k", "a", "b", "c"))
 	for i, c := range nilFam {
 		if c != nil {
 			t.Fatalf("nil-registry family[%d] must be a nil no-op handle", i)
@@ -90,7 +88,8 @@ func TestCounterFamilyResolvesLabelledNames(t *testing.T) {
 
 func TestCounterIncZeroAllocs(t *testing.T) {
 	r := New()
-	fam := r.CounterFamily("alloc_probe_total", "k", []string{"a", "b"})
+	var fam [2]*Counter
+	r.CounterFamily(fam[:], FamilyNames("alloc_probe_total", "k", "a", "b"))
 	if avg := testing.AllocsPerRun(1000, func() {
 		fam[0].Inc()
 		fam[1].Add(3)
@@ -303,6 +302,26 @@ func TestProfilerReportOrderingAndRates(t *testing.T) {
 	}
 	if rep.ByEvent[0].Key != "tick" {
 		t.Fatalf("WriteText must not mutate the report: %+v", rep.ByEvent)
+	}
+}
+
+// TestCountsIsDeltaFromEmpty: Counts is the one-pass form of
+// Delta(nil, Flatten()) — zero values dropped, nil when nothing counted.
+func TestCountsIsDeltaFromEmpty(t *testing.T) {
+	r := New()
+	if r.Counts() != nil {
+		t.Fatal("empty registry must count nothing")
+	}
+	r.Counter("zero_total")
+	r.Counter(`a_total{k="x"}`).Add(3)
+	r.Gauge("g").Set(-2)
+	r.Histogram("h", DepthBuckets).Observe(4)
+	if got, want := r.Counts(), Delta(nil, r.Flatten()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Counts = %v, want %v", got, want)
+	}
+	var nilReg *Registry
+	if nilReg.Counts() != nil {
+		t.Fatal("nil registry must count nothing")
 	}
 }
 

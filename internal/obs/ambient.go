@@ -8,11 +8,15 @@ import "repro/internal/gls"
 // disabled state — every method no-ops — so call sites thread it
 // unconditionally.
 //
-// Like metrics registries, Ctx follows the harness-state pattern: a
-// process-wide default installed by the driving binary (SetAmbient) plus
-// goroutine-scoped overrides (ScopeAmbient) that the campaign engine
-// installs per contained entry, so parallel entries parent their machine
-// phases under their own entry spans.
+// A Ctx reaches a tier in one of two ways. Tiers that own a config take it
+// explicitly (labd.Config.Obs, fabric.Config.Obs, campaign.Config.Obs),
+// falling back to the process-wide default the driving binary installs
+// (SetAmbient). Machine phases are the exception: exps.NewMachine reads
+// Ambient(), and the campaign engine scopes each traced entry's context to
+// its contained goroutine (ScopeAmbient), so parallel entries parent their
+// machine phases under their own entry spans. That scope is the last
+// goroutine-scoped value in the harness; with no traced campaign running it
+// costs one atomic load per machine.
 //
 // The phase fields track the machine-tier span currently open on the
 // owning goroutine; exps.NewMachine begins one per constructed machine

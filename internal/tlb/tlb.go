@@ -236,11 +236,16 @@ type CoreTLBs struct {
 	}
 }
 
+// hitNames are the per-level hit counter names, built once: every core
+// instruments its TLBs at each machine construction and pool fork.
+var hitNames = metrics.FamilyNames("tlb_hits_total", "level", "itlb", "dtlb", "stlb")
+
 // InstrumentMetrics wires translation telemetry into a registry: first- and
 // second-level hits, full page-table walks, and whole-TLB flushes. Every
 // core shares the same metric names, so the counters aggregate machine-wide.
 func (c *CoreTLBs) InstrumentMetrics(r *metrics.Registry) {
-	fam := r.CounterFamily("tlb_hits_total", "level", []string{"itlb", "dtlb", "stlb"})
+	var fam [3]*metrics.Counter
+	r.CounterFamily(fam[:], hitNames)
 	c.tel.itlbHits, c.tel.dtlbHits, c.tel.stlbHits = fam[0], fam[1], fam[2]
 	c.tel.walks = r.Counter("tlb_walks_total")
 	c.tel.flushes = r.Counter("tlb_flush_total")

@@ -53,19 +53,22 @@ type Options struct {
 	InvariantStride int
 	// Defense, when non-empty, installs the named countermeasure preset
 	// (package defense; see MatrixDefenses) into every machine the
-	// experiment builds. "" leaves whatever ambient defense the harness
-	// installed; "off" explicitly scopes the zero config, shadowing any
-	// ambient defense. Defended runs stay deterministic per seed.
+	// experiment builds; "" and "off" both mean no defense. Defended runs
+	// stay deterministic per seed.
 	Defense string
-	// NoMachinePool disables campaign machine pooling: by default
-	// CampaignEntries gives every entry a pooled machine template set
-	// (exps.ScopeMachinePool), so the machines an entry builds are seeded
-	// forks of one pristine boot per configuration instead of from-scratch
-	// constructions. Forks are byte-identical to fresh machines (the
-	// kern.Snapshot contract), so results, traces and manifests do not
-	// change either way — this switch exists for A/B verification and as
-	// an escape hatch.
+	// NoMachinePool disables campaign machine pooling: by default each
+	// CampaignEntries entry checks a machine pool out of the plan's
+	// exps.PoolSet into its run environment, so the machines it builds are
+	// seeded forks of one pristine boot per configuration instead of
+	// from-scratch constructions. Forks are byte-identical to fresh
+	// machines (the kern.Snapshot contract), so results, traces and
+	// manifests do not change either way — this switch exists for A/B
+	// verification and as an escape hatch.
 	NoMachinePool bool
+
+	// env is the run environment Run, RunGuarded, RunTraced or a campaign
+	// entry built for this run; experiments build their machines from it.
+	env *exps.Env
 }
 
 // validate rejects options no experiment can honour.
@@ -77,6 +80,36 @@ func (o Options) validate() error {
 	}
 	return nil
 }
+
+// newEnv builds the run environment the options describe, on top of the
+// process-wide defaults (exps.Default): fault injection, watchdog budget,
+// invariant stride and defense preset.
+func (o Options) newEnv() *exps.Env {
+	env := exps.Default()
+	if o.FaultRate > 0 {
+		env.Faults = fault.Config{Rate: o.FaultRate}
+	}
+	env.WatchdogBudget = o.SimBudget
+	env.InvariantStride = o.InvariantStride
+	if o.Defense != "" {
+		// validate() vetted the name; an unknown preset here resolves to
+		// the zero config, i.e. no defense.
+		env.Defense, _ = defense.Preset(o.Defense)
+	}
+	return env
+}
+
+// withEnv returns o carrying its run environment, built on first use.
+func (o Options) withEnv() Options {
+	if o.env == nil {
+		o.env = o.newEnv()
+	}
+	return o
+}
+
+// runEnv is the environment an Experiment's Run builds machines from: the
+// one the runner attached, or a fresh one when Run is called directly.
+func (o Options) runEnv() *exps.Env { return o.withEnv().env }
 
 func (o Options) seed() uint64 {
 	if o.Seed == 0 {
@@ -130,7 +163,7 @@ var registry = []Experiment{
 	{
 		ID: "fig1.1", Title: "Prior multi-thread recharging vs Controlled Preemption",
 		Run: func(o Options) Result {
-			return exps.RunFig11(exps.Fig11Config{
+			return exps.RunFig11(o.runEnv(), exps.Fig11Config{
 				PriorThreads: pick(o, 10, 40),
 				Target:       pick(o, 150, 400),
 				Seed:         o.seed(),
@@ -147,7 +180,7 @@ var registry = []Experiment{
 	},
 	{
 		ID: "fig4.1", Title: "Vruntime walk of one preemption budget",
-		Run: func(o Options) Result { return exps.RunFig41(o.seed()) },
+		Run: func(o Options) Result { return exps.RunFig41(o.runEnv(), o.seed()) },
 		Metrics: func(r Result) map[string]float64 {
 			f := r.(*exps.Fig41Result)
 			return map[string]float64{
@@ -160,28 +193,28 @@ var registry = []Experiment{
 	{
 		ID: "fig4.3a", Title: "Temporal resolution, Method 1 (nanosleep)",
 		Run: func(o Options) Result {
-			return exps.RunFig43(exps.Fig43Config{Variant: exps.Fig43a, Samples: pick(o, 20000, 80000), Seed: o.seed()})
+			return exps.RunFig43(o.runEnv(), exps.Fig43Config{Variant: exps.Fig43a, Samples: pick(o, 20000, 80000), Seed: o.seed()})
 		},
 		Metrics: fig43Metrics,
 	},
 	{
 		ID: "fig4.3b", Title: "Temporal resolution, Method 1 + iTLB eviction",
 		Run: func(o Options) Result {
-			return exps.RunFig43(exps.Fig43Config{Variant: exps.Fig43b, Samples: pick(o, 20000, 80000), Seed: o.seed()})
+			return exps.RunFig43(o.runEnv(), exps.Fig43Config{Variant: exps.Fig43b, Samples: pick(o, 20000, 80000), Seed: o.seed()})
 		},
 		Metrics: fig43Metrics,
 	},
 	{
 		ID: "fig4.3c", Title: "Temporal resolution, Method 2 (POSIX timer)",
 		Run: func(o Options) Result {
-			return exps.RunFig43(exps.Fig43Config{Variant: exps.Fig43c, Samples: pick(o, 20000, 80000), Seed: o.seed()})
+			return exps.RunFig43(o.runEnv(), exps.Fig43Config{Variant: exps.Fig43c, Samples: pick(o, 20000, 80000), Seed: o.seed()})
 		},
 		Metrics: fig43Metrics,
 	},
 	{
 		ID: "fig4.4", Title: "Repeated preemptions vs ΔI, with expected curve",
 		Run: func(o Options) Result {
-			return exps.RunFig44(exps.Fig44Config{Trials: pick(o, 10, 50), Seed: o.seed()})
+			return exps.RunFig44(o.runEnv(), exps.Fig44Config{Trials: pick(o, 10, 50), Seed: o.seed()})
 		},
 		Metrics: func(r Result) map[string]float64 {
 			f := r.(*exps.Fig44Result)
@@ -191,7 +224,7 @@ var registry = []Experiment{
 	{
 		ID: "fig4.5", Title: "Repeated preemptions vs victim nice value",
 		Run: func(o Options) Result {
-			return exps.RunFig45(exps.Fig45Config{Trials: pick(o, 5, 15), Seed: o.seed()})
+			return exps.RunFig45(o.runEnv(), exps.Fig45Config{Trials: pick(o, 5, 15), Seed: o.seed()})
 		},
 		Metrics: func(r Result) map[string]float64 {
 			f := r.(*exps.Fig45Result)
@@ -205,7 +238,7 @@ var registry = []Experiment{
 	{
 		ID: "fig4.6", Title: "Noisy system: vruntime convergence, ((V|N)A)+ and presence oracle",
 		Run: func(o Options) Result {
-			return exps.RunFig46(exps.Fig46Config{Seed: o.seed()})
+			return exps.RunFig46(o.runEnv(), exps.Fig46Config{Seed: o.seed()})
 		},
 		Metrics: func(r Result) map[string]float64 {
 			f := r.(*exps.Fig46Result)
@@ -223,14 +256,14 @@ var registry = []Experiment{
 	{
 		ID: "fig4.7", Title: "Temporal resolution on EEVDF (fig4.3b setup)",
 		Run: func(o Options) Result {
-			return exps.RunFig43(exps.Fig43Config{Variant: exps.Fig47, Samples: pick(o, 20000, 80000), Seed: o.seed()})
+			return exps.RunFig43(o.runEnv(), exps.Fig43Config{Variant: exps.Fig47, Samples: pick(o, 20000, 80000), Seed: o.seed()})
 		},
 		Metrics: fig43Metrics,
 	},
 	{
 		ID: "sec4.5", Title: "EEVDF preemption budget (paper median: 219)",
 		Run: func(o Options) Result {
-			return exps.RunSec45(exps.Sec45Config{Trials: pick(o, 60, 165), Seed: o.seed()})
+			return exps.RunSec45(o.runEnv(), exps.Sec45Config{Trials: pick(o, 60, 165), Seed: o.seed()})
 		},
 		Metrics: func(r Result) map[string]float64 {
 			f := r.(*exps.Sec45Result)
@@ -240,7 +273,7 @@ var registry = []Experiment{
 	{
 		ID: "sec4.4", Title: "Core colocation via load balancing",
 		Run: func(o Options) Result {
-			return exps.RunColo(exps.ColoConfig{Trials: pick(o, 5, 16), Seed: o.seed()})
+			return exps.RunColo(o.runEnv(), exps.ColoConfig{Trials: pick(o, 5, 16), Seed: o.seed()})
 		},
 		Metrics: func(r Result) map[string]float64 {
 			f := r.(*exps.ColoResult)
@@ -253,21 +286,21 @@ var registry = []Experiment{
 	{
 		ID: "fig5.1", Title: "AES T-table first-round attack, CFS (paper: 98.9%)",
 		Run: func(o Options) Result {
-			return exps.RunFig51(exps.Fig51Config{Keys: pick(o, 10, 100), Sched: exps.CFS, Seed: o.seed()})
+			return exps.RunFig51(o.runEnv(), exps.Fig51Config{Keys: pick(o, 10, 100), Sched: exps.CFS, Seed: o.seed()})
 		},
 		Metrics: fig51Metrics,
 	},
 	{
 		ID: "fig5.1e", Title: "AES T-table first-round attack, EEVDF (paper: 98.1%)",
 		Run: func(o Options) Result {
-			return exps.RunFig51(exps.Fig51Config{Keys: pick(o, 10, 100), Sched: exps.EEVDF, Seed: o.seed()})
+			return exps.RunFig51(o.runEnv(), exps.Fig51Config{Keys: pick(o, 10, 100), Sched: exps.EEVDF, Seed: o.seed()})
 		},
 		Metrics: fig51Metrics,
 	},
 	{
 		ID: "fig5.2", Title: "SGX base64 PEM decode via LLC Prime+Probe (paper: 61.5%/99.2%/98.9%)",
 		Run: func(o Options) Result {
-			return exps.RunFig52(exps.Fig52Config{Keys: pick(o, 5, 30), Seed: o.seed()})
+			return exps.RunFig52(o.runEnv(), exps.Fig52Config{Keys: pick(o, 5, 30), Seed: o.seed()})
 		},
 		Metrics: func(r Result) map[string]float64 {
 			f := r.(*exps.Fig52Result)
@@ -282,7 +315,7 @@ var registry = []Experiment{
 	{
 		ID: "fig5.4", Title: "mbedtls_mpi_gcd control flow via BTB (paper: 97.3%)",
 		Run: func(o Options) Result {
-			return exps.RunFig54(exps.Fig54Config{Pairs: pick(o, 8, 30), Seed: o.seed()})
+			return exps.RunFig54(o.runEnv(), exps.Fig54Config{Pairs: pick(o, 8, 30), Seed: o.seed()})
 		},
 		Metrics: func(r Result) map[string]float64 {
 			f := r.(*exps.Fig54Result)
@@ -295,7 +328,7 @@ var registry = []Experiment{
 	{
 		ID: "ext.noise", Title: "Extension: AES accuracy under LLC channel noise + multi-run voting",
 		Run: func(o Options) Result {
-			return exps.RunExtNoise(exps.ExtNoiseConfig{Keys: pick(o, 4, 12), Seed: o.seed()})
+			return exps.RunExtNoise(o.runEnv(), exps.ExtNoiseConfig{Keys: pick(o, 4, 12), Seed: o.seed()})
 		},
 		Metrics: func(r Result) map[string]float64 {
 			f := r.(*exps.ExtNoiseResult)
@@ -309,7 +342,7 @@ var registry = []Experiment{
 	{
 		ID: "ext.eevdf", Title: "Extension: EEVDF budget vs ΔI sweep (paper future work)",
 		Run: func(o Options) Result {
-			return exps.RunExtEEVDF(exps.ExtEEVDFConfig{Trials: pick(o, 8, 25), Seed: o.seed()})
+			return exps.RunExtEEVDF(o.runEnv(), exps.ExtEEVDFConfig{Trials: pick(o, 8, 25), Seed: o.seed()})
 		},
 		Metrics: func(r Result) map[string]float64 {
 			f := r.(*exps.ExtEEVDFResult)
@@ -322,7 +355,7 @@ var registry = []Experiment{
 	},
 	{
 		ID: "abl.mitigation", Title: "Ablation: NO_WAKEUP_PREEMPTION mitigation",
-		Run: func(o Options) Result { return exps.RunAblationNoWakeupPreemption(o.seed()) },
+		Run: func(o Options) Result { return exps.RunAblationNoWakeupPreemption(o.runEnv(), o.seed()) },
 		Metrics: func(r Result) map[string]float64 {
 			f := r.(*exps.AblationResult)
 			return map[string]float64{
@@ -333,7 +366,7 @@ var registry = []Experiment{
 	},
 	{
 		ID: "abl.gentle", Title: "Ablation: GENTLE_FAIR_SLEEPERS off",
-		Run: func(o Options) Result { return exps.RunAblationGentleFairSleepers(o.seed()) },
+		Run: func(o Options) Result { return exps.RunAblationGentleFairSleepers(o.runEnv(), o.seed()) },
 		Metrics: func(r Result) map[string]float64 {
 			f := r.(*exps.AblationResult)
 			return map[string]float64{
@@ -344,7 +377,7 @@ var registry = []Experiment{
 	},
 	{
 		ID: "abl.slack", Title: "Ablation: default timer slack",
-		Run: func(o Options) Result { return exps.RunAblationDefaultTimerSlack(o.seed()) },
+		Run: func(o Options) Result { return exps.RunAblationDefaultTimerSlack(o.runEnv(), o.seed()) },
 		Metrics: func(r Result) map[string]float64 {
 			f := r.(*exps.AblationResult)
 			return map[string]float64{
@@ -356,7 +389,7 @@ var registry = []Experiment{
 	{
 		ID: "abl.roundrobin", Title: "Ablation: round-robin budget extension",
 		Run: func(o Options) Result {
-			return exps.RunAblationRoundRobin(o.seed(), pick(o, 2000, 5000))
+			return exps.RunAblationRoundRobin(o.runEnv(), o.seed(), pick(o, 2000, 5000))
 		},
 		Metrics: func(r Result) map[string]float64 {
 			f := r.(*exps.AblationResult)
@@ -369,7 +402,7 @@ var registry = []Experiment{
 	{
 		ID: "chaos", Title: "Robustness: attack success rate vs injected fault rate",
 		Run: func(o Options) Result {
-			return exps.RunChaos(exps.ChaosConfig{Target: pick(o, 1000, 5000), Seed: o.seed()})
+			return exps.RunChaos(o.runEnv(), exps.ChaosConfig{Target: pick(o, 1000, 5000), Seed: o.seed()})
 		},
 		Metrics: func(r Result) map[string]float64 {
 			f := r.(*exps.ChaosResult)
@@ -476,7 +509,7 @@ func matrixExperiment(attack, def string) Experiment {
 		ID:    MatrixID(attack, def),
 		Title: fmt.Sprintf("Defense matrix cell: %s attack vs %s defense", attack, def),
 		Run: func(o Options) Result {
-			res, err := exps.RunMatrixCell(exps.MatrixCellConfig{
+			res, err := exps.RunMatrixCell(o.runEnv(), exps.MatrixCellConfig{
 				Attack:  attack,
 				Defense: def,
 				Target:  pick(o, 1000, 4000),
@@ -523,67 +556,32 @@ func Run(id string, o Options) (Result, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	defer o.applyAmbient()()
-	return e.Run(o), nil
-}
-
-// applyAmbient installs the ambient experiment state the options request —
-// fault injection and the watchdog simulated-time budget — and returns the
-// restore function. The overrides are scoped to the calling goroutine
-// (experiments build their machines on the goroutine that runs them), so
-// parallel campaign workers with different options never observe each
-// other's state.
-func (o Options) applyAmbient() func() {
-	restoreChaos := func() {}
-	if o.FaultRate > 0 {
-		restoreChaos = exps.ScopeChaos(fault.Config{Rate: o.FaultRate})
-	}
-	restoreBudget := func() {}
-	if o.SimBudget > 0 {
-		restoreBudget = exps.ScopeWatchdogBudget(o.SimBudget)
-	}
-	restoreStride := func() {}
-	if o.InvariantStride != 0 {
-		restoreStride = exps.ScopeInvariantStride(o.InvariantStride)
-	}
-	restoreDefense := func() {}
-	if o.Defense != "" {
-		// validate() vetted the name; an unknown preset here resolves to the
-		// zero config, i.e. no defense.
-		cfg, _ := defense.Preset(o.Defense)
-		restoreDefense = exps.ScopeDefense(cfg)
-	}
-	return func() {
-		restoreDefense()
-		restoreStride()
-		restoreBudget()
-		restoreChaos()
-	}
+	return e.Run(o.withEnv()), nil
 }
 
 // RunInstrumented executes one experiment with a fresh telemetry registry
-// installed as the ambient registry for the duration of the run, so every
-// machine, scheduler, µarch model and attack receiver the experiment builds
-// reports into it. The populated registry rides along with the result.
-// Telemetry is write-only — the run's result and trace are bit-identical to
-// an uninstrumented run under the same options.
+// in its run environment, so every machine, scheduler, µarch model and
+// attack receiver the experiment builds reports into it. The populated
+// registry rides along with the result. Telemetry is write-only — the
+// run's result and trace are bit-identical to an uninstrumented run under
+// the same options.
 func RunInstrumented(id string, o Options) (Result, *metrics.Registry, error) {
 	reg := metrics.New()
-	prev := metrics.SetAmbient(reg)
-	defer metrics.SetAmbient(prev)
+	o = o.withEnv()
+	o.env.Metrics = reg
 	res, err := Run(id, o)
 	return res, reg, err
 }
 
-// RunProfiled executes one experiment with a fresh sim-time profiler
-// installed as the ambient profiler: the kernel attributes wall-clock cost
-// to every dispatched event by kind, and each machine the experiment builds
-// opens a new phase. The profiler observes host time but feeds nothing back
-// into the simulation, so results stay bit-identical.
+// RunProfiled executes one experiment with a fresh sim-time profiler in
+// its run environment: the kernel attributes wall-clock cost to every
+// dispatched event by kind, and each machine the experiment builds opens a
+// new phase. The profiler observes host time but feeds nothing back into
+// the simulation, so results stay bit-identical.
 func RunProfiled(id string, o Options) (Result, *metrics.Profiler, error) {
 	prof := metrics.NewProfiler()
-	prev := metrics.SetAmbientProfiler(prof)
-	defer metrics.SetAmbientProfiler(prev)
+	o = o.withEnv()
+	o.env.Profiler = prof
 	res, err := Run(id, o)
 	return res, prof, err
 }
@@ -617,7 +615,7 @@ func RunGuarded(id string, o Options, retries int) RunReport {
 	if err := o.validate(); err != nil {
 		return RunReport{ID: id, Err: err}
 	}
-	defer o.applyAmbient()()
+	o = o.withEnv()
 	rep := RunReport{ID: id}
 	seed := o.seed()
 	for attempt := 0; attempt <= retries; attempt++ {
@@ -645,23 +643,19 @@ func RunGuarded(id string, o Options, retries int) RunReport {
 // whatever base seed the campaign assigns (canonical first, bumped on
 // resume of a failed entry). Unknown ids produce runner-less entries the
 // campaign records as skipped.
+//
+// Each entry owns its telemetry: it runs in an environment of its own with
+// a private registry, whose counts it returns as Attempt.Telemetry, so
+// concurrent entries never share a counter.
 func CampaignEntries(ids []string, o Options, retries int) []campaign.Entry {
 	if len(ids) == 0 {
 		for _, e := range registry {
 			ids = append(ids, e.ID)
 		}
 	}
-	// One pool set serves the whole plan: each entry goroutine checks out a
-	// machine-pool exclusively for its entry and returns it warm, so a
-	// width-N parallel campaign converges on N template boots per machine
-	// configuration and every later entry forks instead of booting. The
-	// set's telemetry (kern_forks_total, pool hits/misses) reports into the
-	// registry ambient *here*, on the planning goroutine — never into the
-	// per-entry registries — so manifests stay byte-identical with pooling
-	// on or off.
 	var ps *exps.PoolSet
 	if !o.NoMachinePool {
-		ps = exps.NewPoolSet(metrics.Ambient())
+		ps = planPools()
 	}
 	out := make([]campaign.Entry, 0, len(ids))
 	for _, id := range ids {
@@ -672,13 +666,18 @@ func CampaignEntries(ids []string, o Options, retries int) []campaign.Entry {
 		}
 		exp := e
 		out = append(out, campaign.Entry{ID: exp.ID, Run: func(seed uint64) campaign.Attempt {
-			if ps != nil {
-				defer ps.Scope()()
-			}
+			reg := metrics.New()
 			oa := o
 			oa.Seed = seed
+			oa.env = o.newEnv()
+			oa.env.Metrics = reg
+			oa.env.Pool = nil
+			if ps != nil {
+				oa.env.Pool = ps.Get()
+				defer ps.Put(oa.env.Pool)
+			}
 			rep := RunGuarded(exp.ID, oa, retries)
-			att := campaign.Attempt{Attempts: rep.Attempts, Degraded: rep.Degraded}
+			att := campaign.Attempt{Attempts: rep.Attempts, Degraded: rep.Degraded, Telemetry: reg.Counts()}
 			if rep.Result == nil {
 				att.Err = rep.Err
 				return att
@@ -691,6 +690,15 @@ func CampaignEntries(ids []string, o Options, retries int) []campaign.Entry {
 	return out
 }
 
+// planPools returns the machine-pool set one campaign plan shares: each
+// entry checks a pool out exclusively for its run and returns it warm, so
+// a width-N parallel campaign converges on N template boots per machine
+// configuration and every later entry forks instead of booting. The set's
+// telemetry (kern_forks_total, pool hits/misses) reports into the registry
+// ambient at plan build — never into the per-entry registries — so
+// manifests stay byte-identical with pooling on or off.
+func planPools() *exps.PoolSet { return exps.NewPoolSet(metrics.Ambient()) }
+
 // MicroBenchEntries builds a plan of n tiny machine-bound entries for the
 // benchmark harness: each entry boots (or, thanks to the default machine
 // pooling, forks) a full 16-core machine, runs a short attack-shaped
@@ -700,35 +708,43 @@ func CampaignEntries(ids []string, o Options, retries int) []campaign.Entry {
 // machinery (machine acquisition, containment, telemetry) rather than
 // simulation volume; it is the headline number for the machine pool.
 func MicroBenchEntries(n int) []campaign.Entry {
-	ps := exps.NewPoolSet(metrics.Ambient())
+	ps := planPools()
 	out := make([]campaign.Entry, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, campaign.Entry{
 			ID: fmt.Sprintf("micro@%d", i),
 			Run: func(seed uint64) campaign.Attempt {
-				defer ps.Scope()()
-				m := exps.NewMachine(exps.CFS, seed)
-				defer m.Shutdown()
-				m.Spawn("victim", func(e *kern.Env) {
-					for {
-						e.Burn(100 * timebase.Microsecond)
-					}
-				}, kern.WithPin(0))
-				done := false
-				m.Spawn("attacker", func(e *kern.Env) {
-					e.SetTimerSlack(1)
-					for i := 0; i < 3; i++ {
-						e.Nanosleep(30 * timebase.Microsecond)
-						e.Burn(10 * timebase.Microsecond)
-					}
-					done = true
-				}, kern.WithPin(0))
-				m.Run(m.Now().Add(5*timebase.Millisecond), func() bool { return done })
-				return campaign.Attempt{Attempts: 1, Rendered: "ok"}
+				env := exps.Default()
+				env.Metrics = metrics.New()
+				env.Pool = ps.Get()
+				defer ps.Put(env.Pool)
+				microBench(env, seed)
+				return campaign.Attempt{Attempts: 1, Rendered: "ok", Telemetry: env.Metrics.Counts()}
 			},
 		})
 	}
 	return out
+}
+
+// microBench runs one micro-benchmark entry's workload under env.
+func microBench(env *exps.Env, seed uint64) {
+	m := env.NewMachine(exps.CFS, seed)
+	defer m.Shutdown()
+	m.Spawn("victim", func(e *kern.Env) {
+		for {
+			e.Burn(100 * timebase.Microsecond)
+		}
+	}, kern.WithPin(0))
+	done := false
+	m.Spawn("attacker", func(e *kern.Env) {
+		e.SetTimerSlack(1)
+		for i := 0; i < 3; i++ {
+			e.Nanosleep(30 * timebase.Microsecond)
+			e.Burn(10 * timebase.Microsecond)
+		}
+		done = true
+	}, kern.WithPin(0))
+	m.Run(m.Now().Add(5*timebase.Millisecond), func() bool { return done })
 }
 
 // RunTraced executes one experiment with kernel trace capture: every
@@ -745,10 +761,10 @@ func RunTraced(id string, o Options, maxEventsPerMachine int) (Result, *trace.Tr
 	if err := o.validate(); err != nil {
 		return nil, nil, err
 	}
-	defer o.applyAmbient()()
-	exps.StartTraceCapture(maxEventsPerMachine)
+	o = o.withEnv()
+	o.env.Trace = exps.NewTraceCapture(maxEventsPerMachine)
 	res, err := runRecovering(e, o)
-	tr := exps.StopTraceCapture()
+	tr := o.env.Trace.Trace()
 	tr.Exp = id
 	tr.Seed = o.seed()
 	if err != nil {
