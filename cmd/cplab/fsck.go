@@ -1,10 +1,10 @@
 package main
 
 // fsck.go is the state-dir doctor: `cplab fsck [-repair] <path|dir>...`
-// validates every campaign store it finds (manifest + .prev generation +
-// .wal journal), lists orphaned *.tmp litter and quarantined wreckage,
-// and with -repair rewrites each damaged store from its best surviving
-// source through the same recovery path `cplab resume` uses — so an
+// validates every campaign store it finds (manifest + .wal journal),
+// lists orphaned *.tmp litter and quarantined wreckage, and with -repair
+// rewrites each damaged store from its committed state through the same
+// recovery path `cplab resume` uses — so an
 // operator can check (and fix) a state directory without running
 // anything. Exit 0 when everything is clean (or was repaired), 1 when
 // problems remain, 2 on usage errors.
@@ -26,7 +26,7 @@ import (
 // fsckCmd scans (and optionally repairs) campaign state on disk.
 func fsckCmd(args []string) int {
 	flags := flag.NewFlagSet("fsck", flag.ExitOnError)
-	repair := flags.Bool("repair", false, "rewrite damaged stores from their best surviving source and sweep orphaned *.tmp files")
+	repair := flags.Bool("repair", false, "rewrite damaged stores from their committed state and sweep orphaned *.tmp files")
 	flags.Parse(args)
 	if flags.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "cplab fsck [-repair] <manifest|dir>...")
@@ -44,7 +44,7 @@ func fsckCmd(args []string) int {
 		h := campaign.Inspect(durable.OS(), path)
 		issues := storeIssues(h)
 		if len(issues) == 0 {
-			fmt.Printf("ok       %s (%d records, complete=%t)\n", path, h.BestRecords, h.Complete)
+			fmt.Printf("ok       %s (%d records, complete=%t)\n", path, h.Records, h.Complete)
 			continue
 		}
 		if !*repair {
@@ -98,8 +98,7 @@ func fsckCmd(args []string) int {
 
 // discoverState expands the operator's targets into campaign store paths,
 // orphaned *.tmp files and quarantined wreckage. A directory is walked; a
-// file names its store directly (a .wal or .prev path means its parent
-// manifest).
+// file names its store directly (a .wal path means its parent manifest).
 func discoverState(targets []string) (stores, tmps, quarantined []string, errs []error) {
 	seen := map[string]bool{}
 	addStore := func(path string) {
@@ -115,7 +114,7 @@ func discoverState(targets []string) (stores, tmps, quarantined []string, errs [
 			continue
 		}
 		if !info.IsDir() {
-			addStore(storeOf(target))
+			addStore(strings.TrimSuffix(target, campaign.WALSuffix))
 			continue
 		}
 		walkErr := filepath.WalkDir(target, func(path string, d fs.DirEntry, err error) error {
@@ -132,8 +131,6 @@ func discoverState(targets []string) (stores, tmps, quarantined []string, errs [
 				// The journal anchors a store even when the manifest itself
 				// was destroyed — that is the exact case recovery exists for.
 				addStore(strings.TrimSuffix(path, campaign.WALSuffix))
-			case strings.HasSuffix(name, durable.PrevSuffix):
-				addStore(strings.TrimSuffix(path, durable.PrevSuffix))
 			case strings.HasSuffix(name, ".json") && name != "state.json":
 				// Only treat a bare .json as a store when it is (or claims to
 				// be) a campaign manifest; labd job state and telemetry dumps
@@ -154,25 +151,11 @@ func discoverState(targets []string) (stores, tmps, quarantined []string, errs [
 	return stores, tmps, quarantined, errs
 }
 
-// storeOf maps any member of a store's file set to its manifest path.
-func storeOf(path string) string {
-	switch {
-	case strings.HasSuffix(path, campaign.WALSuffix):
-		return strings.TrimSuffix(path, campaign.WALSuffix)
-	case strings.HasSuffix(path, durable.PrevSuffix):
-		return strings.TrimSuffix(path, durable.PrevSuffix)
-	}
-	return path
-}
-
 // looksLikeManifest reports whether the file is plausibly a campaign
-// manifest: valid outright, or damaged-but-with-recovery-siblings. A
-// .json with neither siblings nor manifest shape is someone else's file.
+// manifest: valid outright, or damaged-but-with-a-journal. A .json with
+// neither a journal nor manifest shape is someone else's file.
 func looksLikeManifest(path string) bool {
 	if _, err := os.Stat(campaign.WALPath(path)); err == nil {
-		return true
-	}
-	if _, err := os.Stat(path + durable.PrevSuffix); err == nil {
 		return true
 	}
 	_, err := campaign.Load(path)
@@ -190,30 +173,27 @@ func looksLikeManifest(path string) bool {
 }
 
 // storeIssues folds a Health into operator-readable problem strings;
-// empty means the store is clean.
+// empty means the store is clean. The journal is the commit point and the
+// manifest only its compaction at session end, so a missing manifest or a
+// journal ahead of it is a campaign mid-run (or killed mid-run), not
+// damage.
 func storeIssues(h *campaign.Health) []string {
 	var issues []string
-	src := func(name string, s campaign.SourceHealth, primary bool) {
+	src := func(name string, s campaign.SourceHealth) {
 		switch {
 		case !s.Present:
-			if primary {
-				issues = append(issues, name+" missing")
-			}
-		case s.Torn:
-			issues = append(issues, fmt.Sprintf("%s torn after %d records (%s)", name, s.Records, s.Err))
 		case !s.OK:
 			issues = append(issues, fmt.Sprintf("%s corrupt (%s)", name, s.Err))
+		case s.Torn:
+			issues = append(issues, fmt.Sprintf("%s torn after %d records (%s)", name, s.Records, s.Err))
+		case s.Err != "":
+			issues = append(issues, fmt.Sprintf("%s damaged after %d records (%s)", name, s.Records, s.Err))
 		}
 	}
-	src("manifest", h.Manifest, true)
-	src("journal", h.WAL, false)
-	src("prev generation", h.Prev, false)
-	if h.Best == "" {
+	src("manifest", h.Manifest)
+	src("journal", h.WAL)
+	if !h.Manifest.OK && !h.WAL.OK {
 		issues = append(issues, "no usable source — unrecoverable without backups")
-	} else if h.Best != "manifest" {
-		issues = append(issues, fmt.Sprintf("best source is %s with %d records", h.Best, h.BestRecords))
-	} else if h.Manifest.OK && h.WAL.OK && !h.WAL.Torn && h.WAL.Records > h.Manifest.Records {
-		issues = append(issues, fmt.Sprintf("journal ahead of manifest (%d > %d records)", h.WAL.Records, h.Manifest.Records))
 	}
 	return issues
 }
@@ -221,7 +201,7 @@ func storeIssues(h *campaign.Health) []string {
 // quarantines lists where LoadRecovered moved wreckage during a repair.
 func quarantines(h *campaign.Health) []string {
 	var q []string
-	for _, s := range []campaign.SourceHealth{h.Manifest, h.Prev, h.WAL} {
+	for _, s := range []campaign.SourceHealth{h.Manifest, h.WAL} {
 		if s.Quarantined != "" {
 			q = append(q, s.Quarantined)
 		}

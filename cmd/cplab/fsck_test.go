@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/durable"
 )
 
 // buildCLIStore runs a short campaign and returns the manifest path plus
@@ -98,21 +97,68 @@ func TestFsckDetectsAndRepairs(t *testing.T) {
 	}
 }
 
+// TestFsckManifestDestroyedJournalSurvives: the journal is the commit
+// point, so a store whose manifest is gone (or was never compacted, as
+// mid-run) is healthy, not damaged — fsck reports it ok with every
+// record, and resuming compacts the manifest back byte-identical.
 func TestFsckManifestDestroyedJournalSurvives(t *testing.T) {
 	dir := t.TempDir()
 	man, pristine := buildCLIStore(t, dir)
 	if err := os.Remove(man); err != nil {
 		t.Fatal(err)
 	}
-	if code := run([]string{"fsck", "-repair", dir}); code != exitOK {
-		t.Fatalf("fsck -repair with only the journal exit %d", code)
+	out := capture(t, func() {
+		if code := run([]string{"fsck", dir}); code != exitOK {
+			t.Errorf("fsck with only the journal exit %d", code)
+		}
+	})
+	if !strings.Contains(out, "ok") || !strings.Contains(out, "2 records, complete=true") || strings.Contains(out, "DAMAGED") {
+		t.Fatalf("fsck misjudged a journal-only store:\n%s", out)
 	}
+	capture(t, func() {
+		if code := run([]string{"resume", "-manifest", man, "-ids", "tab2.1,fig4.1", "-seed", "3"}); code != exitOK {
+			t.Errorf("resume from the journal alone exit %d", code)
+		}
+	})
 	got, err := os.ReadFile(man)
 	if err != nil {
 		t.Fatalf("manifest not rebuilt: %v", err)
 	}
 	if string(got) != string(pristine) {
 		t.Fatal("rebuilt manifest differs from pristine")
+	}
+}
+
+// TestFsckJournalAheadIsHealthy: a journal holding records the manifest
+// does not yet have — a session killed before its compaction — is the
+// normal shape of a store, reported ok with the journal's records.
+func TestFsckJournalAheadIsHealthy(t *testing.T) {
+	dir := t.TempDir()
+	man := filepath.Join(dir, "m.json")
+	capture(t, func() {
+		if code := run([]string{"campaign", "-manifest", man, "-ids", "tab2.1,fig4.1", "-seed", "3", "-haltafter", "1"}); code != exitHalted {
+			t.Errorf("halting campaign exit %d", code)
+		}
+	})
+	halted, err := os.ReadFile(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture(t, func() {
+		if code := run([]string{"resume", "-manifest", man, "-ids", "tab2.1,fig4.1", "-seed", "3"}); code != exitOK {
+			t.Errorf("resume exit %d", code)
+		}
+	})
+	if err := os.WriteFile(man, halted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := capture(t, func() {
+		if code := run([]string{"fsck", dir}); code != exitOK {
+			t.Errorf("fsck with the journal ahead exit %d", code)
+		}
+	})
+	if !strings.Contains(out, "2 records, complete=true") || strings.Contains(out, "DAMAGED") {
+		t.Fatalf("fsck misjudged a journal ahead of its manifest:\n%s", out)
 	}
 }
 
@@ -156,7 +202,6 @@ func TestCampaignDiskChaosHaltsResumable(t *testing.T) {
 			// Lucky dice — try the next chaos seed.
 			os.Remove(chaosMan)
 			os.Remove(campaign.WALPath(chaosMan))
-			os.Remove(chaosMan + durable.PrevSuffix)
 		default:
 			t.Fatalf("disk chaos surfaced as exit %d, want %d or %d", code, exitHalted, exitOK)
 		}

@@ -389,15 +389,9 @@ func campaignCmd(args []string, resumeOnly bool) int {
 		fmt.Fprintf(os.Stderr, "cplab: disk chaos enabled (rate %g, seed %d)\n", *diskchaos, *diskchaosseed)
 	}
 
-	// A store whose manifest was destroyed but whose journal or banked
-	// generation survives is resumable — recovery rebuilds it.
-	exists := false
-	for _, p := range []string{*manifest, campaign.WALPath(*manifest), *manifest + durable.PrevSuffix} {
-		if _, statErr := os.Stat(p); statErr == nil {
-			exists = true
-			break
-		}
-	}
+	// A store whose manifest was destroyed, or never compacted, but whose
+	// journal survives is resumable — recovery rebuilds it.
+	exists := campaign.Exists(durable.OS(), *manifest)
 	var c *campaign.Campaign
 	switch {
 	case resumeOnly:

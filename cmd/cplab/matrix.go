@@ -89,13 +89,7 @@ func matrixCmd(args []string) int {
 		cfg.Deadline = time.Now().Add(*wall)
 	}
 
-	exists := false
-	for _, p := range []string{*manifest, campaign.WALPath(*manifest), *manifest + durable.PrevSuffix} {
-		if _, statErr := os.Stat(p); statErr == nil {
-			exists = true
-			break
-		}
-	}
+	exists := campaign.Exists(durable.OS(), *manifest)
 	var c *campaign.Campaign
 	if exists && !*force {
 		fmt.Fprintf(os.Stderr, "cplab: manifest %s exists — resuming (use -force to start over)\n", *manifest)

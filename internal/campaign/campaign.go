@@ -1,9 +1,10 @@
 // Package campaign supervises long experiment sweeps: it runs a set of
 // experiments with per-entry panic containment (a crash becomes a
 // structured failure record with the kernel invariant dump attached, and
-// the campaign continues), checkpoints every outcome to a JSON manifest the
-// moment it lands, and resumes an interrupted or crashed campaign from that
-// manifest, re-running only the missing and failed entries — with bumped
+// the campaign continues), commits every outcome to a journal the moment
+// it lands, compacts the journal into a JSON manifest when the session
+// ends, and resumes an interrupted or crashed campaign from the two,
+// re-running only the missing and failed entries — with bumped
 // seeds for the failed ones, so a retry explores a different schedule.
 //
 // The package is deliberately generic: an Entry is any ID plus a run
@@ -36,7 +37,7 @@ const DefaultSeedBump = 7_777_777
 
 // ErrHalted reports a campaign that checkpointed and stopped before
 // completing its plan (wall deadline or injected halt); resuming it
-// continues from the manifest.
+// continues from its store.
 var ErrHalted = errors.New("campaign halted before completion (resumable)")
 
 // Entry is one experiment in the campaign plan. Run executes it under the
@@ -93,9 +94,10 @@ type Config struct {
 	// injection for the resume tests and CI.
 	HaltAfter int
 	// OnRecord, when set, observes every record the moment it is committed
-	// (after checkpointing). It runs on the committing goroutine — the one
-	// that called Run/RunParallel — so it may touch shared state without
-	// extra locking. The lab service's progress metrics hang off this.
+	// (after its journal line is fsynced). It runs on the committing
+	// goroutine — the one that called Run/RunParallel — so it may touch
+	// shared state without extra locking. The lab service's progress
+	// metrics hang off this.
 	OnRecord func(*Record)
 	// FS is the filesystem all checkpoint I/O goes through; nil means the
 	// real disk. Tests and the -diskchaos flag install an fsfault.Injector
@@ -124,17 +126,17 @@ type Campaign struct {
 	man     *Manifest
 	logMu   sync.Mutex
 	// fresh marks a campaign built by New: opening its checkpointer
-	// discards prior on-disk generations instead of reconciling with them.
+	// discards the prior store instead of reconciling with it.
 	fresh bool
-	// recovered marks a resume that served state from the journal or the
-	// banked previous generation instead of the manifest itself; the
-	// checkpointer re-materializes the manifest before any entry runs.
-	recovered bool
-	cp        *Checkpointer
+	cp    *Checkpointer
+	// unsynced are the records written to the journal since the last
+	// flush: not yet committed, not yet shown to OnRecord.
+	unsynced []*Record
 }
 
 // New starts a fresh campaign over the given entries, discarding any prior
-// manifest state at cfg.Path (the first checkpoint overwrites it).
+// store at cfg.Path (opening the store when the campaign first runs
+// removes it).
 func New(cfg Config, entries []Entry) (*Campaign, error) {
 	c := &Campaign{cfg: cfg, entries: indexEntries(entries), fresh: true}
 	c.man = &Manifest{
@@ -147,18 +149,17 @@ func New(cfg Config, entries []Entry) (*Campaign, error) {
 	return c, nil
 }
 
-// Resume loads the best recoverable state at cfg.Path — the manifest, its
-// banked previous generation, or a rebuild from the entry journal,
-// whichever carries the longest valid committed prefix, with corrupt
-// files quarantined — and continues the campaign: entries with final
-// records are kept as-is, missing entries run normally, and failed
-// entries re-run with a bumped seed. The stored plan must match the given
+// Resume loads the committed state at cfg.Path — the manifest overlaid
+// with the entry journal, corrupt files quarantined (LoadRecovered) — and
+// continues the campaign: entries with final records are kept as-is,
+// missing entries run normally, and failed entries re-run with a bumped
+// seed. The stored plan must match the given
 // one (same seed, note and IDs).
 func Resume(cfg Config, entries []Entry) (*Campaign, error) {
 	if cfg.Path == "" {
 		return nil, fmt.Errorf("campaign: resume needs a manifest path")
 	}
-	man, health, err := LoadRecovered(cfg.fs(), cfg.Path)
+	man, _, err := LoadRecovered(cfg.fs(), cfg.Path)
 	if err != nil {
 		return nil, err
 	}
@@ -177,15 +178,14 @@ func Resume(cfg Config, entries []Entry) (*Campaign, error) {
 			return nil, fmt.Errorf("campaign: manifest %s plans %q at position %d, not %q", cfg.Path, man.IDs[i], i, id)
 		}
 	}
-	return &Campaign{cfg: cfg, entries: indexEntries(entries), man: man,
-		recovered: health.Best != "manifest"}, nil
+	return &Campaign{cfg: cfg, entries: indexEntries(entries), man: man}, nil
 }
 
 // Manifest returns the campaign's (live) manifest.
 func (c *Campaign) Manifest() *Manifest { return c.man }
 
 // Run executes the plan serially: every entry without a final record runs
-// contained, its record is checkpointed immediately, and the campaign
+// contained, its record is committed immediately, and the campaign
 // presses on past failures. It returns the manifest and nil on a completed
 // plan, ErrHalted on a deadline/injected halt (resume later), or the
 // checkpoint I/O error that stopped it. Run is RunParallel with one worker.
@@ -208,9 +208,14 @@ type job struct {
 // RunParallel executes the plan with up to workers entries in flight at
 // once. Each entry runs in its own contained goroutine and reports its own
 // telemetry (Attempt.Telemetry); a sequencer on the calling goroutine folds
-// results into the manifest and checkpoints them in strict plan order. Because seeds are fixed up front, each entry's
-// execution is isolated, and commits are ordered, the manifest — and every
-// checkpoint prefix of it — is byte-identical to a serial run's.
+// results into the manifest and commits them to the journal in strict plan
+// order. Because seeds are fixed up front, each entry's execution is
+// isolated, and commits are ordered, the manifest — and every committed
+// prefix of it — is byte-identical to a serial run's. Results that are
+// ready together are written to the journal and committed by one fsync
+// (group commit): while an fsync is slow the workers run on, so its cost
+// is shared by more records instead of being paid by each. The manifest
+// file is written once, when RunParallel returns, complete or halted.
 //
 // Cancelling ctx stops dispatching new entries, drains the ones in flight,
 // commits the completed in-order prefix and returns ErrHalted — the same
@@ -222,11 +227,9 @@ type job struct {
 // itself, never the shared registry.
 func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, error) {
 	// Open the durable store before anything runs: a fresh campaign
-	// discards prior generations and seeds its journal; a resumed one
-	// reconciles the journal with the recovered manifest (and, when
-	// recovery served the journal or .prev instead of the manifest,
-	// re-materializes the manifest immediately so a crash before the first
-	// commit cannot regress the store).
+	// discards the prior store and seeds its journal; a resumed one
+	// reconciles the journal with the recovered state, so the journal
+	// alone holds every committed record before the first append.
 	if c.cfg.Path != "" && c.cp == nil {
 		cp, err := NewCheckpointer(c.cfg.fs(), c.cfg.Path, c.man, c.fresh)
 		if err != nil {
@@ -234,13 +237,6 @@ func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, err
 		}
 		c.cp = cp
 		c.fresh = false
-		if c.recovered {
-			c.logf("campaign: manifest at %s recovered from a secondary source; rewriting it", c.cfg.Path)
-			if err := c.cp.Commit(c.man); err != nil {
-				return c.man, c.haltOnDiskErr(err)
-			}
-			c.recovered = false
-		}
 	}
 
 	// Resolve every campaign counter once up front: Counter() is a map
@@ -303,6 +299,7 @@ func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, err
 
 	ranThisSession := 0
 	halted := false
+	c.unsynced = c.unsynced[:0]
 	err := pool.Run(ctx, workers, len(jobs),
 		func(_ context.Context, i int) Attempt {
 			j := jobs[i]
@@ -339,19 +336,14 @@ func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, err
 			}
 			if j.skip {
 				mSkipped.Inc()
-				c.man.Entries[j.id] = &Record{ID: j.id, Status: StatusSkipped,
-					Failure: &Failure{Msg: "no runner (unknown experiment id)"}}
-				c.notify(c.man.Entries[j.id])
-				return false, c.checkpoint(mCheckpoints, c.man.Entries[j.id])
+				return false, c.commit(mCheckpoints, &Record{ID: j.id, Status: StatusSkipped,
+					Failure: &Failure{Msg: "no runner (unknown experiment id)"}})
 			}
 			mEntries.Inc()
 			if att.Err != nil {
 				mFailures.Inc()
 			}
-			rec := buildRecord(j.id, j.seed, j.prev, att)
-			c.man.Entries[j.id] = rec
-			c.notify(rec)
-			if err := c.checkpoint(mCheckpoints, rec); err != nil {
+			if err := c.commit(mCheckpoints, buildRecord(j.id, j.seed, j.prev, att)); err != nil {
 				return false, err
 			}
 			ranThisSession++
@@ -368,7 +360,8 @@ func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, err
 				}
 			}
 			return false, nil
-		})
+		},
+		c.flush)
 	if root != nil {
 		root.SetAttr("ran", strconv.Itoa(ranThisSession))
 		if halted || err != nil {
@@ -379,14 +372,23 @@ func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, err
 		// the log before the process drains.
 		_ = octx.Tracer.Flush()
 	}
-	switch {
-	case err == nil && halted:
-		return c.man, ErrHalted
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		c.logf("campaign: halted by cancellation (resumable)")
-		return c.man, ErrHalted
+		halted, err = true, nil
+	}
+	// The session is over, whatever ended it: compact the journal into the
+	// manifest. A failed compaction loses nothing — the journal holds every
+	// committed record — so it only surfaces when nothing else went wrong.
+	if c.cp != nil {
+		if cerr := c.cp.Compact(c.man); err == nil {
+			err = cerr
+		}
+	}
+	switch {
 	case err != nil:
 		return c.man, c.haltOnDiskErr(err)
+	case halted:
+		return c.man, ErrHalted
 	}
 	return c.man, nil
 }
@@ -418,13 +420,6 @@ func (c *Campaign) haltOnDiskErr(err error) error {
 	}
 	c.logf("campaign: disk fault: %v — halting (resumable)", err)
 	return fmt.Errorf("campaign: disk fault: %v: %w", err, ErrHalted)
-}
-
-// notify invokes the OnRecord hook.
-func (c *Campaign) notify(rec *Record) {
-	if c.cfg.OnRecord != nil {
-		c.cfg.OnRecord(rec)
-	}
 }
 
 // contain runs one entry on its own goroutine with panic recovery and the
@@ -524,15 +519,37 @@ func firstLine(s string) string {
 	return s
 }
 
-// checkpoint durably commits newly recorded entries (journal first, then
-// the manifest) if a path is configured. The caller passes its
-// pre-resolved campaign_checkpoints_total handle (possibly nil).
-func (c *Campaign) checkpoint(m *metrics.Counter, recs ...*Record) error {
-	if c.cp == nil {
-		return nil
+// commit folds rec into the manifest and, if a path is configured,
+// writes it to the journal. The flush that ends its batch commits it and
+// shows it to the OnRecord hook. The caller passes its pre-resolved
+// campaign_checkpoints_total handle (possibly nil).
+func (c *Campaign) commit(m *metrics.Counter, rec *Record) error {
+	c.man.Entries[rec.ID] = rec
+	if c.cp != nil {
+		m.Inc()
+		if err := c.cp.Write(rec); err != nil {
+			return err
+		}
 	}
-	m.Inc()
-	return c.cp.Commit(c.man, recs...)
+	c.unsynced = append(c.unsynced, rec)
+	return nil
+}
+
+// flush commits the records written since the last flush with one fsync
+// (group commit), then shows them to the OnRecord hook in plan order.
+func (c *Campaign) flush() error {
+	if c.cp != nil {
+		if err := c.cp.Sync(); err != nil {
+			return err
+		}
+	}
+	if c.cfg.OnRecord != nil {
+		for _, rec := range c.unsynced {
+			c.cfg.OnRecord(rec)
+		}
+	}
+	c.unsynced = c.unsynced[:0]
+	return nil
 }
 
 // bump returns the configured or default resume seed stride.

@@ -3,6 +3,7 @@ package campaign
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/kern"
 	"repro/internal/metrics"
 	"repro/internal/timebase"
@@ -290,9 +292,9 @@ func TestCheckpointAfterEveryEntry(t *testing.T) {
 	var sizes []int
 	probe := func(id string) Entry {
 		return Entry{ID: id, Run: func(uint64) Attempt {
-			if man, err := Load(path); err == nil {
+			if man, _, err := LoadRecovered(durable.OS(), path); err == nil {
 				sizes = append(sizes, len(man.Entries))
-			} else if os.IsNotExist(err) {
+			} else if errors.Is(err, fs.ErrNotExist) {
 				sizes = append(sizes, 0)
 			} else {
 				sizes = append(sizes, -1)
@@ -304,7 +306,9 @@ func TestCheckpointAfterEveryEntry(t *testing.T) {
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Entry i observes i prior checkpointed records.
+	// Entry i observes i prior committed records: each commit is durable
+	// (in the journal) before the next entry starts, though the manifest
+	// file is only written when the session ends.
 	for i, n := range sizes {
 		if n != i {
 			t.Fatalf("checkpoint sizes %v, want 0,1,2", sizes)

@@ -122,9 +122,9 @@ func (m *Manifest) checksum() (string, error) {
 	return fmt.Sprintf("crc32c:%08x", durable.Checksum(base)), nil
 }
 
-// encode seals and serializes the manifest: Sum is refreshed from the
+// Encode seals and serializes the manifest: Sum is refreshed from the
 // current content and the exact checkpoint bytes are returned.
-func (m *Manifest) encode() ([]byte, error) {
+func (m *Manifest) Encode() ([]byte, error) {
 	sum, err := m.checksum()
 	if err != nil {
 		return nil, err
@@ -182,16 +182,15 @@ func LoadFS(f durable.FS, path string) (*Manifest, error) {
 // Save durably checkpoints the manifest to the real disk.
 func (m *Manifest) Save(path string) error { return m.SaveFS(durable.OS(), path) }
 
-// SaveFS checkpoints the manifest through the durable layer: the previous
-// generation is banked as path+".prev" and the new bytes land via the full
-// atomic protocol (tmp + fsync + rename + fsync dir), so a kill at any
-// instant leaves a complete former or current checkpoint recoverable.
+// SaveFS writes the manifest through the full atomic protocol (tmp +
+// fsync + rename + fsync dir), so a kill at any instant leaves the former
+// or the current file at path, never a torn mixture.
 func (m *Manifest) SaveFS(f durable.FS, path string) error {
-	data, err := m.encode()
+	data, err := m.Encode()
 	if err != nil {
 		return err
 	}
-	return durable.SaveGenerations(f, path, data, 0o644)
+	return durable.WriteFileAtomic(f, path, data, 0o644)
 }
 
 // Complete reports whether every planned entry has a final record (failed

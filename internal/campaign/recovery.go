@@ -1,11 +1,13 @@
 package campaign
 
 // recovery.go is the read side of the durable store: given a manifest
-// path it weighs the three on-disk sources — the manifest, its banked
-// previous generation ("<path>.prev") and the entry journal
-// ("<path>.wal") — validates each, quarantines corrupt files, and serves
-// the candidate carrying the longest valid committed prefix. Resume and
-// `cplab fsck` are both built on it.
+// path it validates the two on-disk sources — the manifest (the last
+// compaction) and the entry journal ("<path>.wal", the commit point) —
+// quarantines corrupt files, and folds them: the manifest's records when
+// it is valid, overlaid with every journal record of at least the same
+// session. Neither source is ranked over the other, so a later session's
+// re-run of a failed entry wins whichever file is newer. Resume, labd's
+// manifest endpoint and `cplab fsck` are all built on it.
 
 import (
 	"errors"
@@ -19,15 +21,18 @@ import (
 type SourceHealth struct {
 	// Present reports the file exists.
 	Present bool `json:"present"`
-	// OK reports it parsed and checksummed clean.
+	// OK reports it parsed and checksummed clean and is folded into
+	// recovery.
 	OK bool `json:"ok"`
 	// Err is why validation failed, or why a valid source was excluded
 	// from recovery (plan mismatch).
 	Err string `json:"err,omitempty"`
 	// Records is the number of committed entries the source carries.
 	Records int `json:"records"`
-	// Torn marks a journal whose tail was damaged; the records above are
-	// its valid prefix. Normal after a crash mid-append, not corruption.
+	// Torn marks a journal whose last line was damaged; the records above
+	// are its valid prefix. Normal after a crash mid-append, not
+	// corruption. (Damage with lines after it leaves Torn false and is
+	// reported in Err.)
 	Torn bool `json:"torn,omitempty"`
 	// Quarantined is where LoadRecovered moved a corrupt file, "" if the
 	// file was left in place (Inspect never moves anything).
@@ -38,80 +43,55 @@ type SourceHealth struct {
 type Health struct {
 	Path     string       `json:"path"`
 	Manifest SourceHealth `json:"manifest"`
-	Prev     SourceHealth `json:"prev"`
 	WAL      SourceHealth `json:"wal"`
-	// Best names the source recovery would serve ("manifest", "wal",
-	// "prev"), or "" when no source is usable.
-	Best string `json:"best,omitempty"`
-	// BestRecords is the committed-entry count of that source.
-	BestRecords int `json:"best_records"`
-	// Complete reports the best source covers its entire plan.
+	// Records is the number of committed entries recovery serves: the
+	// manifest's overlaid with the journal's.
+	Records int `json:"records"`
+	// Complete reports the served state covers its entire plan.
 	Complete bool `json:"complete"`
 }
 
-// candidates holds the parsed manifests behind a Health (nil = unusable).
-type candidates struct {
-	man, prev, wal *Manifest
-}
-
-// Inspect validates all recovery sources for the manifest at path without
+// Inspect validates the recovery sources for the manifest at path without
 // modifying anything on disk — the dry-run behind `cplab fsck`.
 func Inspect(f durable.FS, path string) *Health {
 	h, _ := inspect(f, path)
 	return h
 }
 
-// inspect validates the three sources and picks the best candidate.
-func inspect(f durable.FS, path string) (*Health, candidates) {
+// Committed returns the committed state at path, the manifest overlaid
+// with its journal, without modifying anything on disk. A missing store
+// returns fs.ErrNotExist; one with no usable source a *durable.CorruptError.
+func Committed(f durable.FS, path string) (*Manifest, error) {
+	h, man := inspect(f, path)
+	if man == nil {
+		return nil, unusable(h)
+	}
+	return man, nil
+}
+
+// inspect validates both sources and folds the usable ones.
+func inspect(f durable.FS, path string) (*Health, *Manifest) {
 	h := &Health{Path: path}
-	var c candidates
-	c.man = loadSource(f, path, &h.Manifest)
-	c.prev = loadSource(f, path+durable.PrevSuffix, &h.Prev)
-	c.wal = loadWALSource(f, WALPath(path), &h.WAL)
-
-	// The plan is dictated by the highest-priority valid source; a valid
-	// source recorded under a DIFFERENT plan (stale litter from an earlier
-	// campaign at the same path) must not compete on record count.
-	var plan *Manifest
-	for _, cand := range []*Manifest{c.man, c.wal, c.prev} {
-		if cand != nil {
-			plan = cand
-			break
+	man := loadSource(f, path, &h.Manifest)
+	wal := loadWALSource(f, WALPath(path), &h.WAL)
+	switch {
+	case wal == nil:
+	case man == nil:
+		man = wal
+	case !headerOf(wal).matches(man):
+		// Stale litter from an earlier campaign at the same path.
+		h.WAL.OK, h.WAL.Err = false, "plan differs from the manifest's; excluded from recovery"
+	default:
+		for id, rec := range wal.Entries {
+			if cur := man.Entries[id]; cur == nil || rec.Sessions >= cur.Sessions {
+				man.Entries[id] = rec
+			}
 		}
 	}
-	if plan == nil {
-		return h, c
+	if man != nil {
+		h.Records, h.Complete = len(man.Entries), man.Complete()
 	}
-	demote := func(cand **Manifest, sh *SourceHealth) {
-		if *cand != nil && !headerOf(*cand).matches(plan) {
-			sh.Err = "plan differs from the primary source; excluded from recovery"
-			*cand = nil
-		}
-	}
-	demote(&c.man, &h.Manifest)
-	demote(&c.wal, &h.WAL)
-	demote(&c.prev, &h.Prev)
-
-	// Most committed entries wins; ties go manifest > wal > prev (the
-	// manifest is authoritative for retry bookkeeping, the journal can
-	// only be ahead by entries the manifest save lost to a crash).
-	type pick struct {
-		name string
-		m    *Manifest
-	}
-	for _, p := range []pick{{"manifest", c.man}, {"wal", c.wal}, {"prev", c.prev}} {
-		if p.m == nil {
-			continue
-		}
-		if h.Best == "" || len(p.m.Entries) > h.BestRecords {
-			h.Best, h.BestRecords = p.name, len(p.m.Entries)
-		}
-	}
-	if h.Best != "" {
-		best := map[string]*Manifest{"manifest": c.man, "wal": c.wal, "prev": c.prev}[h.Best]
-		h.Complete = best.Complete()
-	}
-	return h, c
+	return h, man
 }
 
 // loadSource strictly loads one manifest-format source, recording its
@@ -143,9 +123,9 @@ func loadWALSource(f durable.FS, path string, sh *SourceHealth) *Manifest {
 		}
 		return nil
 	}
-	sh.Present, sh.Torn = true, d.Torn
+	sh.Present, sh.Torn = true, d.TornTail
 	if d.Torn {
-		sh.Err = fmt.Sprintf("torn at line %d: %s (valid prefix kept)", d.TornLine, d.TornReason)
+		sh.Err = fmt.Sprintf("damaged at line %d: %s (valid prefix kept)", d.TornLine, d.TornReason)
 	}
 	hdr, folded, _ := foldWAL(d)
 	if hdr == nil {
@@ -162,51 +142,49 @@ func loadWALSource(f durable.FS, path string, sh *SourceHealth) *Manifest {
 	return &Manifest{Version: hdr.Version, Seed: hdr.Seed, Note: hdr.Note, IDs: hdr.IDs, Entries: folded}
 }
 
-// LoadRecovered loads the best available committed state for the manifest
-// at path, quarantining corrupt files as it goes (torn journal tails are
-// rewritten by the checkpointer later, not quarantined). A missing store
-// returns fs.ErrNotExist; a store where every source is damaged returns
-// the manifest's *durable.CorruptError.
+// unusable is the error for a store with nothing to serve. A journal torn
+// inside its plan header, with nothing after the damage, never committed
+// a record: without a manifest, that store is as good as missing.
+func unusable(h *Health) error {
+	if !h.Manifest.Present && (!h.WAL.Present || h.WAL.Torn) {
+		return fmt.Errorf("campaign: manifest %s: %w", h.Path, fs.ErrNotExist)
+	}
+	return &durable.CorruptError{Path: h.Path,
+		Reason:      "no recoverable state: manifest and journal are both damaged",
+		Quarantined: h.Manifest.Quarantined}
+}
+
+// LoadRecovered loads the committed state for the manifest at path,
+// quarantining corrupt files as it goes. A torn journal is not
+// quarantined (its valid prefix is served and the checkpointer rewrites
+// it); a journal that parses but cannot be folded (another plan) is, or
+// the checkpointer would reconcile against stale litter forever. A
+// missing store returns fs.ErrNotExist; a store where both sources are
+// damaged returns a *durable.CorruptError.
 func LoadRecovered(f durable.FS, path string) (*Manifest, *Health, error) {
-	h, c := inspect(f, path)
-	// Quarantine files that are present but unusable — keeping the bytes
-	// for postmortem while getting them out of every future load's way. A
-	// merely-torn journal is NOT quarantined (the checkpointer rewrites
-	// it); a valid-but-plan-excluded .prev bank is left alone (the next
-	// save replaces it); a plan-excluded journal goes (the checkpointer
-	// would otherwise reconcile against stale litter forever).
-	maybeQuarantine := func(p string, usable bool, sh *SourceHealth) {
-		if !sh.Present || usable {
-			return
-		}
+	h, man := inspect(f, path)
+	quarantine := func(p string, sh *SourceHealth) {
 		if dst, err := durable.Quarantine(f, p); err == nil {
 			sh.Quarantined = dst
 		}
 	}
-	maybeQuarantine(path, c.man != nil, &h.Manifest)
-	maybeQuarantine(path+durable.PrevSuffix, c.prev != nil || h.Prev.OK, &h.Prev)
-	maybeQuarantine(WALPath(path), c.wal != nil || (h.WAL.Torn && !h.WAL.OK), &h.WAL)
-
-	switch h.Best {
-	case "manifest":
-		return c.man, h, nil
-	case "wal":
-		return c.wal, h, nil
-	case "prev":
-		return c.prev, h, nil
+	if h.Manifest.Present && !h.Manifest.OK {
+		quarantine(path, &h.Manifest)
 	}
-	if !h.Manifest.Present && !h.Prev.Present && !h.WAL.Present {
-		return nil, h, fmt.Errorf("campaign: manifest %s: %w", path, fs.ErrNotExist)
+	if h.WAL.Present && !h.WAL.Torn && !h.WAL.OK {
+		quarantine(WALPath(path), &h.WAL)
 	}
-	return nil, h, &durable.CorruptError{Path: path,
-		Reason:      "no recoverable state: manifest, previous generation and journal are all damaged",
-		Quarantined: h.Manifest.Quarantined}
+	if man == nil {
+		return nil, h, unusable(h)
+	}
+	return man, h, nil
 }
 
-// Repair recovers the best committed state at path and rewrites both the
-// manifest and its journal from it, leaving a clean, consistent store
-// (corrupt originals survive as .quarantined files). It returns the
-// recovered manifest and the pre-repair health.
+// Repair recovers the committed state at path and rewrites both the
+// journal (when it does not already cover that state) and the manifest
+// from it, leaving a clean, consistent store (corrupt originals survive
+// as .quarantined files). It returns the recovered manifest and the
+// pre-repair health.
 func Repair(f durable.FS, path string) (*Manifest, *Health, error) {
 	man, h, err := LoadRecovered(f, path)
 	if err != nil {
@@ -216,7 +194,7 @@ func Repair(f durable.FS, path string) (*Manifest, *Health, error) {
 	if err != nil {
 		return nil, h, err
 	}
-	if err := cp.Commit(man); err != nil {
+	if err := cp.Compact(man); err != nil {
 		return nil, h, err
 	}
 	return man, h, nil

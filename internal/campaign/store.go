@@ -2,10 +2,12 @@ package campaign
 
 // store.go is the campaign's write-side durability: a Checkpointer that
 // owns the manifest file and its append-only entry journal ("<manifest>.wal").
-// Every committed record is first appended to the journal (one CRC-guarded
-// line) and then the manifest is rewritten through the durable
-// dual-generation protocol, so after a crash at ANY instant the committed
-// prefix is reconstructible from at least one of manifest / .prev / WAL —
+// The journal is the commit point: committing a record appends one
+// CRC-guarded line and fsyncs it, O(1) in the plan size; records that land
+// together share one fsync. The manifest is a compaction of the journal,
+// rewritten atomically only when a session ends (completed or halted) and
+// by repair. After a crash at any instant
+// the committed records are the manifest overlaid with the journal —
 // recovery.go's job.
 
 import (
@@ -22,6 +24,18 @@ const WALSuffix = ".wal"
 
 // WALPath returns the journal path for a manifest path.
 func WALPath(path string) string { return path + WALSuffix }
+
+// Exists reports whether a store is on disk at path: its manifest or its
+// journal. A campaign that died before its first compaction left only the
+// journal, and is resumable from it.
+func Exists(f durable.FS, path string) bool {
+	for _, p := range []string{path, WALPath(path)} {
+		if _, err := f.Stat(p); err == nil {
+			return true
+		}
+	}
+	return false
+}
 
 // walHeader is the journal's first line: the campaign plan, so a journal
 // alone can be rebuilt into a manifest and a journal from a different
@@ -49,8 +63,8 @@ func (h walHeader) matches(m *Manifest) bool {
 	return true
 }
 
-// Checkpointer persists a campaign's state: WAL line(s) first, then the
-// manifest, both through the durable layer.
+// Checkpointer persists a campaign's state through the durable layer:
+// records to the journal as they commit, the manifest when a session ends.
 type Checkpointer struct {
 	fs   durable.FS
 	path string
@@ -59,17 +73,16 @@ type Checkpointer struct {
 
 // NewCheckpointer opens the durable store for a manifest at path.
 //
-// fresh (a brand-new campaign) discards every prior generation at the
-// path — manifest, .prev bank, journal — so stale state from an unrelated
-// earlier campaign can never be "recovered" into this one, and resets the
-// journal to just the plan header. The manifest file itself is not
-// written until the first Commit.
+// fresh (a brand-new campaign) discards the prior manifest at the path,
+// so stale state from an unrelated earlier campaign can never be
+// "recovered" into this one, and resets the journal to just the plan
+// header. The manifest file itself is not written until Compact.
 //
-// Resume reconciles the journal with the loaded manifest: a journal
-// that is missing, belongs to a different plan, or holds fewer committed
-// entries than the manifest is rewritten from the manifest; otherwise it
-// is kept and appended to (its extra already-folded duplicates are
-// harmless).
+// Otherwise man is the recovered state and the journal is reconciled with
+// it before the first append: a journal that is missing, torn, belongs to
+// a different plan, or lacks a record man holds (or holds an older
+// session's) is rewritten from man — appends after a damaged line would
+// never be read back. A journal that covers man is kept and appended to.
 func NewCheckpointer(f durable.FS, path string, man *Manifest, fresh bool) (*Checkpointer, error) {
 	cp := &Checkpointer{fs: f, path: path, wal: durable.NewLog(f, WALPath(path))}
 	// Sweep this store's own crash litter (never the whole directory —
@@ -80,44 +93,44 @@ func NewCheckpointer(f durable.FS, path string, man *Manifest, fresh bool) (*Che
 		}
 	}
 	if fresh {
-		for _, p := range []string{path, path + durable.PrevSuffix} {
-			if err := f.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				return nil, fmt.Errorf("campaign: discard %s: %w", p, err)
-			}
+		if err := f.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("campaign: discard %s: %w", path, err)
 		}
-		if err := cp.rewriteWAL(man); err != nil {
-			return nil, err
-		}
-		return cp, nil
+		return cp, cp.rewriteWAL(man)
 	}
 	d, err := durable.ReadLog(f, cp.wal.Path())
-	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			return nil, fmt.Errorf("campaign: read journal: %w", err)
-		}
-		if err := cp.rewriteWAL(man); err != nil {
-			return nil, err
-		}
-		return cp, nil
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("campaign: read journal: %w", err)
 	}
-	hdr, folded, _ := foldWAL(d)
-	if hdr == nil || !hdr.matches(man) || len(folded) < len(man.Entries) || d.Torn {
-		if err := cp.rewriteWAL(man); err != nil {
-			return nil, err
-		}
+	if err != nil || !walCovers(d, man) {
+		return cp, cp.rewriteWAL(man)
 	}
 	return cp, nil
+}
+
+// walCovers reports whether an undamaged journal of man's plan already
+// holds every record of man, each at least as recent.
+func walCovers(d *durable.LogData, man *Manifest) bool {
+	hdr, folded, lines := foldWAL(d)
+	if d.Torn || hdr == nil || lines != len(d.Payloads)-1 || !hdr.matches(man) {
+		return false
+	}
+	for id, rec := range man.Entries {
+		if got := folded[id]; got == nil || got.Sessions < rec.Sessions {
+			return false
+		}
+	}
+	return true
 }
 
 // rewriteWAL resets the journal to the plan header plus the manifest's
 // committed records in plan order.
 func (cp *Checkpointer) rewriteWAL(man *Manifest) error {
-	payloads := [][]byte{}
 	hdr, err := json.Marshal(headerOf(man))
 	if err != nil {
 		return err
 	}
-	payloads = append(payloads, hdr)
+	payloads := [][]byte{hdr}
 	for _, id := range man.IDs {
 		rec := man.Entries[id]
 		if rec == nil {
@@ -136,19 +149,43 @@ func (cp *Checkpointer) rewriteWAL(man *Manifest) error {
 }
 
 // Commit durably lands newly recorded entries: each record is appended to
-// the journal (and fsynced) first, then the whole manifest is saved
-// through the dual-generation protocol. Crash between the two loses
-// nothing — recovery folds the journal, which is already ahead.
+// the journal, then one fsync commits them all — the whole commit, its
+// cost not growing with the plan. man is the manifest the records were
+// folded into; it reaches disk at the next Compact.
 func (cp *Checkpointer) Commit(man *Manifest, recs ...*Record) error {
 	for _, rec := range recs {
-		line, err := json.Marshal(rec)
-		if err != nil {
+		if err := cp.Write(rec); err != nil {
 			return err
 		}
-		if err := cp.wal.Append(line); err != nil {
-			return fmt.Errorf("campaign: journal: %w", err)
-		}
 	}
+	return cp.Sync()
+}
+
+// Write appends one record to the journal without making it durable; it
+// is committed by the next Sync. A campaign writes each record as it
+// lands and syncs once per batch (group commit).
+func (cp *Checkpointer) Write(rec *Record) error {
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	if err := cp.wal.Write(line); err != nil {
+		return fmt.Errorf("campaign: journal: %w", err)
+	}
+	return nil
+}
+
+// Sync commits every record written since the last Sync with one fsync.
+func (cp *Checkpointer) Sync() error {
+	if err := cp.wal.Sync(); err != nil {
+		return fmt.Errorf("campaign: journal: %w", err)
+	}
+	return nil
+}
+
+// Compact writes man — the journal folded so far — as the manifest file,
+// atomically. Sessions call it when they end, complete or halted.
+func (cp *Checkpointer) Compact(man *Manifest) error {
 	return man.SaveFS(cp.fs, cp.path)
 }
 

@@ -1,13 +1,16 @@
 package campaign
 
-// torture_test.go is the crash-torture gate from the durability issue:
-// with fsfault injecting a crash at EVERY write-path step of a campaign —
-// pre-fsync, post-write/pre-rename, post-rename/pre-dirsync, and every
-// other mutating syscall boundary — every resume must complete and the
-// final manifest must be byte-identical to an uninterrupted run, losing
-// at most the in-flight (uncommitted) entry.
+// torture_test.go is the crash-torture gate: with fsfault injecting a
+// crash at EVERY write-path step of a campaign run in two sessions —
+// journal appends before and after their fsync, the compaction at the
+// halt (pre-fsync, post-write/pre-rename, post-rename/pre-dirsync), the
+// resumed session's appends on top of that manifest, and every other
+// mutating syscall boundary — every resume must complete and the final
+// manifest must be byte-identical to an uninterrupted run, losing at most
+// the in-flight (uncommitted) entry.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -21,10 +24,15 @@ import (
 
 // torturePlan is the small deterministic campaign the torture runs.
 func torturePlan() []Entry {
-	return []Entry{
-		okEntry("alpha"), okEntry("beta"), okEntry("gamma"),
-		okEntry("delta"), okEntry("epsilon"), okEntry("zeta"),
+	var plan []Entry
+	for _, id := range []string{
+		"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
+		"iota", "kappa", "lambda", "mu", "nu", "xi", "omicron", "pi",
+		"rho", "sigma", "tau", "upsilon", "phi", "chi", "psi", "omega",
+	} {
+		plan = append(plan, okEntry(id))
 	}
+	return plan
 }
 
 // tortureRef runs the plan undisturbed and returns the manifest bytes
@@ -47,18 +55,28 @@ func tortureRef(t *testing.T) []byte {
 	return data
 }
 
-// runToCrash runs a fresh campaign under the injector until it dies (or,
-// unexpectedly, completes). It returns how many records were committed
-// (observed via OnRecord, which fires just before each checkpoint — so
-// durable commits are at least notified-1).
-func runToCrash(t *testing.T, path string, inj *fsfault.Injector) (notified int, err error) {
+// runToCrash runs the plan under the injector in two sessions — a fresh
+// campaign halted halfway, then a resume of it — with the given number of
+// workers, until the injector kills it (or, unexpectedly, both sessions
+// finish). It returns how many records were committed (observed via
+// OnRecord, which fires once a record's journal line is fsynced — so every
+// notified record is durable).
+func runToCrash(t *testing.T, path string, inj *fsfault.Injector, workers int) (notified int, err error) {
 	t.Helper()
-	cfg := Config{Path: path, Seed: 11, FS: inj, OnRecord: func(*Record) { notified++ }}
-	c, nerr := New(cfg, torturePlan())
+	plan := torturePlan()
+	cfg := Config{Path: path, Seed: 11, FS: inj, HaltAfter: len(plan) / 2, OnRecord: func(*Record) { notified++ }}
+	c, nerr := New(cfg, plan)
 	if nerr != nil {
 		t.Fatal(nerr)
 	}
-	_, err = c.Run()
+	if _, err = c.RunParallel(context.Background(), workers); !errors.Is(err, ErrHalted) {
+		return notified, err
+	}
+	cfg.HaltAfter = 0
+	if c, err = Resume(cfg, plan); err != nil {
+		return notified, err
+	}
+	_, err = c.RunParallel(context.Background(), workers)
 	return notified, err
 }
 
@@ -79,13 +97,13 @@ func resumeClean(t *testing.T, path string) {
 	}
 }
 
-// countSteps measures how many mutating filesystem operations one full
-// campaign performs, so the torture can crash at every single one.
+// countSteps measures how many mutating filesystem operations the two
+// sessions perform, so the torture can crash at every single one.
 func countSteps(t *testing.T) int {
 	t.Helper()
 	dir := t.TempDir()
 	inj := fsfault.MustNew(fsfault.Config{Seed: 1})
-	if _, err := runToCrash(t, filepath.Join(dir, "count.json"), inj); err != nil {
+	if _, err := runToCrash(t, filepath.Join(dir, "count.json"), inj, 1); err != nil {
 		t.Fatalf("counting pass failed: %v", err)
 	}
 	return inj.Steps()
@@ -100,37 +118,58 @@ func TestCrashTortureEveryStep(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		for k := 1; k <= steps; k++ {
 			t.Run(fmt.Sprintf("seed%d/step%03d", seed, k), func(t *testing.T) {
-				dir := t.TempDir()
-				path := filepath.Join(dir, "m.json")
-				inj := fsfault.MustNew(fsfault.Config{Seed: seed, CrashAfter: k})
-				notified, err := runToCrash(t, path, inj)
-				if err == nil {
-					// The campaign finished before the crash step — only
-					// possible when k exceeds this run's traffic.
-					if k <= steps && inj.Crashed() {
-						t.Fatalf("run completed despite crashing")
-					}
-					return
-				}
-				// The "no more than in-flight lost" bound: every record that
-				// was durably committed before the crash must still be
-				// recoverable. OnRecord fires just before the checkpoint
-				// lands, so at most the last notified record may be lost.
-				h := Inspect(durable.OS(), path)
-				if min := notified - 1; h.BestRecords < min {
-					t.Fatalf("crash lost committed entries: %d notified, best source has %d (health %+v)",
-						notified, h.BestRecords, h)
-				}
-				resumeClean(t, path)
-				got, rerr := os.ReadFile(path)
-				if rerr != nil {
-					t.Fatalf("read resumed manifest: %v", rerr)
-				}
-				if string(got) != string(ref) {
-					t.Fatalf("resumed manifest differs from uninterrupted run:\n--- resumed\n%s\n--- reference\n%s", got, ref)
-				}
+				crashAt(t, ref, fsfault.MustNew(fsfault.Config{Seed: seed, CrashAfter: k}), 1)
 			})
 		}
+	}
+}
+
+// TestCrashTortureGroupCommit crashes the two sessions at every step with
+// four workers, where records that land together share one fsync: a crash
+// may lose the whole batch in flight, but never a record OnRecord was
+// shown. Batches are timing-dependent, so the steps differ run to run;
+// the serial count bounds them (batching only removes fsyncs).
+func TestCrashTortureGroupCommit(t *testing.T) {
+	ref := tortureRef(t)
+	steps := countSteps(t)
+	for k := 1; k <= steps; k++ {
+		t.Run(fmt.Sprintf("step%03d", k), func(t *testing.T) {
+			crashAt(t, ref, fsfault.MustNew(fsfault.Config{Seed: uint64(k), CrashAfter: k}), 4)
+		})
+	}
+}
+
+// crashAt runs the two sessions under inj until it crashes, checks the
+// durability bound, then resumes on the real disk and checks the final
+// manifest against ref.
+func crashAt(t *testing.T, ref []byte, inj *fsfault.Injector, workers int) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "m.json")
+	notified, err := runToCrash(t, path, inj, workers)
+	if err == nil {
+		// The campaign finished before the crash step — only possible
+		// when the step exceeds this run's traffic.
+		if inj.Crashed() {
+			t.Fatalf("run completed despite crashing")
+		}
+		return
+	}
+	// The "no more than in-flight lost" bound: every record that was
+	// durably committed before the crash must still be recoverable.
+	// OnRecord fires once the commit has landed, so only records in
+	// flight, never notified, may be lost.
+	h := Inspect(durable.OS(), path)
+	if h.Records < notified {
+		t.Fatalf("crash lost committed entries: %d notified, recovery serves %d (health %+v)",
+			notified, h.Records, h)
+	}
+	resumeClean(t, path)
+	got, rerr := os.ReadFile(path)
+	if rerr != nil {
+		t.Fatalf("read resumed manifest: %v", rerr)
+	}
+	if string(got) != string(ref) {
+		t.Fatalf("resumed manifest differs from uninterrupted run:\n--- resumed\n%s\n--- reference\n%s", got, ref)
 	}
 }
 
@@ -145,7 +184,7 @@ func TestCrashTortureLyingFsync(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "m.json")
 			inj := fsfault.MustNew(fsfault.Config{Seed: uint64(k), CrashAfter: k, LieFsync: 0.7})
-			if _, err := runToCrash(t, path, inj); err == nil {
+			if _, err := runToCrash(t, path, inj, 1); err == nil {
 				return
 			}
 			resumeClean(t, path)

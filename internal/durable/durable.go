@@ -2,10 +2,9 @@
 // repo goes through: campaign manifests, trace golden files, labd job
 // state, and fabric cluster sidecars. It owns the full atomic-write
 // protocol (tmp file + fsync(file) + rename + fsync(dir)), a
-// dual-generation save that banks the previous manifest as "<path>.prev",
-// a per-line-CRC append-only journal (the manifest WAL), quarantine of
-// corrupt files, and the error taxonomy (CorruptError, DiskErr) the
-// recovery paths above it are built on.
+// per-line-CRC append-only journal (the manifest WAL, a campaign's
+// commit point), quarantine of corrupt files, and the error taxonomy
+// (CorruptError, DiskErr) the recovery paths above it are built on.
 //
 // Everything takes an FS, the small filesystem surface the package needs;
 // OS() is the real disk and internal/fsfault wraps any FS with seeded
@@ -107,9 +106,6 @@ func (osFS) MkdirAll(dir string, perm os.FileMode) error {
 // them; sweeps delete them.
 const TmpSuffix = ".tmp"
 
-// PrevSuffix is the suffix of the banked previous manifest generation.
-const PrevSuffix = ".prev"
-
 // QuarantineSuffix marks a corrupt file moved aside by recovery; the
 // bytes are preserved for postmortem, never read back as state.
 const QuarantineSuffix = ".quarantined"
@@ -137,43 +133,6 @@ func WriteFileAtomic(f FS, path string, data []byte, perm os.FileMode) error {
 		// The rename already happened; the data is safe in the file, only
 		// the directory entry may not persist a crash. Surface it: callers
 		// treat it like any other disk fault.
-		return fmt.Errorf("durable: fsync dir of %s: %w", path, err)
-	}
-	return nil
-}
-
-// SaveGenerations is WriteFileAtomic with a banked previous generation:
-// before the new data lands at path, the current file (if any) is renamed
-// to path+".prev". After a crash at any step, at least one of
-// {path, path+".prev", path+".tmp"} holds a complete former or current
-// generation, which is what lets the recovery loader always fall back to
-// the last committed state instead of failing hard.
-func SaveGenerations(f FS, path string, data []byte, perm os.FileMode) error {
-	tmp := path + TmpSuffix
-	if err := f.WriteFile(tmp, data, perm); err != nil {
-		f.Remove(tmp)
-		return fmt.Errorf("durable: write %s: %w", tmp, err)
-	}
-	if err := f.Sync(tmp); err != nil {
-		f.Remove(tmp)
-		return fmt.Errorf("durable: fsync %s: %w", tmp, err)
-	}
-	if _, err := f.Stat(path); err == nil {
-		// The old generation's content is already durable (it went through
-		// this same protocol); banking it is a pure metadata move.
-		if err := f.Rename(path, path+PrevSuffix); err != nil {
-			f.Remove(tmp)
-			return fmt.Errorf("durable: bank %s%s: %w", path, PrevSuffix, err)
-		}
-	}
-	if err := f.Rename(tmp, path); err != nil {
-		// Try to un-bank so the old generation stays visible at path; if
-		// even that fails the loader's .prev fallback still finds it.
-		f.Rename(path+PrevSuffix, path)
-		f.Remove(tmp)
-		return fmt.Errorf("durable: rename %s -> %s: %w", tmp, path, err)
-	}
-	if err := f.SyncDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("durable: fsync dir of %s: %w", path, err)
 	}
 	return nil

@@ -74,63 +74,6 @@ func TestWriteFileAtomicNoTmpLitterOnFailure(t *testing.T) {
 	}
 }
 
-func TestSaveGenerationsBanksPrev(t *testing.T) {
-	dir := t.TempDir()
-	p := filepath.Join(dir, "m.json")
-	if err := SaveGenerations(OS(), p, []byte("gen0"), 0o644); err != nil {
-		t.Fatalf("first save: %v", err)
-	}
-	if _, err := os.Stat(p + PrevSuffix); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("first save should not create .prev")
-	}
-	if err := SaveGenerations(OS(), p, []byte("gen1"), 0o644); err != nil {
-		t.Fatalf("second save: %v", err)
-	}
-	cur, _ := os.ReadFile(p)
-	prev, err := os.ReadFile(p + PrevSuffix)
-	if err != nil {
-		t.Fatalf("read .prev: %v", err)
-	}
-	if string(cur) != "gen1" || string(prev) != "gen0" {
-		t.Fatalf("generations wrong: cur=%q prev=%q", cur, prev)
-	}
-}
-
-func TestSaveGenerationsUnbanksOnFinalRenameFailure(t *testing.T) {
-	dir := t.TempDir()
-	p := filepath.Join(dir, "m.json")
-	if err := SaveGenerations(OS(), p, []byte("gen0"), 0o644); err != nil {
-		t.Fatalf("seed: %v", err)
-	}
-	// Fail only the second rename (tmp -> path); the bank rename must be
-	// undone so the old generation is still visible at p.
-	ff := &renameNFails{FS: OS(), failAt: 2}
-	if err := SaveGenerations(ff, p, []byte("gen1"), 0o644); err == nil {
-		t.Fatal("expected failure")
-	}
-	cur, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatalf("old generation lost: %v", err)
-	}
-	if string(cur) != "gen0" {
-		t.Fatalf("old generation damaged: %q", cur)
-	}
-}
-
-type renameNFails struct {
-	FS
-	n      int
-	failAt int
-}
-
-func (f *renameNFails) Rename(o, n string) error {
-	f.n++
-	if f.n == f.failAt {
-		return fmt.Errorf("rename: %w", syscall.EIO)
-	}
-	return f.FS.Rename(o, n)
-}
-
 func TestQuarantineNumbersCollisions(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "m.json")
@@ -274,6 +217,9 @@ func TestLogTornTailRecovery(t *testing.T) {
 		if wantTorn := !atBoundary; d.Torn != wantTorn {
 			t.Fatalf("off %d: torn=%v want %v", off, d.Torn, wantTorn)
 		}
+		if d.TornTail != d.Torn {
+			t.Fatalf("off %d: a cut is a torn tail, got torn=%v tail=%v", off, d.Torn, d.TornTail)
+		}
 	}
 	// Flipping any single byte must cost at most the line it lands in.
 	for off := 0; off < len(full); off++ {
@@ -297,6 +243,15 @@ func TestLogTornTailRecovery(t *testing.T) {
 		}
 		if len(d.Payloads) < hitLine || len(d.Payloads) > hitLine {
 			t.Fatalf("flip %d: got %d payloads, want exactly the %d before the hit line", off, len(d.Payloads), hitLine)
+		}
+		// Only damage with no line after it is a tail; a flipped newline
+		// merges its line with the next.
+		lastHit := hitLine
+		if full[off] == '\n' {
+			lastHit++
+		}
+		if wantTail := lastHit >= len(payloads)-1; d.TornTail != wantTail {
+			t.Fatalf("flip %d: tail=%v want %v", off, d.TornTail, wantTail)
 		}
 	}
 }
@@ -330,5 +285,49 @@ func TestCorruptError(t *testing.T) {
 		if !bytes.Contains([]byte(msg), []byte(want)) {
 			t.Fatalf("error message %q missing %q", msg, want)
 		}
+	}
+}
+
+// syncCountFS wraps OS() and counts file and directory fsyncs.
+type syncCountFS struct {
+	FS
+	files, dirs int
+}
+
+func (f *syncCountFS) Sync(p string) error    { f.files++; return f.FS.Sync(p) }
+func (f *syncCountFS) SyncDir(p string) error { f.dirs++; return f.FS.SyncDir(p) }
+
+// TestLogWritesShareOneSync: lines written since the last Sync are
+// committed by one fsync (plus the directory's, when a write created the
+// file); a Sync with nothing written does nothing.
+func TestLogWritesShareOneSync(t *testing.T) {
+	f := &syncCountFS{FS: OS()}
+	l := NewLog(f, filepath.Join(t.TempDir(), "m.json.wal"))
+	for _, p := range []string{"a", "b", "c"} {
+		if err := l.Write([]byte(p)); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+	}
+	if f.files != 0 || f.dirs != 0 {
+		t.Fatalf("Write fsynced (%d files, %d dirs)", f.files, f.dirs)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	if f.files != 1 || f.dirs != 1 {
+		t.Fatalf("first Sync: %d file and %d dir fsyncs, want 1 and 1 (the writes created the file)", f.files, f.dirs)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	if err := l.Append([]byte("d")); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if f.files != 2 || f.dirs != 1 {
+		t.Fatalf("after an idle Sync and an Append: %d file and %d dir fsyncs, want 2 and 1", f.files, f.dirs)
+	}
+	d, err := ReadLog(OS(), l.Path())
+	if err != nil || d.Torn || len(d.Payloads) != 4 {
+		t.Fatalf("ReadLog: %+v, %v; want 4 valid payloads", d, err)
 	}
 }

@@ -1,13 +1,13 @@
 package durable
 
 // log.go is the append-only entry journal ("WAL") that rides alongside a
-// checkpoint manifest as "<manifest>.wal". Each committed entry is one
-// line carrying its own CRC, appended and fsynced *before* the manifest
-// itself is rewritten, so after any crash the journal holds at least as
-// many committed entries as the newest readable manifest generation. The
-// reader validates line by line and stops at the first damaged line: a
-// torn tail (the normal shape of a crash mid-append) costs only the
-// in-flight entry, never the committed prefix.
+// checkpoint manifest as "<manifest>.wal". It is the commit point: an
+// entry is committed once its line (carrying its own CRC) is appended and
+// fsynced — lines written together share one fsync (Write, then Sync) —
+// and the manifest is only a compaction of the journal, written when a
+// session ends. The reader validates line by line and stops at the
+// first damaged line: a torn tail (the normal shape of a crash
+// mid-append) costs only the in-flight entry, never the committed prefix.
 //
 // Line format (one payload per line, payloads must be newline-free —
 // compact JSON in practice):
@@ -39,6 +39,9 @@ type Log struct {
 	fs   FS
 	path string
 	perm os.FileMode
+	// dirty: lines were written since the last Sync. created: a Write
+	// created the file, so the next Sync also fsyncs its directory.
+	dirty, created bool
 }
 
 // NewLog returns a journal handle at path. Nothing is touched until
@@ -61,7 +64,7 @@ func encodeLine(payload []byte) ([]byte, error) {
 // Reset atomically rewrites the whole journal to exactly the given
 // payloads (write tmp + fsync + rename + fsync dir). It is how a fresh
 // campaign opens its journal and how repair resynchronizes a journal that
-// fell behind its manifest.
+// fell behind its manifest or was torn.
 func (l *Log) Reset(payloads ...[]byte) error {
 	var buf bytes.Buffer
 	for _, p := range payloads {
@@ -71,32 +74,57 @@ func (l *Log) Reset(payloads ...[]byte) error {
 		}
 		buf.Write(line)
 	}
-	return WriteFileAtomic(l.fs, l.path, buf.Bytes(), l.perm)
+	if err := WriteFileAtomic(l.fs, l.path, buf.Bytes(), l.perm); err != nil {
+		return err
+	}
+	l.dirty, l.created = false, false
+	return nil
 }
 
-// Append durably appends one payload: write the line, fsync the file. The
-// first append also fsyncs the directory so a journal created by Append
-// alone survives a crash.
+// Append durably appends one payload: Write, then Sync.
 func (l *Log) Append(payload []byte) error {
+	if err := l.Write(payload); err != nil {
+		return err
+	}
+	return l.Sync()
+}
+
+// Write appends one payload's line without making it durable: it is
+// committed only by the next Sync, so several writes can share one fsync.
+// A failed write does not by itself make the next Sync fsync.
+func (l *Log) Write(payload []byte) error {
 	line, err := encodeLine(payload)
 	if err != nil {
 		return err
 	}
-	existed := true
+	created := false
 	if _, err := l.fs.Stat(l.path); err != nil {
-		existed = false
+		created = true
 	}
 	if err := l.fs.Append(l.path, line, l.perm); err != nil {
 		return fmt.Errorf("durable: append %s: %w", l.path, err)
 	}
+	l.dirty = true
+	l.created = l.created || created
+	return nil
+}
+
+// Sync commits every line written since the last Sync: fsync the file,
+// and its directory when a Write created it, so a journal created by
+// appends alone survives a crash. With nothing written it does nothing.
+func (l *Log) Sync() error {
+	if !l.dirty {
+		return nil
+	}
 	if err := l.fs.Sync(l.path); err != nil {
 		return fmt.Errorf("durable: fsync %s: %w", l.path, err)
 	}
-	if !existed {
+	if l.created {
 		if err := l.fs.SyncDir(filepath.Dir(l.path)); err != nil {
 			return fmt.Errorf("durable: fsync dir of %s: %w", l.path, err)
 		}
 	}
+	l.dirty, l.created = false, false
 	return nil
 }
 
@@ -114,6 +142,9 @@ type LogData struct {
 	TornLine int
 	// TornReason says why that line failed.
 	TornReason string
+	// TornTail reports the damaged line was the file's last — the shape a
+	// crash mid-append leaves — rather than damage with lines after it.
+	TornTail bool
 }
 
 // ReadLog reads and validates a journal, returning the longest valid
@@ -133,14 +164,14 @@ func ReadLog(f FS, path string) (*LogData, error) {
 		nl := bytes.IndexByte(raw, '\n')
 		if nl < 0 {
 			// No trailing newline: a torn final append.
-			d.Torn, d.TornLine, d.TornReason = true, lineNo, "truncated line (no newline)"
+			d.Torn, d.TornLine, d.TornReason, d.TornTail = true, lineNo, "truncated line (no newline)", true
 			return d, nil
 		}
 		line := raw[:nl]
 		raw = raw[nl+1:]
 		payload, reason := decodeLine(line)
 		if reason != "" {
-			d.Torn, d.TornLine, d.TornReason = true, lineNo, reason
+			d.Torn, d.TornLine, d.TornReason, d.TornTail = true, lineNo, reason, len(raw) == 0
 			return d, nil
 		}
 		d.Payloads = append(d.Payloads, payload)

@@ -1,13 +1,14 @@
 package fabric
 
-// checkpoint.go is the cluster checkpoint sidecar: the merged manifest at
-// Config.Path already checkpoints the committed shard prefix (and is, by
-// the in-order-commit discipline, byte-identical to a serial run's
-// checkpoint at the same prefix), but partial progress inside uncommitted
-// shards would be lost with it alone. The sidecar banks each uncommitted
-// shard's freshest partial manifest so Resume can requeue those shards
-// with their committed entries intact. The sidecar is advisory: deleting
-// it only costs re-running the uncommitted shards from scratch.
+// checkpoint.go is the cluster checkpoint sidecar: the merged store at
+// Config.Path (journal plus compacted manifest) already holds the
+// committed shard prefix (and is, by the in-order-commit discipline,
+// byte-identical to a serial run's at the same prefix), but partial
+// progress inside uncommitted shards would be lost with it alone. The
+// sidecar banks each uncommitted shard's freshest partial manifest so
+// Resume can requeue those shards with their committed entries intact.
+// The sidecar is advisory: deleting it only costs re-running the
+// uncommitted shards from scratch.
 
 import (
 	"encoding/json"

@@ -82,9 +82,10 @@ type Config struct {
 	// note the workers derive from Spec, or every shard submission is
 	// refused; cplab cluster builds both from the same format string.
 	Note string
-	// Path is the merged manifest checkpoint (required). After every
-	// in-order shard commit the file is byte-identical to a serial run's
-	// checkpoint at the same prefix.
+	// Path is the merged manifest checkpoint (required). Every in-order
+	// shard commit is journaled to Path + ".wal"; when Run returns the
+	// file is compacted, byte-identical to a serial run's manifest at the
+	// same prefix.
 	Path string
 	// ClusterPath is the cluster checkpoint sidecar holding uncommitted
 	// shards' partial manifests (default Path + ".cluster").
@@ -287,7 +288,7 @@ type Coordinator struct {
 	ckptMu sync.Mutex // serializes cluster-checkpoint file writes
 
 	// fresh marks a coordinator built by New: opening the durable store
-	// discards prior on-disk generations instead of reconciling with them.
+	// discards the prior store instead of reconciling with it.
 	fresh bool
 	cp    *campaign.Checkpointer
 
@@ -474,14 +475,15 @@ func (co *Coordinator) WriteMetrics(w io.Writer) error {
 
 // Run executes the cluster campaign: one driver goroutine per worker pulls
 // shards (and steals stragglers), while this goroutine folds finished
-// shards into the merged manifest strictly in plan order, checkpointing
-// after every commit. It returns the manifest and nil on a completed
-// plan, ErrHalted when the run stopped resumably (ctx cancelled, every
-// worker unhealthy, or a shard exhausted MaxShardAttempts), or the
-// checkpoint I/O error that stopped it.
+// shards into the merged manifest strictly in plan order, journaling
+// every commit and compacting the manifest when it returns. It returns
+// the manifest and nil on a completed plan, ErrHalted when the run
+// stopped resumably (ctx cancelled, every worker unhealthy, a shard
+// exhausted MaxShardAttempts, or a disk fault), or the checkpoint I/O
+// error that stopped it.
 func (co *Coordinator) Run(ctx context.Context) (*campaign.Manifest, error) {
 	// Open the durable store up front: a fresh cluster campaign discards
-	// prior generations at the path, a resumed one reconciles the entry
+	// the prior store at the path, a resumed one reconciles the entry
 	// journal with the recovered merged manifest.
 	cp, err := campaign.NewCheckpointer(co.cfg.fs(), co.cfg.Path, co.man, co.fresh)
 	if err != nil {
@@ -583,6 +585,13 @@ func (co *Coordinator) Run(ctx context.Context) (*campaign.Manifest, error) {
 	}
 	wg.Wait()
 
+	// The run is over, whatever ended it: compact the journal into the
+	// merged manifest. A failed compaction loses nothing — the journal
+	// holds every committed shard — so a disk fault here halts resumably.
+	compactErr := co.cp.Compact(co.man)
+	if compactErr != nil && commitErr == nil && !durable.DiskErr(compactErr) {
+		commitErr = fmt.Errorf("fabric: checkpoint %s: %w", co.cfg.Path, compactErr)
+	}
 	if commitErr != nil {
 		co.endRoot("error: " + commitErr.Error())
 		return co.man, commitErr
@@ -591,6 +600,10 @@ func (co *Coordinator) Run(ctx context.Context) (*campaign.Manifest, error) {
 	complete := co.nextCommit >= len(co.shards)
 	reason := co.haltReason
 	co.mu.Unlock()
+	if compactErr != nil {
+		co.logf("fabric: disk fault: %v (halted, resumable)", compactErr)
+		complete, reason = false, "disk fault: "+compactErr.Error()
+	}
 	if !complete {
 		co.saveClusterCheckpoint()
 		co.logf("fabric: halted (%s); resume from %s + %s", reason, co.cfg.Path, co.cfg.ClusterPath)

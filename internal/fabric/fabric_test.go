@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/durable"
 	"repro/internal/labd"
 )
 
@@ -104,11 +105,11 @@ func testConfig(t *testing.T, workers []string, seed uint64) Config {
 		// High enough that no steal fires in quiet tests even when durable
 		// per-entry fsyncs slow workers under -race; steal-focused tests
 		// override it downward.
-		StealAfter: time.Second,
-		ProbeInterval:  25 * time.Millisecond,
-		MaxRetries:     6,
-		BaseBackoff:    5 * time.Millisecond,
-		MaxBackoff:     50 * time.Millisecond,
+		StealAfter:    time.Second,
+		ProbeInterval: 25 * time.Millisecond,
+		MaxRetries:    6,
+		BaseBackoff:   5 * time.Millisecond,
+		MaxBackoff:    50 * time.Millisecond,
 	}
 }
 
@@ -303,25 +304,42 @@ func TestChaosAndWorkerKillMatchesSerial(t *testing.T) {
 	}, nil)
 
 	// Kill the middle worker as soon as the first shard commits.
-	go func() {
-		deadline := time.Now().Add(30 * time.Second)
-		for time.Now().Before(deadline) {
-			if _, err := os.Stat(cfg.Path); err == nil {
-				doomed.CloseClientConnections()
-				doomed.Close()
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}()
+	killed := killOnFirstCommit(cfg.Path, func() {
+		doomed.CloseClientConnections()
+		doomed.Close()
+	})
 
 	man := runToCompletion(t, cfg, ids)
+	if midRun, ok := <-killed; !ok || !midRun {
+		t.Fatal("the worker kill did not land mid-run")
+	}
 	if !man.Complete() || !man.Clean() {
 		t.Fatalf("cluster manifest complete=%t clean=%t", man.Complete(), man.Clean())
 	}
 	if got, want := mustBytes(t, cfg.Path), serialBytes(t, ids, 11); got != want {
 		t.Fatalf("chaos cluster manifest differs from serial:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
+}
+
+// killOnFirstCommit calls kill once the merged store at path holds a
+// committed record, and then reports whether the plan was still incomplete
+// at that moment. The journal is the commit point — the manifest file only
+// appears when the run ends — so the trigger reads the committed state.
+func killOnFirstCommit(path string, kill func()) <-chan bool {
+	midRun := make(chan bool, 1)
+	go func() {
+		defer close(midRun)
+		deadline := time.Now().Add(30 * time.Second)
+		for time.Now().Before(deadline) {
+			if h := campaign.Inspect(durable.OS(), path); h.Records >= 1 {
+				kill()
+				midRun <- !h.Complete
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}()
+	return midRun
 }
 
 // runToCompletion drives a cluster sweep to completion, resuming through
@@ -335,7 +353,7 @@ func runToCompletion(t *testing.T, cfg Config, ids []string) *campaign.Manifest 
 	for attempt := 0; ; attempt++ {
 		var co *Coordinator
 		var err error
-		if _, statErr := os.Stat(cfg.Path); statErr == nil {
+		if campaign.Exists(durable.OS(), cfg.Path) {
 			co, err = Resume(cfg, ids)
 		} else {
 			co, err = New(cfg, ids)
@@ -382,7 +400,10 @@ func TestAllWorkersDieHaltsThenResumeCompletes(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("first shard never committed")
 		}
-		if _, err := os.Stat(cfg.Path); err == nil {
+		if h := campaign.Inspect(durable.OS(), cfg.Path); h.Records >= 1 {
+			if h.Complete {
+				t.Fatal("the plan completed before the fleet died")
+			}
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -395,7 +416,8 @@ func TestAllWorkersDieHaltsThenResumeCompletes(t *testing.T) {
 	}
 	close(gate) // release the wedged entry so the dead worker can drain
 
-	// The committed prefix survived, byte-stable.
+	// The committed prefix survived, compacted into the manifest at the
+	// halt.
 	man, err := campaign.Load(cfg.Path)
 	if err != nil {
 		t.Fatal(err)

@@ -112,18 +112,12 @@ func TestRealWorkerSIGKILLMidCampaign(t *testing.T) {
 	cfg := testConfig(t, []string{survivorURL, victimURL}, 23)
 	cfg.ShardSize = 2
 
-	go func() {
-		deadline := time.Now().Add(30 * time.Second)
-		for time.Now().Before(deadline) {
-			if _, err := os.Stat(cfg.Path); err == nil {
-				killVictim()
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}()
+	killed := killOnFirstCommit(cfg.Path, killVictim)
 
 	man := runToCompletion(t, cfg, ids)
+	if midRun, ok := <-killed; !ok || !midRun {
+		t.Fatal("the SIGKILL did not land mid-run")
+	}
 	if !man.Complete() || !man.Clean() {
 		t.Fatalf("manifest complete=%t clean=%t", man.Complete(), man.Clean())
 	}

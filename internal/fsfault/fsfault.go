@@ -17,7 +17,10 @@
 // injector "loses power": it keeps a seeded prefix of the pending
 // namespace ops and undoes the rest in reverse from snapshots, then tears
 // every still-dirty file (rollback to its pre-dirty content, truncation
-// to a seeded prefix, or a flipped byte). From then on every operation
+// to a seeded prefix, or a flipped byte). Only unsynced bytes are torn: a
+// file dirtied only by appends keeps the prefix its last honest fsync
+// persisted, and damage lands past it; a file rewritten by WriteFile has
+// no such prefix and may be damaged anywhere. From then on every operation
 // returns ErrCrash, so the engine under test dies as surely as a SIGKILL
 // — but in-process, where the test can inspect the wreckage and resume.
 package fsfault
@@ -77,6 +80,10 @@ func (c *Config) Validate() error {
 type shadow struct {
 	base    []byte
 	existed bool
+	// appendOnly marks a file dirtied only by Append since base was
+	// synced: base is still its on-disk prefix, so a crash can only
+	// damage the bytes past it.
+	appendOnly bool
 }
 
 // nsOp is a pending namespace operation (rename or remove) that no
@@ -169,18 +176,16 @@ func (in *Injector) enter(op string) error {
 	return nil
 }
 
-// snapshot records path's pre-dirty state if not already tracked.
-// Callers hold mu.
-func (in *Injector) snapshot(path string) {
-	if _, ok := in.dirty[path]; ok {
-		return
+// snapshot records path's pre-dirty state if not already tracked, and
+// whether every write since has been an append. Callers hold mu.
+func (in *Injector) snapshot(path string, appending bool) {
+	sh, ok := in.dirty[path]
+	if !ok {
+		data, err := in.base.ReadFile(path)
+		sh = shadow{base: data, existed: err == nil, appendOnly: true}
 	}
-	data, err := in.base.ReadFile(path)
-	if err != nil {
-		in.dirty[path] = shadow{existed: false}
-		return
-	}
-	in.dirty[path] = shadow{base: data, existed: true}
+	sh.appendOnly = sh.appendOnly && appending
+	in.dirty[path] = sh
 }
 
 // applyCrash loses power: keep a seeded prefix of pending namespace ops,
@@ -216,6 +221,11 @@ func (in *Injector) applyCrash() {
 	sort.Strings(paths)
 	for _, p := range paths {
 		sh := in.dirty[p]
+		// synced is how much of the current content is already on disk.
+		synced := 0
+		if sh.appendOnly {
+			synced = len(sh.base)
+		}
 		switch in.rng.Intn(3) {
 		case 0: // full rollback: nothing since the snapshot reached disk
 			if sh.existed {
@@ -225,17 +235,17 @@ func (in *Injector) applyCrash() {
 			}
 		case 1: // torn tail: a prefix of the new content made it out
 			cur, err := in.base.ReadFile(p)
-			if err != nil {
+			if err != nil || len(cur) < synced {
 				break
 			}
-			in.base.WriteFile(p, cur[:in.rng.Intn(len(cur)+1)], 0o644)
+			in.base.WriteFile(p, cur[:synced+in.rng.Intn(len(cur)-synced+1)], 0o644)
 		case 2: // bit rot: the write went out with a flipped byte
 			cur, err := in.base.ReadFile(p)
-			if err != nil || len(cur) == 0 {
+			if err != nil || len(cur) <= synced {
 				break
 			}
 			cur = append([]byte(nil), cur...)
-			cur[in.rng.Intn(len(cur))] ^= 0xff
+			cur[synced+in.rng.Intn(len(cur)-synced)] ^= 0xff
 			in.base.WriteFile(p, cur, 0o644)
 		}
 	}
@@ -250,7 +260,7 @@ func (in *Injector) WriteFile(path string, data []byte, perm os.FileMode) error 
 	if err := in.enter("write " + path); err != nil {
 		return err
 	}
-	in.snapshot(path)
+	in.snapshot(path, false)
 	return in.base.WriteFile(path, data, perm)
 }
 
@@ -260,7 +270,7 @@ func (in *Injector) Append(path string, data []byte, perm os.FileMode) error {
 	if err := in.enter("append " + path); err != nil {
 		return err
 	}
-	in.snapshot(path)
+	in.snapshot(path, true)
 	return in.base.Append(path, data, perm)
 }
 
@@ -317,12 +327,17 @@ func (in *Injector) Rename(oldpath, newpath string) error {
 	}
 	in.pending = append(in.pending, op)
 	// Unsynced content follows the name: if oldpath was dirty the data at
-	// newpath is just as crash-vulnerable.
+	// newpath is just as crash-vulnerable. Either way newpath now holds
+	// other bytes than its shadow's, so no prefix of it is known synced.
 	if _, ok := in.dirty[oldpath]; ok {
 		delete(in.dirty, oldpath)
 		if _, tracked := in.dirty[newpath]; !tracked {
 			in.dirty[newpath] = shadow{base: op.newData, existed: op.newExisted}
 		}
+	}
+	if sh, tracked := in.dirty[newpath]; tracked {
+		sh.appendOnly = false
+		in.dirty[newpath] = sh
 	}
 	return nil
 }

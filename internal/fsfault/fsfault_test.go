@@ -119,6 +119,54 @@ func TestCrashNeverTearsSyncedData(t *testing.T) {
 	}
 }
 
+// TestCrashKeepsSyncedAppendPrefix: an append-only file (a journal) keeps
+// every byte its last honest fsync persisted through any crash; only the
+// unsynced tail is lost — rolled back, torn or flipped — and across seeds
+// each of those happens.
+func TestCrashKeepsSyncedAppendPrefix(t *testing.T) {
+	const synced, tail = "line one\nline two\n", "line three, in flight\n"
+	var rolledBack, torn, flipped bool
+	for seed := uint64(1); seed <= 60; seed++ {
+		dir := t.TempDir()
+		p := filepath.Join(dir, "journal")
+		in := MustNew(Config{Seed: seed, CrashAfter: 6})
+		for _, line := range []string{"line one\n", "line two\n"} {
+			if err := in.Append(p, []byte(line), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := in.Sync(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := in.Append(p, []byte(tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Sync(p); !errors.Is(err, ErrCrash) { // step 6: the crash
+			t.Fatalf("seed %d: want the crash, got %v", seed, err)
+		}
+		got, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatalf("seed %d: synced journal gone: %v", seed, err)
+		}
+		if !bytes.HasPrefix(got, []byte(synced)) {
+			t.Fatalf("seed %d: crash damaged the synced prefix: %q", seed, got)
+		}
+		switch rest := got[len(synced):]; {
+		case len(rest) == 0:
+			rolledBack = true
+		case len(rest) < len(tail) && bytes.HasPrefix([]byte(tail), rest):
+			torn = true
+		case len(rest) == len(tail) && string(rest) != tail:
+			flipped = true
+		case string(rest) != tail:
+			t.Fatalf("seed %d: tail neither intact, torn nor flipped: %q", seed, rest)
+		}
+	}
+	if !rolledBack || !torn || !flipped {
+		t.Fatalf("60 seeds: rolled back %t, torn %t, flipped %t — the unsynced tail must see each", rolledBack, torn, flipped)
+	}
+}
+
 // TestCrashCanLoseUnsyncedData: without a real fsync, a bare write must
 // sometimes be lost or torn — otherwise the injector isn't modelling
 // anything.

@@ -4,10 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
-	"os"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/obs"
 )
 
@@ -31,7 +32,7 @@ func NewHTTPServer(handler http.Handler) *http.Server {
 //	POST   /jobs               submit a Spec (JSON body) → 202 + JobView
 //	GET    /jobs               list jobs in submission order
 //	GET    /jobs/{id}          one job's state and progress
-//	GET    /jobs/{id}/manifest the job's campaign manifest (as checkpointed)
+//	GET    /jobs/{id}/manifest the job's committed campaign manifest
 //	DELETE /jobs/{id}          cancel a queued or running job
 //	GET    /metrics            service telemetry, Prometheus text format
 func (s *Server) Handler() http.Handler {
@@ -89,9 +90,21 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	b, err := os.ReadFile(s.ManifestPath(id))
-	if err != nil {
+	// Serve what is committed, not just the last compaction: mid-run the
+	// records live in the journal, and the manifest file appears only when
+	// the job halts or completes. Once it has, the fold is the file's bytes.
+	man, err := campaign.Committed(s.cfg.fs(), s.ManifestPath(id))
+	if errors.Is(err, fs.ErrNotExist) {
 		httpError(w, http.StatusNotFound, "no manifest checkpointed yet")
+		return
+	}
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	b, err := man.Encode()
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

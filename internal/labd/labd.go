@@ -305,7 +305,7 @@ func (s *Server) load() error {
 		j := &job{id: st.ID, seq: st.Seq, state: st.State, spec: st.Spec, errMsg: st.Error, clean: st.Clean,
 			trace: st.Trace, traceFrom: st.TraceParent}
 		// A job that was mid-run when the process died is requeued; its
-		// manifest prefix survives and Resume skips the committed records.
+		// committed records survive in its journal and Resume skips them.
 		if !j.state.terminal() {
 			j.state = StateQueued
 		}
@@ -472,21 +472,19 @@ func (s *Server) runJob(j *job) {
 	}
 
 	// A spec-carried resume manifest seeds the job's checkpoint before the
-	// first run: the stat below then finds it and the ordinary Resume path
-	// takes over. A manifest already on disk (this worker ran part of the
-	// job before) wins over the carried one, which is at best a copy of it.
-	if spec.Resume != nil {
-		if _, statErr := s.cfg.fs().Stat(ccfg.Path); statErr != nil {
-			if err := spec.Resume.SaveFS(s.cfg.fs(), ccfg.Path); err != nil {
-				s.finish(j, StateFailed, fmt.Sprintf("seeding resume manifest: %v", err), false)
-				return
-			}
+	// first run: the check below then finds it and the ordinary Resume path
+	// takes over. A store already on disk (this worker ran part of the job
+	// before) wins over the carried manifest, which is at best a copy of it.
+	if spec.Resume != nil && !campaign.Exists(s.cfg.fs(), ccfg.Path) {
+		if err := spec.Resume.SaveFS(s.cfg.fs(), ccfg.Path); err != nil {
+			s.finish(j, StateFailed, fmt.Sprintf("seeding resume manifest: %v", err), false)
+			return
 		}
 	}
 
 	var c *campaign.Campaign
 	var err error
-	if _, statErr := s.cfg.fs().Stat(ccfg.Path); statErr == nil {
+	if campaign.Exists(s.cfg.fs(), ccfg.Path) {
 		c, err = campaign.Resume(ccfg, entries)
 	} else {
 		c, err = campaign.New(ccfg, entries)

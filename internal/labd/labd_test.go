@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -391,6 +393,47 @@ func TestDrainCheckpointsAndRestartResumes(t *testing.T) {
 	want := fetchManifest(t, hsRef, refView.ID)
 	if got != want {
 		t.Fatalf("resumed manifest differs from uninterrupted:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// TestManifestServesCommittedMidRun: mid-run a job's records live in its
+// journal (the manifest file is compacted only when the job ends), and the
+// endpoint serves them: once k records are counted done, a fetch returns
+// at least k. Once the job is done it serves the manifest file's bytes.
+func TestManifestServesCommittedMidRun(t *testing.T) {
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	srv, hs := newTestServer(t, t.TempDir(), gate)
+	t.Cleanup(release) // runs before the server's drain
+
+	view := submit(t, hs, Spec{IDs: []string{"a", "b", "slow-c", "d"}, Seed: 4})
+	deadline := time.Now().Add(15 * time.Second)
+	var k int
+	for k = getJob(t, hs, view.ID).Done; k < 2; k = getJob(t, hs, view.ID).Done {
+		if time.Now().After(deadline) {
+			t.Fatal("entries a and b never committed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := os.Stat(srv.ManifestPath(view.ID)); !os.IsNotExist(err) {
+		t.Fatalf("manifest file present mid-run (err %v): nothing left to fold", err)
+	}
+	var man campaign.Manifest
+	if err := json.Unmarshal([]byte(fetchManifest(t, hs, view.ID)), &man); err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Entries) < k || man.Entries["a"] == nil || man.Entries["b"] == nil {
+		t.Fatalf("mid-run fetch after %d committed records served %v", k, man.Counts())
+	}
+
+	release()
+	waitState(t, hs, view.ID, StateDone)
+	file, err := os.ReadFile(srv.ManifestPath(view.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fetchManifest(t, hs, view.ID); got != string(file) {
+		t.Fatalf("done job's manifest served as\n%s\nnot the file's bytes\n%s", got, file)
 	}
 }
 

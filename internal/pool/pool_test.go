@@ -30,7 +30,7 @@ func TestCommitsInOrder(t *testing.T) {
 					}
 					got = append(got, i)
 					return false, nil
-				})
+				}, nil)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -58,7 +58,7 @@ func TestCommitsSingleThreaded(t *testing.T) {
 			time.Sleep(50 * time.Microsecond)
 			inCommit.Add(-1)
 			return false, nil
-		})
+		}, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestStopDiscardsUncommitted(t *testing.T) {
 				func(i, v int) (bool, error) {
 					committed = append(committed, i)
 					return i == stopAt, nil
-				})
+				}, nil)
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -104,7 +104,7 @@ func TestCommitErrorSurfaces(t *testing.T) {
 						return false, boom
 					}
 					return false, nil
-				})
+				}, nil)
 			if !errors.Is(err, boom) {
 				t.Fatalf("Run err = %v, want %v", err, boom)
 			}
@@ -135,7 +135,7 @@ func TestCancelCommitsPrefix(t *testing.T) {
 		func(i, v int) (bool, error) {
 			committed = append(committed, i)
 			return false, nil
-		})
+		}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run err = %v, want context.Canceled", err)
 	}
@@ -159,7 +159,7 @@ func TestCancelBeforeStart(t *testing.T) {
 	var ran atomic.Int32
 	err := Run(ctx, 4, 100,
 		func(_ context.Context, i int) int { ran.Add(1); return i },
-		func(i, v int) (bool, error) { t.Error("commit called"); return false, nil })
+		func(i, v int) (bool, error) { t.Error("commit called"); return false, nil }, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run err = %v, want context.Canceled", err)
 	}
@@ -177,7 +177,7 @@ func TestSerialPathRunsInline(t *testing.T) {
 	local := 0
 	err := Run(context.Background(), 1, 10,
 		func(_ context.Context, i int) int { local++; return i },
-		func(i, v int) (bool, error) { local++; return false, nil })
+		func(i, v int) (bool, error) { local++; return false, nil }, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -203,7 +203,7 @@ func TestWorkerCountBounded(t *testing.T) {
 			cur.Add(-1)
 			return i
 		},
-		func(i, v int) (bool, error) { return false, nil })
+		func(i, v int) (bool, error) { return false, nil }, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -216,7 +216,7 @@ func TestWorkerCountBounded(t *testing.T) {
 func TestZeroJobs(t *testing.T) {
 	err := Run(context.Background(), 4, 0,
 		func(_ context.Context, i int) int { t.Error("run called"); return 0 },
-		func(i, v int) (bool, error) { t.Error("commit called"); return false, nil })
+		func(i, v int) (bool, error) { t.Error("commit called"); return false, nil }, nil)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -233,10 +233,110 @@ func TestSharedCommitStateNeedsNoLock(t *testing.T) {
 		defer wg.Done()
 		_ = Run(context.Background(), 4, 100,
 			func(_ context.Context, i int) int { return i },
-			func(i, v int) (bool, error) { sum += v; return false, nil })
+			func(i, v int) (bool, error) { sum += v; return false, nil }, nil)
 	}()
 	wg.Wait()
 	if want := 99 * 100 / 2; sum != want {
 		t.Fatalf("sum = %d, want %d", sum, want)
+	}
+}
+
+// TestRunFlushesEveryCommit: every committed result is flushed before Run
+// returns — after a normal end, a stop or a commit error — and each flush
+// follows at least one commit. Serially every commit is its own batch.
+func TestRunFlushesEveryCommit(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		for _, end := range []string{"complete", "stop", "error"} {
+			t.Run(fmt.Sprintf("workers=%d/%s", workers, end), func(t *testing.T) {
+				const n = 100
+				commits, flushed, flushes := 0, 0, 0
+				err := Run(context.Background(), workers, n,
+					func(_ context.Context, i int) int { return i },
+					func(i, v int) (bool, error) {
+						commits++
+						switch {
+						case end == "stop" && i == 40:
+							return true, nil
+						case end == "error" && i == 40:
+							return false, errors.New("boom")
+						}
+						return false, nil
+					},
+					func() error {
+						if commits == flushed {
+							t.Errorf("flush with no commit since the last one (after commit %d)", commits)
+						}
+						flushed = commits
+						flushes++
+						return nil
+					})
+				if (err != nil) != (end == "error") {
+					t.Fatalf("Run: %v", err)
+				}
+				if flushed != commits {
+					t.Fatalf("returned with commits %d..%d unflushed", flushed+1, commits)
+				}
+				if workers == 1 && flushes != commits {
+					t.Fatalf("serial run flushed %d times for %d commits, want one each", flushes, commits)
+				}
+			})
+		}
+	}
+}
+
+// TestRunGroupsReadyResults: results that finish while a flush is
+// running are committed together and share the next flush.
+func TestRunGroupsReadyResults(t *testing.T) {
+	const n = 20
+	var ran atomic.Int32
+	commits, flushes := 0, 0
+	err := Run(context.Background(), 2, n,
+		func(_ context.Context, i int) int { ran.Add(1); return i },
+		func(i, v int) (bool, error) { commits++; return false, nil },
+		func() error {
+			if flushes == 0 {
+				// A slow first flush: every job finishes meanwhile.
+				for ran.Load() < n {
+					time.Sleep(time.Millisecond)
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+			flushes++
+			return nil
+		})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if commits != n {
+		t.Fatalf("committed %d, want %d", commits, n)
+	}
+	if flushes >= n/2 {
+		t.Fatalf("%d flushes for %d commits: ready results were not grouped", flushes, n)
+	}
+}
+
+// TestRunFlushErrorSurfaces: a failed flush ends the run and is
+// returned.
+func TestRunFlushErrorSurfaces(t *testing.T) {
+	boom := errors.New("fsync failed")
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			commits := 0
+			err := Run(context.Background(), workers, 100,
+				func(_ context.Context, i int) int { return i },
+				func(i, v int) (bool, error) { commits++; return false, nil },
+				func() error {
+					if commits >= 10 {
+						return boom
+					}
+					return nil
+				})
+			if !errors.Is(err, boom) {
+				t.Fatalf("Run err = %v, want %v", err, boom)
+			}
+			if commits == 100 {
+				t.Fatal("flush error did not end the run")
+			}
+		})
 	}
 }
