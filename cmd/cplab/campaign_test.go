@@ -183,6 +183,7 @@ func TestUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{},
 		{"bogus"},
+		{"bench"}, // no such subcommand: perfbench/ is the benchmark
 		{"run"},
 		{"trace"},
 		{"trace", "bogus"},

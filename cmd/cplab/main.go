@@ -17,7 +17,6 @@
 //	cplab tail -addr A             # live cluster progress from a /status endpoint
 //	cplab metrics -exp <id>        # run instrumented, export telemetry (Prometheus/JSON)
 //	cplab profile -exp <id>        # run profiled, report wall cost by event kind/phase
-//	cplab bench [-o P]             # time the simulator, write BENCH_PR10.json
 //
 // Common flags:
 //
@@ -117,8 +116,6 @@ func run(args []string) int {
 		return metricsCmd(args[1:])
 	case "profile":
 		return profileCmd(args[1:])
-	case "bench":
-		return benchCmd(args[1:])
 	case "trace":
 		if len(args) < 2 {
 			usage()
@@ -143,7 +140,7 @@ func run(args []string) int {
 // subcommands lists every dispatchable subcommand, for did-you-mean.
 var subcommands = []string{
 	"list", "run", "all", "campaign", "resume", "matrix", "cluster",
-	"timeline", "tail", "fsck", "metrics", "profile", "bench", "trace",
+	"timeline", "tail", "fsck", "metrics", "profile", "trace",
 }
 
 // commonFlags are the flags every experiment-running subcommand shares.
@@ -642,6 +639,5 @@ usage:
   cplab tail -addr HOST:PORT [-interval D] [-n N]
   cplab metrics -exp <id> [-json] [-o path] [flags]
   cplab profile -exp <id> [-json] [-o path] [flags]
-  cplab bench [-o path] [-paper] [-seed N]
 exit codes: 0 clean, 1 degraded/failed/divergence, 2 usage, 3 halted-but-resumable`)
 }

@@ -158,6 +158,50 @@ func TestTraceRecordByteIdenticalWithSpans(t *testing.T) {
 	}
 }
 
+// TestSpansCloseLastMachinePhase checks every single-experiment command
+// that takes -spans: the log exists and holds the run's final machine
+// phase as a closed machine-tier span stamped with its simulated end. No
+// later machine or campaign teardown is there to end that phase; the run
+// itself must.
+func TestSpansCloseLastMachinePhase(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"run", []string{"run", "fig4.1"}},
+		{"trace-record", []string{"trace", "record", "fig4.1", "-o", filepath.Join(dir, "t.cptrace")}},
+		{"metrics", []string{"metrics", "-exp", "fig4.1", "-o", filepath.Join(dir, "m.prom")}},
+		{"profile", []string{"profile", "-exp", "fig4.1", "-o", filepath.Join(dir, "p.txt")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			log := filepath.Join(dir, tc.name+".jsonl")
+			capture(t, func() {
+				if code := run(append(tc.args, "-spans", log)); code != exitOK {
+					t.Fatalf("%v exit %d", tc.args, code)
+				}
+			})
+			lg, err := obs.ReadLog(nil, log)
+			if err != nil {
+				t.Fatal(err)
+			}
+			machines := 0
+			for _, s := range lg.Spans {
+				if s.Tier != obs.TierMachine {
+					continue
+				}
+				machines++
+				if s.SimEnd <= s.SimStart {
+					t.Fatalf("machine span %q has no simulated end: sim %d..%d", s.Name, s.SimStart, s.SimEnd)
+				}
+			}
+			if machines == 0 {
+				t.Fatalf("no machine-tier span among %d spans", len(lg.Spans))
+			}
+		})
+	}
+}
+
 // TestTimelineCommand folds a real span log into Chrome trace JSON and
 // checks the shape Perfetto expects.
 func TestTimelineCommand(t *testing.T) {

@@ -2,21 +2,13 @@ package main
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"repro"
-	"repro/internal/campaign"
 	"repro/internal/durable"
-	"repro/internal/exps"
-	"repro/internal/metrics"
 )
 
 // metricsCmd runs one experiment with a fresh telemetry registry installed
@@ -36,6 +28,12 @@ func metricsCmd(args []string) int {
 		fmt.Fprintln(os.Stderr, "cplab:", err)
 		return exitUsage
 	}
+	stop, err := cf.startSpans("cplab")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cplab:", err)
+		return exitUsage
+	}
+	defer stop()
 	start := time.Now()
 	_, reg, err := repro.RunInstrumented(*exp, o)
 	if err != nil {
@@ -73,6 +71,12 @@ func profileCmd(args []string) int {
 		fmt.Fprintln(os.Stderr, "cplab:", err)
 		return exitUsage
 	}
+	stop, err := cf.startSpans("cplab")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cplab:", err)
+		return exitUsage
+	}
+	defer stop()
 	start := time.Now()
 	_, prof, err := repro.RunProfiled(*exp, o)
 	if err != nil {
@@ -92,426 +96,6 @@ func profileCmd(args []string) int {
 		return exitDegraded
 	}
 	return emit(*out, buf.Bytes())
-}
-
-// benchIDs are the experiments the benchmark harness times individually;
-// benchCampaignIDs is the small sweep that exercises the campaign path
-// (checkpointing, containment, record building) end to end.
-var (
-	benchIDs         = []string{"fig4.1"}
-	benchCampaignIDs = []string{"tab2.1", "fig4.1"}
-)
-
-// benchCampaignReps replicates the campaign sweep under suffixed entry IDs
-// so the timed plan is long enough (~16 entries) for entries/sec to be a
-// throughput measurement rather than a coin flip on a couple of
-// milliseconds of wall time.
-const benchCampaignReps = 8
-
-// benchBootReps is the number of machine boots the boot-fresh and boot-fork
-// rows each time. On boot rows SimEvents counts boots, so NSPerEvent reads
-// as ns/boot and EventsPerSec as boots/sec.
-const benchBootReps = 64
-
-// benchMicroEntries is the size of the in-memory micro campaign plan the
-// pool-micro rows time. Each entry is a few hundred microseconds of
-// simulation, so entries/sec on these rows measures per-entry machinery —
-// machine acquisition (pool fork vs cold boot), containment, telemetry —
-// rather than simulation volume.
-const benchMicroEntries = 2000
-
-// benchResult is one benchmark row of the bench artifact (BENCH_PR10.json
-// by default).
-type benchResult struct {
-	Name         string  `json:"name"`
-	WallNS       int64   `json:"wall_ns"`
-	SimEvents    int64   `json:"sim_events"`
-	NSPerEvent   float64 `json:"ns_per_event"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	// Workers and EntriesPerSec are set on campaign rows: the pool width
-	// and the plan-entry throughput at that width.
-	Workers       int     `json:"workers,omitempty"`
-	EntriesPerSec float64 `json:"entries_per_sec,omitempty"`
-}
-
-// benchFile is the whole artifact.
-type benchFile struct {
-	Seed       uint64        `json:"seed"`
-	Paper      bool          `json:"paper"`
-	Benchmarks []benchResult `json:"benchmarks"`
-}
-
-// benchWidths are the campaign pool widths the harness times: serial, two
-// workers, and the machine's full width (deduplicated, in order, and capped
-// at GOMAXPROCS). Widths beyond the machine's width are excluded: with one
-// CPU, a second CPU-bound worker can only time-slice the same core, so the
-// row would measure pool overhead and cache thrash, not scaling. (The
-// campaign engine itself accepts any width at any GOMAXPROCS — manifests
-// are byte-identical regardless — this cap is only about what is worth
-// timing.)
-func benchWidths() []int {
-	limit := runtime.GOMAXPROCS(0)
-	var out []int
-	for _, w := range []int{1, 2, limit} {
-		if w > limit {
-			continue
-		}
-		if len(out) == 0 || out[len(out)-1] < w {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// benchInvariantStride is the relaxed invariant-scan cadence benchmarks run
-// at. Invariant scans are pure checking — results are bit-identical at any
-// stride — so the bench measures the simulator, not the checker.
-const benchInvariantStride = 65536
-
-// benchCmd times the simulator end to end — each benchIDs experiment,
-// machine boot (cold versus pool fork), a small checkpointed campaign at
-// several pool widths, and an in-memory micro campaign that isolates
-// per-entry overhead — counting simulated kernel events through per-run
-// telemetry, and writes ns/sim-event, events/sec and entries/sec rows to
-// BENCH_PR10.json. Each row is the best
-// of -reps attempts with a forced GC between them, so one badly-timed
-// collection cannot masquerade as a regression. With -compare, the new rows
-// are diffed against a previous artifact and a >10% regression on any row
-// fails the command.
-func benchCmd(args []string) int {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	cf := addCommon(fs)
-	out := fs.String("o", "BENCH_PR10.json", "output path (- for stdout)")
-	compare := fs.String("compare", "", "previous bench artifact to diff against (exit 1 on >10% regression)")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU pprof profile of the benchmark runs to this file")
-	reps := fs.Int("reps", 3, "attempts per row; the best (lowest wall time) is kept")
-	fs.Parse(args)
-	o, err := cf.options()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cplab:", err)
-		return exitUsage
-	}
-	o.InvariantStride = benchInvariantStride
-	if *reps < 1 {
-		*reps = 1
-	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cplab:", err)
-			return exitDegraded
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "cplab:", err)
-			return exitDegraded
-		}
-		defer pprof.StopCPUProfile()
-	}
-	file := benchFile{Seed: *cf.seed, Paper: *cf.paper}
-	for _, id := range benchIDs {
-		row, err := bestOf(*reps, func() (benchResult, error) { return benchExp(id, o) })
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cplab:", err)
-			return exitDegraded
-		}
-		file.Benchmarks = append(file.Benchmarks, row)
-		logBenchRow(row)
-	}
-	// Boot rows: the same machine acquisition path, cold (full construction
-	// and teardown) versus forked from a pooled pristine snapshot. The
-	// fork/cold ratio is the machine pool's headline speedup.
-	for _, boot := range []func(uint64) (benchResult, error){benchBootFresh, benchBootFork} {
-		boot := boot
-		row, err := bestOf(*reps, func() (benchResult, error) { return boot(*cf.seed) })
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cplab:", err)
-			return exitDegraded
-		}
-		file.Benchmarks = append(file.Benchmarks, row)
-		logBenchRow(row)
-	}
-	// Campaign widths are swept together inside each attempt — width 1, then
-	// 2, then full — rather than exhausting one width's attempts before the
-	// next starts. Machine noise drifts over seconds; interleaving makes
-	// every width sample the same noise windows, so the per-width best
-	// measures pool scaling instead of which width drew the quiet interval.
-	// The micro campaign rides the same sweep for the same reason.
-	widths := benchWidths()
-	best := make([]benchResult, len(widths))
-	bestMicro := make([]benchResult, len(widths))
-	for rep := 0; rep < *reps; rep++ {
-		for i, workers := range widths {
-			runtime.GC()
-			row, err := benchCampaign(o, *cf.seed, workers)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "cplab:", err)
-				return exitDegraded
-			}
-			if rep == 0 || row.WallNS < best[i].WallNS {
-				best[i] = row
-			}
-			runtime.GC()
-			row, err = benchMicro(*cf.seed, workers)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "cplab:", err)
-				return exitDegraded
-			}
-			if rep == 0 || row.WallNS < bestMicro[i].WallNS {
-				bestMicro[i] = row
-			}
-		}
-	}
-	for _, rows := range [][]benchResult{best, bestMicro} {
-		for _, row := range rows {
-			file.Benchmarks = append(file.Benchmarks, row)
-			logBenchRow(row)
-		}
-	}
-
-	data, err := json.MarshalIndent(file, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cplab:", err)
-		return exitDegraded
-	}
-	if code := emit(*out, append(data, '\n')); code != exitOK {
-		return code
-	}
-	if *compare != "" {
-		return benchCompare(*compare, file)
-	}
-	return exitOK
-}
-
-// bestOf runs f reps times with a forced GC before each attempt and keeps
-// the attempt with the lowest wall time. GC between attempts means each
-// starts from the same heap state, so campaign throughput at different pool
-// widths is compared on equal footing rather than on whichever width
-// happened to inherit the previous row's garbage.
-func bestOf(reps int, f func() (benchResult, error)) (benchResult, error) {
-	var best benchResult
-	for i := 0; i < reps; i++ {
-		runtime.GC()
-		row, err := f()
-		if err != nil {
-			return benchResult{}, err
-		}
-		if i == 0 || row.WallNS < best.WallNS {
-			best = row
-		}
-	}
-	return best, nil
-}
-
-// benchRegressionPct is the relative slowdown past which a compare fails.
-const benchRegressionPct = 10.0
-
-// benchCompare diffs the fresh rows against a previous artifact, printing a
-// per-row delta line for every metric that matters (ns/sim-event always;
-// entries/sec on campaign rows), and returns exit 1 when any row regressed
-// by more than benchRegressionPct.
-func benchCompare(oldPath string, fresh benchFile) int {
-	data, err := os.ReadFile(oldPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cplab:", err)
-		return exitDegraded
-	}
-	var old benchFile
-	if err := json.Unmarshal(data, &old); err != nil {
-		fmt.Fprintf(os.Stderr, "cplab: %s: %v\n", oldPath, err)
-		return exitDegraded
-	}
-	prev := make(map[string]benchResult, len(old.Benchmarks))
-	for _, row := range old.Benchmarks {
-		prev[row.Name] = row
-	}
-	regressed := false
-	for _, row := range fresh.Benchmarks {
-		was, ok := prev[row.Name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "cplab: compare %-12s (new row, no baseline)\n", row.Name)
-			continue
-		}
-		// ns/sim-event: lower is better.
-		if was.NSPerEvent > 0 && row.NSPerEvent > 0 {
-			pct := (row.NSPerEvent - was.NSPerEvent) / was.NSPerEvent * 100
-			verdict := benchVerdict(pct)
-			regressed = regressed || pct > benchRegressionPct
-			fmt.Fprintf(os.Stderr, "cplab: compare %-12s %8.1f -> %8.1f ns/event  %+7.1f%%  %s\n",
-				row.Name, was.NSPerEvent, row.NSPerEvent, pct, verdict)
-		}
-		// entries/sec (campaign rows): higher is better, so a drop is the
-		// regression direction.
-		if was.EntriesPerSec > 0 && row.EntriesPerSec > 0 {
-			pct := (was.EntriesPerSec - row.EntriesPerSec) / was.EntriesPerSec * 100
-			verdict := benchVerdict(pct)
-			regressed = regressed || pct > benchRegressionPct
-			fmt.Fprintf(os.Stderr, "cplab: compare %-12s %8.2f -> %8.2f entries/s %+7.1f%%  %s\n",
-				row.Name, was.EntriesPerSec, row.EntriesPerSec, -pct, verdict)
-		}
-	}
-	if regressed {
-		fmt.Fprintf(os.Stderr, "cplab: compare FAILED: regression over %.0f%% against %s\n", benchRegressionPct, oldPath)
-		return exitDegraded
-	}
-	fmt.Fprintf(os.Stderr, "cplab: compare ok against %s\n", oldPath)
-	return exitOK
-}
-
-// benchVerdict labels a regression percentage (positive = slower).
-func benchVerdict(pct float64) string {
-	switch {
-	case pct > benchRegressionPct:
-		return "REGRESSION"
-	case pct < -benchRegressionPct:
-		return "improved"
-	default:
-		return "ok"
-	}
-}
-
-// logBenchRow prints one row's headline numbers to stderr.
-func logBenchRow(row benchResult) {
-	fmt.Fprintf(os.Stderr, "cplab: bench %-12s %8.1f ns/event  %12.0f events/s  (%d events)\n",
-		row.Name, row.NSPerEvent, row.EventsPerSec, row.SimEvents)
-}
-
-// benchExp times one experiment run, counting dispatched kernel events.
-func benchExp(id string, o repro.Options) (benchResult, error) {
-	start := time.Now()
-	_, reg, err := repro.RunInstrumented(id, o)
-	wall := time.Since(start)
-	if err != nil {
-		return benchResult{}, err
-	}
-	return benchRow(id, wall, reg.Total("kern_events_total")), nil
-}
-
-// benchCampaign times a small checkpointed campaign at the given pool
-// width in a throwaway directory, exercising the guarded runner, manifest
-// checkpointing and record building alongside the simulation itself. Sim
-// events come from the per-entry telemetry the campaign checkpoints, so
-// the count is exact at any width.
-func benchCampaign(o repro.Options, seed uint64, workers int) (benchResult, error) {
-	dir, err := os.MkdirTemp("", "cplab-bench-")
-	if err != nil {
-		return benchResult{}, err
-	}
-	defer os.RemoveAll(dir)
-	var entries []campaign.Entry
-	for rep := 0; rep < benchCampaignReps; rep++ {
-		for _, e := range repro.CampaignEntries(benchCampaignIDs, o, 0) {
-			// Renaming the entry only changes its manifest key; the captured
-			// runner still executes the original experiment.
-			e.ID = fmt.Sprintf("%s@%d", e.ID, rep)
-			entries = append(entries, e)
-		}
-	}
-	c, err := campaign.New(campaign.Config{
-		Path: filepath.Join(dir, "bench-campaign.json"),
-		Seed: seed,
-		Note: "bench",
-	}, entries)
-	if err != nil {
-		return benchResult{}, err
-	}
-	start := time.Now()
-	man, err := c.RunParallel(context.Background(), workers)
-	wall := time.Since(start)
-	if err != nil {
-		return benchResult{}, err
-	}
-	if !man.Complete() {
-		return benchResult{}, fmt.Errorf("bench campaign did not complete")
-	}
-	var events int64
-	for _, rec := range man.Entries {
-		for name, v := range rec.Telemetry {
-			if base, _ := metrics.SplitName(name); base == "kern_events_total" {
-				events += v
-			}
-		}
-	}
-	row := benchRow(fmt.Sprintf("campaign-p%d", workers), wall, events)
-	row.Workers = workers
-	if wall > 0 {
-		row.EntriesPerSec = float64(len(man.IDs)) / wall.Seconds()
-	}
-	return row, nil
-}
-
-// benchBootFresh times cold machine boots: full construction of a 16-core
-// machine — scheduler, cores, RNG streams, event queue — followed by
-// teardown. SimEvents counts boots, so the row reads as ns/boot.
-func benchBootFresh(seed uint64) (benchResult, error) {
-	start := time.Now()
-	for i := 0; i < benchBootReps; i++ {
-		exps.NewMachine(exps.CFS, seed+uint64(i)).Shutdown()
-	}
-	return benchRow("boot-fresh", time.Since(start), benchBootReps), nil
-}
-
-// benchBootFork times the same acquisition path with a machine pool in
-// scope: after one warm-up boot builds the pristine template, every
-// exps.NewMachine forks the pooled snapshot and every Shutdown resets the
-// shell back into the pool. Directly comparable to boot-fresh — the
-// fork/cold ratio is the pool's per-machine speedup.
-func benchBootFork(seed uint64) (benchResult, error) {
-	restore := exps.ScopeMachinePool(exps.NewMachinePool(nil))
-	defer restore()
-	exps.NewMachine(exps.CFS, seed).Shutdown()
-	start := time.Now()
-	for i := 0; i < benchBootReps; i++ {
-		exps.NewMachine(exps.CFS, seed+uint64(i)).Shutdown()
-	}
-	return benchRow("boot-fork", time.Since(start), benchBootReps), nil
-}
-
-// benchMicro times an in-memory (unchecked: Config.Path "") campaign over
-// the micro plan at the given pool width. With per-entry simulation this
-// short, entries/sec is dominated by machine acquisition and campaign
-// machinery — the throughput the machine pool exists to raise.
-func benchMicro(seed uint64, workers int) (benchResult, error) {
-	c, err := campaign.New(campaign.Config{Seed: seed, Note: "bench-micro"},
-		repro.MicroBenchEntries(benchMicroEntries))
-	if err != nil {
-		return benchResult{}, err
-	}
-	start := time.Now()
-	man, err := c.RunParallel(context.Background(), workers)
-	wall := time.Since(start)
-	if err != nil {
-		return benchResult{}, err
-	}
-	if !man.Complete() {
-		return benchResult{}, fmt.Errorf("bench micro campaign did not complete")
-	}
-	var events int64
-	for _, rec := range man.Entries {
-		for name, v := range rec.Telemetry {
-			if base, _ := metrics.SplitName(name); base == "kern_events_total" {
-				events += v
-			}
-		}
-	}
-	row := benchRow(fmt.Sprintf("pool-micro-p%d", workers), wall, events)
-	row.Workers = workers
-	if wall > 0 {
-		row.EntriesPerSec = float64(len(man.IDs)) / wall.Seconds()
-	}
-	return row, nil
-}
-
-// benchRow folds a timing into a result row.
-func benchRow(name string, wall time.Duration, events int64) benchResult {
-	row := benchResult{Name: name, WallNS: wall.Nanoseconds(), SimEvents: events}
-	if events > 0 {
-		row.NSPerEvent = float64(row.WallNS) / float64(events)
-	}
-	if wall > 0 {
-		row.EventsPerSec = float64(events) / wall.Seconds()
-	}
-	return row
 }
 
 // emit writes data to path, or to stdout when path is "" or "-".

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,58 +97,5 @@ func TestProfileCmd(t *testing.T) {
 	}
 	if !strings.Contains(text, "timer-fire") {
 		t.Fatalf("profile report missing timer-fire lane:\n%s", text)
-	}
-}
-
-// TestBenchCmd writes a bench artifact with a row per benchmark — each
-// experiment, the two boot rows (cold vs pool fork), and a checkpointed
-// campaign row plus an in-memory micro campaign row per pool width — each
-// with a positive event count and rate, and campaign rows carrying width
-// and entries/sec.
-func TestBenchCmd(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_PR10.json")
-	if code := run([]string{"bench", "-o", path}); code != exitOK {
-		t.Fatalf("exit %d", code)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file benchFile
-	if err := json.Unmarshal(data, &file); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, data)
-	}
-	widths := benchWidths()
-	want := len(benchIDs) + 2 + 2*len(widths) // experiments, boot rows, campaign + micro per width
-	if len(file.Benchmarks) != want {
-		t.Fatalf("want %d benchmark rows, got %d", want, len(file.Benchmarks))
-	}
-	names := map[string]bool{}
-	events := map[string][]int64{}
-	for _, row := range file.Benchmarks {
-		names[row.Name] = true
-		if row.SimEvents <= 0 || row.NSPerEvent <= 0 || row.EventsPerSec <= 0 {
-			t.Fatalf("degenerate benchmark row: %+v", row)
-		}
-		if row.Workers > 0 {
-			if row.EntriesPerSec <= 0 {
-				t.Fatalf("campaign row without entries/sec: %+v", row)
-			}
-			plan := strings.TrimSuffix(row.Name, fmt.Sprintf("-p%d", row.Workers))
-			events[plan] = append(events[plan], row.SimEvents)
-		}
-	}
-	for _, name := range []string{"fig4.1", "boot-fresh", "boot-fork", "campaign-p1", "pool-micro-p1"} {
-		if !names[name] {
-			t.Fatalf("missing benchmark row %s: %v", name, names)
-		}
-	}
-	// Sim-event counts are a property of the plan, not the pool width.
-	for plan, ev := range events {
-		for _, e := range ev {
-			if e != ev[0] {
-				t.Fatalf("%s event counts differ across widths: %v", plan, ev)
-			}
-		}
 	}
 }

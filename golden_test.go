@@ -62,33 +62,3 @@ func TestGoldenTraces(t *testing.T) {
 		})
 	}
 }
-
-// TestGoldenTracesAggressiveSettings re-runs the golden gate at the
-// settings the bench and campaign paths use for speed — a heavily relaxed
-// invariant-scan stride over the pooled event engine — and requires the
-// exact same traces. Invariant scans are pure checking and event pooling
-// only recycles storage, so if either ever shifts a single scheduling
-// decision, this fails with the same first-divergence report as the
-// default-settings gate.
-func TestGoldenTracesAggressiveSettings(t *testing.T) {
-	if *updateGolden {
-		t.Skip("goldens are recorded at default settings")
-	}
-	for _, id := range goldenIDs {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			path := filepath.Join("testdata", "golden", id+".cptrace")
-			_, got, err := RunTraced(id, Options{Scale: Quick, Seed: goldenSeed, InvariantStride: 65536}, goldenEventCap)
-			if err != nil {
-				t.Fatalf("RunTraced(%s): %v", id, err)
-			}
-			want, err := trace.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run with -update to create): %v", err)
-			}
-			if d := trace.Diff(got, want); d != nil {
-				t.Fatalf("relaxed invariant stride changed the schedule vs golden %s:\n%s", path, d)
-			}
-		})
-	}
-}

@@ -17,7 +17,7 @@ import (
 
 // Env is the explicit run environment an experiment builds its machines
 // from: the harness configuration (fault injection, defense, watchdog
-// budget, invariant stride) and the observation and acquisition sinks
+// budget) and the observation and acquisition sinks
 // (telemetry registry, profiler, machine pool, trace capture). The driver
 // that starts a run — repro.Options, a campaign entry, a test — builds one
 // Env and hands it to the experiment, which passes it down to every
@@ -38,10 +38,6 @@ type Env struct {
 	// WatchdogBudget, when positive, overrides the simulated-time budget of
 	// every watchdog-guarded phase (NewWatchdog).
 	WatchdogBudget timebase.Duration
-	// InvariantStride is the kernel's full-invariant-scan cadence (0 keeps
-	// the kernel default, negative disables checking). Invariant scans are
-	// pure checking, so the stride never changes what a machine does.
-	InvariantStride int
 	// Metrics receives every machine's telemetry; nil turns it off.
 	Metrics *metrics.Registry
 	// Profiler, when set, attributes wall-clock cost per dispatched event
@@ -59,7 +55,7 @@ type Env struct {
 var processPool *MachinePool
 
 // Default returns the process-wide environment: no faults or defense,
-// default budget and stride, plus the process-wide registry and profiler
+// default budget, plus the process-wide registry and profiler
 // (metrics.SetAmbient, metrics.SetAmbientProfiler) and machine pool
 // (ScopeMachinePool) as installed right now. repro.Options layers its
 // settings on top of it.
@@ -101,7 +97,6 @@ func (env *Env) NewMachine(kind Sched, seed uint64, opts ...MachineOption) *kern
 	p.Seed = seed
 	p.Faults = env.Faults
 	p.Defense = env.Defense
-	p.InvariantStride = env.InvariantStride
 	p.Metrics = env.Metrics
 	p.Profiler = env.Profiler
 	if len(opts) > 0 {

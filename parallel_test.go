@@ -47,33 +47,6 @@ func TestParallelCampaignMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelAggressiveSettingsMatchSerialDefaults runs a width-2 campaign
-// at the bench path's relaxed invariant stride and requires its manifest to
-// match the width-1, default-stride manifest byte for byte. This pins down
-// the whole aggressive configuration at once: pooled events, amortized
-// invariant scans and parallel execution may change how fast entries run,
-// never what they record.
-func TestParallelAggressiveSettingsMatchSerialDefaults(t *testing.T) {
-	serial := runCampaign(t, 1)
-
-	path := filepath.Join(t.TempDir(), "campaign.json")
-	c, err := campaign.New(campaign.Config{Path: path, Seed: 1, Note: "parallel-gate"},
-		CampaignEntries(parallelIDs, Options{Scale: Quick, Seed: 1, InvariantStride: 65536}, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunParallel(context.Background(), 2); err != nil {
-		t.Fatalf("aggressive campaign: %v", err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(serial) {
-		t.Fatalf("aggressive-settings manifest differs from serial defaults:\ngot:\n%s\nwant:\n%s", got, serial)
-	}
-}
-
 func TestParallelHaltedCampaignResumesToSerialBytes(t *testing.T) {
 	serial := runCampaign(t, 1)
 

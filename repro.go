@@ -11,6 +11,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/kern"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/timebase"
 	"repro/internal/trace"
 )
@@ -43,14 +44,6 @@ type Options struct {
 	// every watchdog-guarded experiment phase (exps.Watchdog), bounding how
 	// long a perturbed machine may run before settling for partial results.
 	SimBudget timebase.Duration
-	// InvariantStride, when non-zero, overrides the cadence (in processed
-	// events) of the kernel's full invariant scan in every machine the
-	// experiment builds; negative disables checking. Invariant scans are
-	// pure checking — the stride changes how quickly a corruption is
-	// caught, never what the simulation does — so results stay bit-
-	// identical at any stride. The bench harness relaxes it; tests and
-	// ordinary runs keep the kernel default (2048).
-	InvariantStride int
 	// Defense, when non-empty, installs the named countermeasure preset
 	// (package defense; see MatrixDefenses) into every machine the
 	// experiment builds; "" and "off" both mean no defense. Defended runs
@@ -82,15 +75,14 @@ func (o Options) validate() error {
 }
 
 // newEnv builds the run environment the options describe, on top of the
-// process-wide defaults (exps.Default): fault injection, watchdog budget,
-// invariant stride and defense preset.
+// process-wide defaults (exps.Default): fault injection, watchdog budget
+// and defense preset.
 func (o Options) newEnv() *exps.Env {
 	env := exps.Default()
 	if o.FaultRate > 0 {
 		env.Faults = fault.Config{Rate: o.FaultRate}
 	}
 	env.WatchdogBudget = o.SimBudget
-	env.InvariantStride = o.InvariantStride
 	if o.Defense != "" {
 		// validate() vetted the name; an unknown preset here resolves to
 		// the zero config, i.e. no defense.
@@ -556,7 +548,7 @@ func Run(id string, o Options) (Result, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
 	}
-	return e.Run(o.withEnv()), nil
+	return runExperiment(e, o.withEnv()), nil
 }
 
 // RunInstrumented executes one experiment with a fresh telemetry registry
@@ -785,5 +777,14 @@ func runRecovering(e Experiment, o Options) (res Result, err error) {
 			err = fmt.Errorf("experiment %s panicked: %v", e.ID, r)
 		}
 	}()
-	return e.Run(o), nil
+	return runExperiment(e, o), nil
+}
+
+// runExperiment runs e and then ends the machine-tier span its last machine
+// opened on the ambient tracing context (exps.Env.NewMachine ends each
+// earlier one), so every run's phases close when the run returns — panics
+// included — rather than when some later run builds a machine.
+func runExperiment(e Experiment, o Options) Result {
+	defer obs.Ambient().ClosePhase()
+	return e.Run(o)
 }

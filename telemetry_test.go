@@ -2,10 +2,12 @@ package repro
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -78,5 +80,37 @@ func TestRunInstrumentedAndProfiled(t *testing.T) {
 	rep := prof.Report()
 	if rep.TotalEvents == 0 || len(rep.ByEvent) == 0 || len(rep.ByPhase) == 0 {
 		t.Fatalf("profiler report empty: %+v", rep)
+	}
+}
+
+// TestRunsCloseTheirSpans checks that every runner ends the machine-tier
+// span its experiment's last machine opened on the ambient tracing context
+// before returning. A driver that runs experiments back to back (`cplab
+// all`) otherwise leaves each one's last phase running into the next
+// experiment, and the final one is never written.
+func TestRunsCloseTheirSpans(t *testing.T) {
+	o := Options{Scale: Quick, Seed: 1}
+	for name, runFn := range map[string]func() error{
+		"Run":             func() error { _, err := Run("fig4.1", o); return err },
+		"RunGuarded":      func() error { return RunGuarded("fig4.1", o, 0).Err },
+		"RunTraced":       func() error { _, _, err := RunTraced("fig4.1", o, 0); return err },
+		"RunInstrumented": func() error { _, _, err := RunInstrumented("fig4.1", o); return err },
+		"RunProfiled":     func() error { _, _, err := RunProfiled("fig4.1", o); return err },
+	} {
+		t.Run(name, func(t *testing.T) {
+			tr, err := obs.New(obs.Config{Proc: "test", Trace: "t", Path: filepath.Join(t.TempDir(), "spans.jsonl")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			defer obs.SetAmbient(obs.SetAmbient(&obs.Ctx{Tracer: tr}))
+			before := tr.Spans()
+			if err := runFn(); err != nil {
+				t.Fatal(err)
+			}
+			if got := tr.Spans() - before; got != 1 {
+				t.Fatalf("fig4.1 builds one machine; %d spans ended by the time the run returned, want 1", got)
+			}
+		})
 	}
 }
