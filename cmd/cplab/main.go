@@ -16,7 +16,7 @@
 //	cplab timeline [-o P] <logs>   # fold span logs into a Perfetto-loadable trace
 //	cplab tail -addr A             # live cluster progress from a /status endpoint
 //	cplab metrics -exp <id>        # run instrumented, export telemetry (Prometheus/JSON)
-//	cplab profile -exp <id>        # run profiled, report wall cost by event kind/phase
+//	cplab profile -exp <id>        # run profiled, report wall cost by event kind
 //
 // Common flags:
 //

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // TestMetricsCmdPrometheus `cplab metrics -exp fig4.1` must emit well-formed
@@ -24,8 +26,10 @@ func TestMetricsCmdPrometheus(t *testing.T) {
 	if !strings.Contains(text, "# TYPE kern_events_total counter") {
 		t.Fatalf("missing kern_events_total family:\n%s", text)
 	}
-	if !strings.Contains(text, "attack_preemptions_total") {
-		t.Fatalf("missing attack_preemptions_total:\n%s", text)
+	for _, family := range []string{"attack_preemptions_total", "kern_sched_out_total"} {
+		if !strings.Contains(text, family) {
+			t.Fatalf("missing %s:\n%s", family, text)
+		}
 	}
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		if strings.HasPrefix(line, "#") {
@@ -81,7 +85,7 @@ func TestMetricsCmdUsage(t *testing.T) {
 	}
 }
 
-// TestProfileCmd emits the two report tables (by kind, by phase).
+// TestProfileCmd emits the by-kind report table.
 func TestProfileCmd(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "profile.txt")
 	if code := run([]string{"profile", "-exp", "fig4.1", "-o", path}); code != exitOK {
@@ -92,10 +96,13 @@ func TestProfileCmd(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(data)
-	if !strings.Contains(text, "by event kind") || !strings.Contains(text, "by phase") {
+	if !strings.Contains(text, "by event kind") {
 		t.Fatalf("profile report incomplete:\n%s", text)
 	}
 	if !strings.Contains(text, "timer-fire") {
 		t.Fatalf("profile report missing timer-fire lane:\n%s", text)
+	}
+	if metrics.Ambient() != nil || metrics.AmbientProfiler() != nil {
+		t.Fatal("metrics/profile leaked their sink past the command")
 	}
 }

@@ -41,7 +41,7 @@ type Env struct {
 	// Metrics receives every machine's telemetry; nil turns it off.
 	Metrics *metrics.Registry
 	// Profiler, when set, attributes wall-clock cost per dispatched event
-	// kind, opening one phase per machine.
+	// kind.
 	Profiler *metrics.Profiler
 	// Pool, when set, serves every poolable machine as a seeded fork of a
 	// pristine template — byte-identical to a fresh boot (kern.Snapshot),
@@ -80,15 +80,10 @@ func NewMachine(kind Sched, seed uint64, opts ...MachineOption) *kern.Machine {
 }
 
 // NewMachine builds the experiment machine for the given scheduler and
-// seed under env. With a profiler set, each machine opens a new profiling
-// phase, so a multi-machine experiment's wall-clock cost is attributed per
-// machine in construction order. With a pool set, the machine is a seeded
-// fork of the pool's template for this configuration, unless an option
-// installed its own scheduler constructor, which always builds fresh.
+// seed under env. With a pool set, the machine is a seeded fork of the
+// pool's template for this configuration, unless an option installed its
+// own scheduler constructor, which always builds fresh.
 func (env *Env) NewMachine(kind Sched, seed uint64, opts ...MachineOption) *kern.Machine {
-	if env.Profiler != nil {
-		env.Profiler.BeginPhase(fmt.Sprintf("%s seed=%d", kind, seed))
-	}
 	sp := sched.DefaultParams(Cores)
 	// NewSched stays nil until every option ran: a non-nil constructor
 	// afterwards means an option supplied a custom scheduler, which the
@@ -118,10 +113,10 @@ func (env *Env) NewMachine(kind Sched, seed uint64, opts ...MachineOption) *kern
 	if env.Trace != nil {
 		env.Trace.attach(m, seed, kind)
 	}
-	// Same cadence as the profiler phases: when an ambient span context is
-	// installed, each machine opens a machine-tier span (ending the prior
-	// machine's), so the timeline attributes the entry's wall and sim time
-	// per machine. A nil context makes this one predicted branch.
+	// Per-machine attribution: when an ambient span context is installed,
+	// each machine opens a machine-tier span (ending the prior machine's),
+	// so the timeline attributes the entry's wall and sim time per machine
+	// in construction order. A nil context makes this one predicted branch.
 	if c := obs.Ambient(); c.Enabled() {
 		c.BeginMachinePhase(fmt.Sprintf("%s seed=%d", kind, seed), m)
 		if p.Defense.Enabled() {

@@ -2,6 +2,7 @@ package kern
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/cfs"
 	"repro/internal/isa"
@@ -290,5 +291,44 @@ func TestZeroStepsOccurWithTinyEpsilon(t *testing.T) {
 	}
 	if frac := float64(zeros) / float64(len(tr.steps)); frac < 0.5 {
 		t.Fatalf("zero-step fraction = %.2f, want most preemptions to be zero steps", frac)
+	}
+}
+
+// TestThreadPanicReachesKernelGoroutine checks that a panic in a thread
+// body surfaces from Machine.Run on the caller's goroutine, where a recover
+// contains it, instead of killing the process from the body goroutine. The
+// thread is done afterwards, so Shutdown does not wait on its exited
+// goroutine while still unwinding the machine's other threads.
+func TestThreadPanicReachesKernelGoroutine(t *testing.T) {
+	m := newTestMachine(t, 1)
+	m.Spawn("spinner", func(e *Env) {
+		for {
+			e.Burn(50 * timebase.Microsecond)
+		}
+	})
+	bad := m.Spawn("bad", func(e *Env) {
+		e.Burn(10 * timebase.Microsecond)
+		panic("body exploded")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		m.RunFor(50 * timebase.Millisecond)
+		return nil
+	}()
+	if got != "body exploded" {
+		t.Fatalf("recovered %v, want the body's panic value", got)
+	}
+	if !bad.done {
+		t.Fatal("a panicked thread must be marked done")
+	}
+	done := make(chan struct{})
+	go func() {
+		m.Shutdown()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown blocked after a thread body panic")
 	}
 }

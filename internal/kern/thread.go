@@ -33,6 +33,8 @@ const (
 	yBlock
 	// yExit: the thread body returned.
 	yExit
+	// yPanic: the thread body panicked; the kernel re-raises it.
+	yPanic
 )
 
 // blockKind distinguishes why a thread blocked.
@@ -69,6 +71,8 @@ type yieldReq struct {
 	block blockKind
 	// sleep is the requested nanosleep duration for blockSleep.
 	sleep timebase.Duration
+	// panicked is a yPanic's panic value.
+	panicked any
 }
 
 // killSentinel is panicked through the thread body on machine shutdown.
@@ -187,7 +191,10 @@ func (t *Thread) start() {
 				if _, ok := r.(killSentinel); ok {
 					return // machine shutdown
 				}
-				panic(r)
+				// Hand the panic to the kernel goroutine, where the
+				// caller's containment (a recover around Machine.Run)
+				// can see it; re-raising here would kill the process.
+				t.yield <- yieldReq{kind: yPanic, panicked: r}
 			}
 		}()
 		env := &Env{t: t, m: t.m}
@@ -197,10 +204,17 @@ func (t *Thread) start() {
 	t.started = true
 }
 
-// run resumes the thread until horizon and returns its yield.
+// run resumes the thread until horizon and returns its yield. A body panic
+// is re-raised here, on the kernel goroutine, like an InvariantError; the
+// thread is done by then, so kill never waits on its exited goroutine.
 func (t *Thread) run(horizon timebase.Time) yieldReq {
 	t.resume <- grant{horizon: horizon}
-	return <-t.yield
+	req := <-t.yield
+	if req.kind == yPanic {
+		t.done = true
+		panic(req.panicked)
+	}
+	return req
 }
 
 // kill unwinds a parked, unfinished thread goroutine.

@@ -32,7 +32,6 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	var p *Profiler
-	p.BeginPhase("x")
 	p.Observe("e", time.Second)
 	if rep := p.Report(); rep.TotalEvents != 0 {
 		t.Fatal("nil profiler must report empty")
@@ -262,10 +261,8 @@ func TestTotalSumsAcrossLabels(t *testing.T) {
 
 func TestProfilerReportOrderingAndRates(t *testing.T) {
 	p := NewProfiler()
-	p.BeginPhase("warmup")
 	p.Observe("tick", 2*time.Microsecond)
 	p.Observe("timer", 10*time.Microsecond)
-	p.BeginPhase("measure")
 	p.Observe("tick", 3*time.Microsecond)
 	rep := p.Report()
 	if rep.TotalEvents != 3 || rep.TotalWallNS != 15_000 {
@@ -277,8 +274,8 @@ func TestProfilerReportOrderingAndRates(t *testing.T) {
 	if len(rep.ByEvent) != 2 || rep.ByEvent[0].Key != "tick" || rep.ByEvent[1].Key != "timer" {
 		t.Fatalf("ByEvent must be key-sorted (deterministic JSON order): %+v", rep.ByEvent)
 	}
-	if len(rep.ByPhase) != 2 || rep.ByPhase[0].Key != "01 warmup" || rep.ByPhase[1].Key != "02 measure" {
-		t.Fatalf("ByPhase must preserve run order: %+v", rep.ByPhase)
+	if rep.ByEvent[0].Events != 2 || rep.ByEvent[0].NSPerEvent != 2500 {
+		t.Fatalf("tick lane must sum its events: %+v", rep.ByEvent[0])
 	}
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {

@@ -9,18 +9,15 @@ import (
 	"time"
 )
 
-// Profiler attributes wall-clock cost to simulation activity along two
-// axes: per kernel event type (what kind of work is expensive) and per
-// experiment phase (which part of a run is expensive). It is the one piece
+// Profiler attributes wall-clock cost to simulation activity per kernel
+// event type (what kind of work is expensive); per-machine attribution is
+// the obs machine-tier span exps.Env.NewMachine opens. It is the one piece
 // of telemetry allowed to read the host clock — strictly for attribution,
 // never fed back into simulation state. A nil *Profiler is a valid no-op,
 // and the kernel only touches the clock when a profiler is attached, so the
 // disabled path costs a single branch per event.
 type Profiler struct {
 	events map[string]*lane
-	phases map[string]*lane
-	phase  string
-	nphase int
 }
 
 type lane struct {
@@ -30,43 +27,20 @@ type lane struct {
 
 // NewProfiler returns an empty profiler.
 func NewProfiler() *Profiler {
-	return &Profiler{events: map[string]*lane{}, phases: map[string]*lane{}}
-}
-
-// BeginPhase starts a new attribution phase. Phases are sequence-numbered
-// ("03 fig4.1-seed1") so the report preserves run order even though lanes
-// live in maps.
-func (p *Profiler) BeginPhase(label string) {
-	if p == nil {
-		return
-	}
-	p.nphase++
-	p.phase = fmt.Sprintf("%02d %s", p.nphase, label)
+	return &Profiler{events: map[string]*lane{}}
 }
 
 // Observe attributes d of wall-clock time to one simulated event of the
-// given kind (and to the current phase).
+// given kind.
 func (p *Profiler) Observe(kind string, d time.Duration) {
 	if p == nil {
 		return
 	}
-	p.lane(p.events, kind).add(d)
-	if p.phase == "" {
-		p.BeginPhase("run")
-	}
-	p.lane(p.phases, p.phase).add(d)
-}
-
-func (p *Profiler) lane(m map[string]*lane, key string) *lane {
-	l, ok := m[key]
+	l, ok := p.events[kind]
 	if !ok {
 		l = &lane{}
-		m[key] = l
+		p.events[kind] = l
 	}
-	return l
-}
-
-func (l *lane) add(d time.Duration) {
 	l.n++
 	l.wall += d
 }
@@ -79,15 +53,13 @@ type ProfileRow struct {
 	NSPerEvent float64 `json:"ns_per_event"`
 }
 
-// ProfileReport is the exported shape of a profiler. Both tables are
-// key-sorted so the JSON row order is deterministic run to run — wall
-// times are host-dependent, and sorting by them would shuffle rows across
-// otherwise-identical runs. ByPhase's keys carry a sequence-number prefix,
-// so its key order is phase order. WriteText re-sorts a display copy of
-// ByEvent by cost, where "most expensive first" is worth the instability.
+// ProfileReport is the exported shape of a profiler. ByEvent is key-sorted
+// so the JSON row order is deterministic run to run — wall times are
+// host-dependent, and sorting by them would shuffle rows across
+// otherwise-identical runs. WriteText re-sorts a display copy by cost,
+// where "most expensive first" is worth the instability.
 type ProfileReport struct {
 	ByEvent      []ProfileRow `json:"by_event"`
-	ByPhase      []ProfileRow `json:"by_phase"`
 	TotalEvents  int64        `json:"total_events"`
 	TotalWallNS  int64        `json:"total_wall_ns"`
 	EventsPerSec float64      `json:"events_per_sec"`
@@ -100,29 +72,18 @@ func (p *Profiler) Report() ProfileReport {
 	if p == nil {
 		return rep
 	}
-	rep.ByEvent = rows(p.events)
-	rep.ByPhase = rows(p.phases)
-	for _, l := range p.events {
+	rep.ByEvent = make([]ProfileRow, 0, len(p.events))
+	for key, l := range p.events {
+		rep.ByEvent = append(rep.ByEvent, ProfileRow{Key: key, Events: l.n, WallNS: int64(l.wall),
+			NSPerEvent: float64(l.wall) / float64(l.n)})
 		rep.TotalEvents += l.n
 		rep.TotalWallNS += int64(l.wall)
 	}
+	sort.Slice(rep.ByEvent, func(i, j int) bool { return rep.ByEvent[i].Key < rep.ByEvent[j].Key })
 	if rep.TotalWallNS > 0 {
 		rep.EventsPerSec = float64(rep.TotalEvents) / (float64(rep.TotalWallNS) / 1e9)
 	}
 	return rep
-}
-
-func rows(m map[string]*lane) []ProfileRow {
-	out := make([]ProfileRow, 0, len(m))
-	for key, l := range m {
-		r := ProfileRow{Key: key, Events: l.n, WallNS: int64(l.wall)}
-		if l.n > 0 {
-			r.NSPerEvent = float64(r.WallNS) / float64(l.n)
-		}
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }
 
 // WriteJSON writes the report as indented JSON.
@@ -136,21 +97,12 @@ func (rep ProfileReport) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteText writes a human-readable two-table report.
+// WriteText writes a human-readable report: totals, then the event kinds
+// most expensive first.
 func (rep ProfileReport) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "profile: %d events, %.3f ms wall, %.0f events/sec\n",
 		rep.TotalEvents, float64(rep.TotalWallNS)/1e6, rep.EventsPerSec)
-	writeRows := func(title string, rs []ProfileRow) {
-		if len(rs) == 0 {
-			return
-		}
-		fmt.Fprintf(bw, "\n%-28s %12s %14s %12s\n", title, "events", "wall(ms)", "ns/event")
-		for _, r := range rs {
-			fmt.Fprintf(bw, "%-28s %12d %14.3f %12.1f\n",
-				r.Key, r.Events, float64(r.WallNS)/1e6, r.NSPerEvent)
-		}
-	}
 	// Humans want the expensive kinds on top; sort a copy so the report
 	// value itself keeps its deterministic key order.
 	byCost := append([]ProfileRow(nil), rep.ByEvent...)
@@ -160,7 +112,12 @@ func (rep ProfileReport) WriteText(w io.Writer) error {
 		}
 		return byCost[i].Key < byCost[j].Key
 	})
-	writeRows("by event kind", byCost)
-	writeRows("by phase", rep.ByPhase)
+	if len(byCost) > 0 {
+		fmt.Fprintf(bw, "\n%-28s %12s %14s %12s\n", "by event kind", "events", "wall(ms)", "ns/event")
+	}
+	for _, r := range byCost {
+		fmt.Fprintf(bw, "%-28s %12d %14.3f %12.1f\n",
+			r.Key, r.Events, float64(r.WallNS)/1e6, r.NSPerEvent)
+	}
 	return bw.Flush()
 }

@@ -118,9 +118,12 @@ func ChromeTrace(lg *Log) ([]byte, error) {
 
 	// laneOf resolves a span's tid: its nearest self-or-ancestor entry
 	// span, else its first-level ancestor (the child of a root), else 0
-	// for roots themselves. Broken parent links degrade to own-ID lanes.
+	// for roots themselves. Broken parent links degrade to own-ID lanes,
+	// and so do parent cycles: an acyclic chain visits each indexed span
+	// at most once, so each walk stops after len(idx)+1 steps.
 	laneOf := func(s *Span) uint64 {
-		for cur := s; cur != nil; cur = idx[spanKey{cur.Proc, cur.Parent}] {
+		cur := s
+		for steps := 0; cur != nil && steps <= len(idx); steps++ {
 			if cur.Tier == TierEntry {
 				return cur.ID
 			}
@@ -130,15 +133,17 @@ func ChromeTrace(lg *Log) ([]byte, error) {
 				}
 				break
 			}
+			cur = idx[spanKey{cur.Proc, cur.Parent}]
 		}
-		cur := s
-		for {
+		cur = s
+		for steps := 0; steps <= len(idx); steps++ {
 			p := idx[spanKey{cur.Proc, cur.Parent}]
 			if p == nil || p.Parent == 0 {
 				return cur.ID
 			}
 			cur = p
 		}
+		return s.ID
 	}
 
 	spans := make([]*Span, 0, len(lg.Spans))

@@ -1,8 +1,12 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
+
+	"repro/internal/durable"
 )
 
 // stitchedLogs builds a two-process span set the way a cluster run does:
@@ -154,4 +158,92 @@ func TestMergeAndProcs(t *testing.T) {
 	if len(procs) != 2 || procs[0] != "a" || procs[1] != "b" {
 		t.Fatalf("procs not sorted: %v", procs)
 	}
+}
+
+// chromeTraceWithin runs ChromeTrace on lg and fails the test if it does
+// not return within a few seconds.
+func chromeTraceWithin(t *testing.T, lg *Log) []byte {
+	t.Helper()
+	type result struct {
+		b   []byte
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		b, err := ChromeTrace(lg)
+		done <- result{b, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		return r.b
+	case <-time.After(3 * time.Second):
+		t.Fatal("ChromeTrace did not terminate")
+		return nil
+	}
+}
+
+// TestChromeTraceParentCycle: a span log whose parent links form a cycle
+// (a self-parented span, a two-span loop) renders, each cyclic span on
+// its own-ID lane, instead of hanging the lane walk.
+func TestChromeTraceParentCycle(t *testing.T) {
+	lg := &Log{Spans: []*Span{
+		{Trace: "t", ID: 3, Parent: 3, Proc: "p", Name: "self", Tier: TierMachine, Start: 10, End: 20},
+		{Trace: "t", ID: 5, Parent: 6, Proc: "p", Name: "a", Tier: TierMachine, Start: 30, End: 40},
+		{Trace: "t", ID: 6, Parent: 5, Proc: "p", Name: "b", Tier: TierMachine, Start: 50, End: 60},
+	}}
+	lanes := map[string]float64{}
+	for _, e := range decodeTrace(t, chromeTraceWithin(t, lg)) {
+		if e["ph"] == "X" {
+			lanes[e["name"].(string)] = e["tid"].(float64)
+		}
+	}
+	if lanes["self"] != 3 || lanes["a"] != 5 || lanes["b"] != 6 {
+		t.Fatalf("cyclic spans must render on their own-ID lanes: %v", lanes)
+	}
+}
+
+// bytesFS serves fixed bytes as every file ReadLog asks for; ReadLog uses
+// no other durable.FS method.
+type bytesFS struct {
+	durable.FS
+	data []byte
+}
+
+func (f bytesFS) ReadFile(string) ([]byte, error) { return f.data, nil }
+
+// FuzzSpanLog: two arbitrary span logs read, merged and exported always
+// terminate, and the export is valid JSON (or an error).
+func FuzzSpanLog(f *testing.F) {
+	var coord, worker bytes.Buffer
+	lg := stitchedLogs()
+	for _, s := range lg.Spans {
+		line, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		buf := &worker
+		if s.Proc == "coordinator" {
+			buf = &coord
+		}
+		buf.Write(append(line, '\n'))
+	}
+	f.Add(coord.Bytes(), worker.Bytes())
+	f.Add([]byte(`{"trace":"t","id":3,"parent":3,"proc":"p","name":"self","tier":"machine"}`), []byte(nil))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		la, err := ReadLog(bytesFS{data: a}, "a.jsonl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lb, err := ReadLog(bytesFS{data: b}, "b.jsonl")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := ChromeTrace(Merge(la, lb))
+		if err == nil && !json.Valid(out) {
+			t.Fatalf("ChromeTrace produced invalid JSON:\n%s", out)
+		}
+	})
 }

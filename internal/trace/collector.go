@@ -5,7 +5,8 @@ import (
 	"repro/internal/timebase"
 )
 
-// Collector is a passive kern.Tracer that accumulates canonical events. It
+// Collector is a passive kern.Tracer that accumulates canonical events
+// (free-form strings in their sanitized form, as Decode stores them). It
 // consumes no randomness and never feeds back into the simulation, so
 // attaching one does not perturb the run being recorded.
 type Collector struct {
@@ -32,19 +33,19 @@ func (c *Collector) add(e Event) {
 
 // SchedIn implements kern.Tracer.
 func (c *Collector) SchedIn(t *kern.Thread, core int, decideAt, startAt timebase.Time) {
-	c.add(Event{Kind: EvSchedIn, Thread: t.ID(), Name: t.Name(), Core: core,
+	c.add(Event{Kind: EvSchedIn, Thread: t.ID(), Name: sanitize(t.Name()), Core: core,
 		At: decideAt, Start: startAt, Vruntime: t.Task().Vruntime})
 }
 
 // SchedOut implements kern.Tracer.
 func (c *Collector) SchedOut(t *kern.Thread, core int, at timebase.Time, reason kern.SchedOutReason) {
-	c.add(Event{Kind: EvSchedOut, Thread: t.ID(), Name: t.Name(), Core: core,
-		At: at, Reason: reason.String(), Retired: t.Retired(), Vruntime: t.Task().Vruntime})
+	c.add(Event{Kind: EvSchedOut, Thread: t.ID(), Name: sanitize(t.Name()), Core: core,
+		At: at, Reason: sanitize(reason.String()), Retired: t.Retired(), Vruntime: t.Task().Vruntime})
 }
 
 // Wake implements kern.Tracer.
 func (c *Collector) Wake(t *kern.Thread, core int, at timebase.Time, preempted bool, curr *kern.Thread) {
-	e := Event{Kind: EvWake, Thread: t.ID(), Name: t.Name(), Core: core,
+	e := Event{Kind: EvWake, Thread: t.ID(), Name: sanitize(t.Name()), Core: core,
 		At: at, Preempted: preempted, Curr: -1, Vruntime: t.Task().Vruntime}
 	if curr != nil {
 		e.Curr = curr.ID()

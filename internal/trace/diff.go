@@ -73,12 +73,12 @@ func orEnd(s string) string {
 func Diff(got, want *Trace) *Divergence {
 	if got.Exp != "" && want.Exp != "" && got.Exp != want.Exp {
 		return &Divergence{Kind: "header",
-			Got: fmt.Sprintf("exp=%s seed=%d", got.Exp, got.Seed),
+			Got:  fmt.Sprintf("exp=%s seed=%d", got.Exp, got.Seed),
 			Want: fmt.Sprintf("exp=%s seed=%d", want.Exp, want.Seed)}
 	}
 	if got.Seed != want.Seed {
 		return &Divergence{Kind: "header",
-			Got: fmt.Sprintf("exp=%s seed=%d", got.Exp, got.Seed),
+			Got:  fmt.Sprintf("exp=%s seed=%d", got.Exp, got.Seed),
 			Want: fmt.Sprintf("exp=%s seed=%d", want.Exp, want.Seed)}
 	}
 	n := len(got.Events)
@@ -177,7 +177,7 @@ func stateAt(events []Event, n int) string {
 		vruntime int64
 	}
 	var machine Event
-	curr := map[int]int{}           // core -> thread id (running)
+	curr := map[int]int{} // core -> thread id (running)
 	threads := map[int]*threadState{}
 	order := []int{}
 	note := func(id int, name string, core int, vrt int64) *threadState {

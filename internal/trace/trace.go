@@ -122,8 +122,28 @@ func (e Event) String() string {
 	return b.String()
 }
 
+// canonical returns e as Encode renders it: only the fields its kind
+// carries, free-form strings sanitized. Decode stores events in this form,
+// so Decode(Encode(t)) equals any decoded t.
+func (e Event) canonical() Event {
+	if e.Kind == EvMachine {
+		return Event{Kind: EvMachine, Seed: e.Seed, Label: sanitize(e.Label)}
+	}
+	c := Event{Kind: e.Kind, Thread: e.Thread, Name: sanitize(e.Name), Core: e.Core, At: e.At, Vruntime: e.Vruntime}
+	switch e.Kind {
+	case EvSchedIn:
+		c.Start = e.Start
+	case EvSchedOut:
+		c.Reason, c.Retired = sanitize(e.Reason), e.Retired
+	case EvWake:
+		c.Preempted, c.Curr, c.CurrVruntime = e.Preempted, e.Curr, e.CurrVruntime
+	}
+	return c
+}
+
 // sanitize makes a free-form label safe for the space-separated key=value
-// line format.
+// line format. It is idempotent: its output is the canonical form Decode
+// and Collector store.
 func sanitize(s string) string {
 	if s == "" {
 		return "-"
@@ -214,7 +234,7 @@ func Decode(r io.Reader) (*Trace, error) {
 		}
 		switch k {
 		case "exp":
-			if v != "-" {
+			if v = sanitize(v); v != "-" {
 				t.Exp = v
 			}
 		case "seed":
@@ -233,7 +253,10 @@ func Decode(r io.Reader) (*Trace, error) {
 			continue
 		}
 		if strings.HasPrefix(raw, "R ") || raw == "R" {
-			t.Result = append(t.Result, strings.TrimPrefix(strings.TrimPrefix(raw, "R"), " "))
+			// The scanner strips one trailing CR per line; strip them all,
+			// so a re-encoded result line reads back the same.
+			r := strings.TrimPrefix(strings.TrimPrefix(raw, "R"), " ")
+			t.Result = append(t.Result, strings.TrimRight(r, "\r"))
 			continue
 		}
 		e, err := parseEvent(raw)
@@ -314,7 +337,7 @@ func parseEvent(raw string) (Event, error) {
 			return Event{}, fmt.Errorf("field %q: %w", f, err)
 		}
 	}
-	return e, nil
+	return e.canonical(), nil
 }
 
 // splitKV splits a "key=value" token.

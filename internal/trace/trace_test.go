@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -219,4 +220,77 @@ func TestCollectorCapAndTruncation(t *testing.T) {
 	if len(unbounded.Events()) != 100 || unbounded.Truncated() {
 		t.Fatalf("unbounded collector: %d events, truncated=%v", len(unbounded.Events()), unbounded.Truncated())
 	}
+}
+
+// checkRoundTrip asserts that re-encoding a decoded trace is the identity:
+// Decode(Encode(t)) matches t under Diff, and a second encode is
+// byte-stable.
+func checkRoundTrip(t *testing.T, tr *Trace) {
+	t.Helper()
+	var first, second bytes.Buffer
+	if err := tr.Encode(&first); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Decode(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatalf("re-decoding an encoded trace: %v\n%s", err, first.Bytes())
+	}
+	if d := Diff(back, tr); d != nil {
+		t.Fatalf("Decode(Encode(t)) diverges from t:\n%s", d)
+	}
+	if err := back.Encode(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("re-encoding is not byte-stable:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+	}
+}
+
+// TestDecodeStoresCanonicalForm covers inputs the encoder never writes but
+// Decode accepts: empty or '='-bearing names and labels, fields foreign to
+// the event kind, and stacked CRs. Decode must store what Encode would
+// write back, or Diff reports divergences whose two sides render alike.
+func TestDecodeStoresCanonicalForm(t *testing.T) {
+	for _, in := range []string{
+		"cptrace v1 exp=x seed=1\nO th=1:\n",
+		"cptrace v1 exp=x seed=1\nI th=1:a=b core=0\n",
+		"cptrace v1 exp=x seed=1\nO th=1:a reason= ret=3\n",
+		"cptrace v1 exp=x seed=1\nM seed=2\n",
+		"cptrace v1 exp=x seed=1\nM seed=2 label=a=b th=4:x core=3\n",
+		"cptrace v1 exp=x seed=1\nW th=1:a start=9 ret=4 reason=r\n",
+		"cptrace v1 exp=a=b seed=1\n",
+		"cptrace v1 exp= seed=1\n",
+		"cptrace v1 exp=x seed=1\nR row\r\r\n",
+	} {
+		tr, err := Decode(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("Decode(%q): %v", in, err)
+		}
+		checkRoundTrip(t, tr)
+	}
+}
+
+// FuzzTraceDecode: Decode never panics, and every trace it accepts
+// survives an encode/decode round trip unchanged. Seeds are the committed
+// golden traces.
+func FuzzTraceDecode(f *testing.F) {
+	goldens, err := filepath.Glob(filepath.Join("..", "..", "testdata", "golden", "*.cptrace"))
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("no golden seeds: %v", err)
+	}
+	for _, path := range goldens {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte("cptrace v1 exp=x seed=1\nO th=1:\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		checkRoundTrip(t, tr)
+	})
 }

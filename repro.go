@@ -551,33 +551,6 @@ func Run(id string, o Options) (Result, error) {
 	return runExperiment(e, o.withEnv()), nil
 }
 
-// RunInstrumented executes one experiment with a fresh telemetry registry
-// in its run environment, so every machine, scheduler, µarch model and
-// attack receiver the experiment builds reports into it. The populated
-// registry rides along with the result. Telemetry is write-only — the
-// run's result and trace are bit-identical to an uninstrumented run under
-// the same options.
-func RunInstrumented(id string, o Options) (Result, *metrics.Registry, error) {
-	reg := metrics.New()
-	o = o.withEnv()
-	o.env.Metrics = reg
-	res, err := Run(id, o)
-	return res, reg, err
-}
-
-// RunProfiled executes one experiment with a fresh sim-time profiler in
-// its run environment: the kernel attributes wall-clock cost to every
-// dispatched event by kind, and each machine the experiment builds opens a
-// new phase. The profiler observes host time but feeds nothing back into
-// the simulation, so results stay bit-identical.
-func RunProfiled(id string, o Options) (Result, *metrics.Profiler, error) {
-	prof := metrics.NewProfiler()
-	o = o.withEnv()
-	o.env.Profiler = prof
-	res, err := Run(id, o)
-	return res, prof, err
-}
-
 // RunReport is the outcome of a guarded experiment run.
 type RunReport struct {
 	// ID is the experiment.
@@ -739,31 +712,29 @@ func microBench(env *exps.Env, seed uint64) {
 	m.Run(m.Now().Add(5*timebase.Millisecond), func() bool { return done })
 }
 
-// RunTraced executes one experiment with kernel trace capture: every
-// machine it builds streams its scheduling events into a canonical
-// trace.Trace (maxEventsPerMachine bounds each machine's share, 0 keeps
-// everything), and the rendered result rides along, so replay can diff both
-// the schedule and the artifact against a committed golden. A panicking
-// experiment returns the partial trace with the error.
+// RunTraced executes one experiment through RunGuarded without retries,
+// with kernel trace capture: every machine it builds streams its
+// scheduling events into a canonical trace.Trace (maxEventsPerMachine
+// bounds each machine's share, 0 keeps everything), and the rendered result
+// rides along, so replay can diff both the schedule and the artifact
+// against a committed golden. A panicking experiment returns the partial
+// trace with the error.
 func RunTraced(id string, o Options, maxEventsPerMachine int) (Result, *trace.Trace, error) {
-	e, ok := Lookup(id)
-	if !ok {
-		return nil, nil, fmt.Errorf("repro: unknown experiment %q (known: %v)", id, IDs())
-	}
-	if err := o.validate(); err != nil {
-		return nil, nil, err
-	}
 	o = o.withEnv()
 	o.env.Trace = exps.NewTraceCapture(maxEventsPerMachine)
-	res, err := runRecovering(e, o)
+	rep := RunGuarded(id, o, 0)
+	if rep.Attempts == 0 {
+		// Unknown ID or invalid options: nothing ran, so there is no trace.
+		return nil, nil, rep.Err
+	}
 	tr := o.env.Trace.Trace()
 	tr.Exp = id
 	tr.Seed = o.seed()
-	if err != nil {
-		return nil, tr, err
+	if rep.Err != nil {
+		return nil, tr, rep.Err
 	}
-	tr.Result = strings.Split(strings.TrimRight(res.String(), "\n"), "\n")
-	return res, tr, nil
+	tr.Result = strings.Split(strings.TrimRight(rep.Result.String(), "\n"), "\n")
+	return rep.Result, tr, nil
 }
 
 // runRecovering converts an experiment panic into an error.

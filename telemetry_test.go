@@ -1,9 +1,7 @@
 package repro
 
 import (
-	"bytes"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/metrics"
@@ -44,45 +42,6 @@ func TestMetricsSideEffectFree(t *testing.T) {
 	}
 }
 
-// TestRunInstrumentedAndProfiled the convenience wrappers install and
-// restore the ambient state and hand back populated collectors.
-func TestRunInstrumentedAndProfiled(t *testing.T) {
-	if metrics.Ambient() != nil {
-		t.Fatal("ambient registry leaked into the test")
-	}
-	_, reg, err := RunInstrumented("fig4.1", Options{Scale: Quick, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if metrics.Ambient() != nil {
-		t.Fatal("RunInstrumented leaked its registry")
-	}
-	for _, base := range []string{"kern_events_total", "kern_sched_out_total", "attack_preemptions_total"} {
-		if reg.Total(base) == 0 {
-			t.Errorf("metric %s is zero after fig4.1", base)
-		}
-	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "# TYPE kern_events_total counter") {
-		t.Fatalf("Prometheus export missing kern_events_total family:\n%s", buf.String())
-	}
-
-	_, prof, err := RunProfiled("fig4.1", Options{Scale: Quick, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if metrics.AmbientProfiler() != nil {
-		t.Fatal("RunProfiled leaked its profiler")
-	}
-	rep := prof.Report()
-	if rep.TotalEvents == 0 || len(rep.ByEvent) == 0 || len(rep.ByPhase) == 0 {
-		t.Fatalf("profiler report empty: %+v", rep)
-	}
-}
-
 // TestRunsCloseTheirSpans checks that every runner ends the machine-tier
 // span its experiment's last machine opened on the ambient tracing context
 // before returning. A driver that runs experiments back to back (`cplab
@@ -91,11 +50,9 @@ func TestRunInstrumentedAndProfiled(t *testing.T) {
 func TestRunsCloseTheirSpans(t *testing.T) {
 	o := Options{Scale: Quick, Seed: 1}
 	for name, runFn := range map[string]func() error{
-		"Run":             func() error { _, err := Run("fig4.1", o); return err },
-		"RunGuarded":      func() error { return RunGuarded("fig4.1", o, 0).Err },
-		"RunTraced":       func() error { _, _, err := RunTraced("fig4.1", o, 0); return err },
-		"RunInstrumented": func() error { _, _, err := RunInstrumented("fig4.1", o); return err },
-		"RunProfiled":     func() error { _, _, err := RunProfiled("fig4.1", o); return err },
+		"Run":        func() error { _, err := Run("fig4.1", o); return err },
+		"RunGuarded": func() error { return RunGuarded("fig4.1", o, 0).Err },
+		"RunTraced":  func() error { _, _, err := RunTraced("fig4.1", o, 0); return err },
 	} {
 		t.Run(name, func(t *testing.T) {
 			tr, err := obs.New(obs.Config{Proc: "test", Trace: "t", Path: filepath.Join(t.TempDir(), "spans.jsonl")})
