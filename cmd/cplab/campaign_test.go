@@ -202,4 +202,18 @@ func TestUsageErrors(t *testing.T) {
 			t.Errorf("out-of-range -faults accepted")
 		}
 	})
+	// cplabd job specs carry no defense: a defended cluster sweep would
+	// merge undefended records, so it is refused before any worker is
+	// contacted.
+	manifest := filepath.Join(t.TempDir(), "cluster.json")
+	capture(t, func() {
+		args := []string{"cluster", "-workers", "http://127.0.0.1:1", "-ids", "tab2.1",
+			"-manifest", manifest, "-defense", "slackrand", "-timeout", "50ms", "-httpretries", "0"}
+		if code := run(args); code != exitUsage {
+			t.Errorf("cluster -defense exit %d, want %d", code, exitUsage)
+		}
+	})
+	if _, err := os.Stat(manifest); err == nil {
+		t.Error("refused cluster -defense still wrote a manifest")
+	}
 }

@@ -22,7 +22,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/labd"
 	"repro/internal/report"
-	"repro/internal/timebase"
 )
 
 // clusterCmd runs (or auto-resumes) a cluster campaign across cplabd
@@ -50,6 +49,12 @@ func clusterCmd(args []string) int {
 	o, err := cf.options()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cplab:", err)
+		return exitUsage
+	}
+	if o.Defense != "" {
+		// cplabd job specs carry no defense, so the workers would run an
+		// undefended sweep under a defended flag set.
+		fmt.Fprintln(os.Stderr, "cplab: cluster does not support -defense")
 		return exitUsage
 	}
 	if *workersCSV == "" {
@@ -112,10 +117,10 @@ func clusterCmd(args []string) int {
 			Retries:   *retries,
 			Parallel:  *parallel,
 		},
-		// The same note `cplab campaign` and cplabd derive, pinning every
-		// result-shaping knob but the seed; any mismatch anywhere in the
-		// cluster is refused instead of merging incomparable records.
-		Note:           fmt.Sprintf("paper=%t faults=%g simbudget=%s retries=%d", *cf.paper, *cf.faults, timebase.Duration(o.SimBudget), *retries),
+		// The same note `cplab campaign` and cplabd write; any mismatch
+		// anywhere in the cluster is refused instead of merging
+		// incomparable records.
+		Note:           repro.CampaignNote(o, *retries),
 		Path:           *manifest,
 		ShardSize:      *shard,
 		RequestTimeout: *reqTimeout,

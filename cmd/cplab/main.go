@@ -357,18 +357,10 @@ func campaignCmd(args []string, resumeOnly bool) int {
 	}
 	o.NoMachinePool = *nopool
 	entries := repro.CampaignEntries(ids, o, *retries)
-	// The note pins everything but the seed that shapes results, so a
-	// resume under different flags is refused instead of silently merging
-	// incomparable records. -defense is appended only when set, keeping
-	// pre-defense manifests resumable byte-identically.
-	note := fmt.Sprintf("paper=%t faults=%g simbudget=%s retries=%d", *cf.paper, *cf.faults, o.SimBudget, *retries)
-	if o.Defense != "" {
-		note += " defense=" + o.Defense
-	}
 	cfg := campaign.Config{
 		Path:      *manifest,
 		Seed:      *cf.seed,
-		Note:      note,
+		Note:      repro.CampaignNote(o, *retries),
 		ExpWall:   *expWall,
 		HaltAfter: *haltAfter,
 		Log:       os.Stderr,

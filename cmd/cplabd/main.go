@@ -69,10 +69,12 @@ func run(args []string) int {
 		},
 		ValidateSpec: validate,
 		Normalize:    normalize,
-		Note:         note,
-		QueueLimit:   *queueLimit,
-		ExpWall:      *expwall,
-		Log:          os.Stderr,
+		Note: func(sp labd.Spec) string {
+			return repro.CampaignNote(optionsOf(sp), sp.Retries)
+		},
+		QueueLimit: *queueLimit,
+		ExpWall:    *expwall,
+		Log:        os.Stderr,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cplabd:", err)
@@ -201,13 +203,4 @@ func validate(sp labd.Spec) error {
 		return fmt.Errorf("parallel %d is negative", sp.Parallel)
 	}
 	return nil
-}
-
-// note pins the spec's non-seed configuration in the manifest, in exactly
-// the format `cplab campaign` writes, so either tool can resume the
-// other's checkpoints. Parallelism is deliberately absent: it does not
-// shape results.
-func note(sp labd.Spec) string {
-	return fmt.Sprintf("paper=%t faults=%g simbudget=%s retries=%d",
-		sp.Paper, sp.Faults, timebase.Duration(sp.SimBudget), sp.Retries)
 }

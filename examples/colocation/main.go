@@ -22,7 +22,7 @@ func main() {
 	defer m.Shutdown()
 	m.StartBalancer()
 	rec := ktrace.NewRecorder()
-	m.SetTracer(rec)
+	m.AttachTracer(rec)
 
 	const target = 5 // reserve core 5 for the victim
 	plan := colocate.Prepare(m, target)

@@ -31,7 +31,7 @@ func main() {
 
 	// Record scheduling events (the paper's eBPF instrumentation).
 	rec := ktrace.NewRecorder()
-	m.SetTracer(rec)
+	m.AttachTracer(rec)
 
 	// The attacker: hibernate once, then nap ε=2µs between 10µs
 	// side-channel measurements until the fairness tripwire fires.

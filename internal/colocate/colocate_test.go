@@ -79,7 +79,7 @@ func TestVictimStaysDuringAttack(t *testing.T) {
 	m := newMachine(t, 8)
 	m.StartBalancer()
 	rec := ktrace.NewRecorder()
-	m.SetTracer(rec)
+	m.AttachTracer(rec)
 	p := Prepare(m, 5)
 	m.RunFor(2 * timebase.Millisecond)
 	v := m.Spawn("victim", func(e *kern.Env) { e.RunLoopForever(loop()) })
@@ -125,7 +125,7 @@ func TestCordonBlocksAttackerFollow(t *testing.T) {
 	m := newCordonedMachine(t, 4, Cordon(2, "victim"))
 	m.StartBalancer()
 	rec := ktrace.NewRecorder()
-	m.SetTracer(rec)
+	m.AttachTracer(rec)
 	// Busy background on every non-reserved core: the victim's idlest
 	// admissible core is the cordoned one.
 	for i := 0; i < 3; i++ {
@@ -166,7 +166,7 @@ func TestCordonRefusesBalancerMigration(t *testing.T) {
 	m := newCordonedMachine(t, 2, Cordon(0, "victim"))
 	m.StartBalancer()
 	rec := ktrace.NewRecorder()
-	m.SetTracer(rec)
+	m.AttachTracer(rec)
 	workers := make([]*kern.Thread, 0, 4)
 	for i := 0; i < 4; i++ {
 		w := m.Spawn("worker", func(e *kern.Env) { e.RunLoopForever(loop()) })

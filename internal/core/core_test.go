@@ -109,7 +109,7 @@ func TestMethodTimerAlsoPreempts(t *testing.T) {
 	m := newCFSMachine(t, 7)
 	victim := spawnLoopVictim(m, 0)
 	rec := ktrace.NewRecorder()
-	m.SetTracer(rec)
+	m.AttachTracer(rec)
 	a := NewAttacker(Config{
 		Method:         MethodTimer,
 		Epsilon:        20 * timebase.Microsecond, // covers the 8µs measurement

@@ -16,6 +16,8 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -190,13 +192,16 @@ func decodeLine(line []byte) ([]byte, string) {
 	if sp != 8 {
 		return nil, "malformed checksum field"
 	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(rest[:8]), "%08x", &want); err != nil {
-		return nil, "malformed checksum field"
-	}
-	payload := rest[9:]
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, fmt.Sprintf("checksum mismatch (want %08x, got %08x)", want, got)
+	// The field must be byte-equal to what encodeLine writes: a lenient
+	// hex parse accepts a case flip, so a damaged checksum field could
+	// still validate.
+	field, payload := rest[:8], rest[9:]
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
+	var canon [8]byte
+	hex.Encode(canon[:], sum[:])
+	if !bytes.Equal(field, canon[:]) {
+		return nil, fmt.Sprintf("checksum mismatch (want %q, got %s)", field, canon[:])
 	}
 	return payload, ""
 }

@@ -71,7 +71,7 @@ func ablationProbe(env *Env, seed uint64, slack timebase.Duration, opts ...Machi
 		e.RunLoopForever(loopvictim.DefaultBody())
 	}, kern.WithPin(0))
 	rec := ktrace.NewRecorder()
-	m.SetTracer(rec)
+	m.AttachTracer(rec)
 	att := m.Spawn("attacker", ablationAttack(slack), kern.WithPin(0))
 	m.RunFor(2 * timebase.Second)
 

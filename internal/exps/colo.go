@@ -51,7 +51,7 @@ func RunColo(env *Env, cfg ColoConfig) *ColoResult {
 		m := env.NewMachine(CFS, seed)
 		m.StartBalancer()
 		rec := ktrace.NewRecorder()
-		m.SetTracer(rec)
+		m.AttachTracer(rec)
 
 		target := trial % Cores // reserve a different core each trial
 		plan := colocate.Prepare(m, target)

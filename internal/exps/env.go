@@ -175,7 +175,7 @@ func (env *Env) withDefense(d defense.Config) *Env {
 
 // TraceCapture records the kernel event stream of every machine an Env
 // builds: a passive trace.Collector rides alongside whatever tracer the
-// experiment installs, so runs are unperturbed (collectors consume no
+// experiment attaches, so runs are unperturbed (collectors consume no
 // randomness). Single-goroutine, like the Env carrying it.
 type TraceCapture struct {
 	max      int

@@ -34,7 +34,7 @@ func RunFig41(env *Env, seed uint64) *Fig41Result {
 		e.RunLoopForever(loopvictim.DefaultBody())
 	}, kern.WithPin(0))
 	rec := ktrace.NewRecorder()
-	m.SetTracer(rec)
+	m.AttachTracer(rec)
 
 	res := &Fig41Result{}
 	a := core.NewAttacker(core.Config{

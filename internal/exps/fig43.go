@@ -117,7 +117,7 @@ func runFig43One(env *Env, cfg Fig43Config, eps timebase.Duration, seed uint64) 
 	}, victimOpts...)
 
 	rec := ktrace.NewRecorder()
-	m.SetTracer(rec)
+	m.AttachTracer(rec)
 
 	method := core.MethodNanosleep
 	if cfg.Variant == Fig43c {

@@ -67,7 +67,7 @@ func RunFig46(env *Env, cfg Fig46Config) *Fig46Result {
 
 	rec := ktrace.NewRecorder()
 	rec.SampleVruntime = true
-	m.SetTracer(rec)
+	m.AttachTracer(rec)
 
 	// The pre-existing noise thread: pure compute, no system calls.
 	noise := m.Spawn("noise", func(e *kern.Env) {

@@ -22,7 +22,7 @@ func TestEndToEndColocatedAESAttack(t *testing.T) {
 	defer m.Shutdown()
 	m.StartBalancer()
 	rec := ktrace.NewRecorder()
-	m.SetTracer(rec)
+	m.AttachTracer(rec)
 
 	const target = 9
 	plan := colocate.Prepare(m, target)

@@ -182,7 +182,7 @@ func runMatrixColoCell(env *Env, cfg MatrixCellConfig, res *MatrixCellResult) {
 		m := env.NewMachine(CFS, seed)
 		m.StartBalancer()
 		rec := ktrace.NewRecorder()
-		m.SetTracer(rec)
+		m.AttachTracer(rec)
 
 		target := trial % Cores
 		plan := colocate.Prepare(m, target)

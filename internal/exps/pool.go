@@ -69,7 +69,6 @@ type poolKey struct {
 	preemptCap            int
 	preemptWindow         timebase.Duration
 	invariantStride       int
-	flightRecorderDepth   int
 	slices                string
 }
 
@@ -109,7 +108,6 @@ func keyOf(kind Sched, p kern.Params) poolKey {
 		preemptCap:            d.PreemptCap,
 		preemptWindow:         d.PreemptWindow,
 		invariantStride:       p.InvariantStride,
-		flightRecorderDepth:   p.FlightRecorderDepth,
 	}
 	if len(f.Kinds) > 0 || len(d.CordonCores) > 0 || len(d.CordonAllow) > 0 {
 		k.slices = fmt.Sprintf("%v|%v|%q", f.Kinds, d.CordonCores, d.CordonAllow)

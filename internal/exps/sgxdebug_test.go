@@ -28,7 +28,7 @@ func TestDebugSGXOnce(t *testing.T) {
 	victim := SpawnInvokedVictim(m, "sgx-victim", prog, 0,
 		kern.WithEnclave(), kern.WithITLB(), kern.WithFetchThroughCache())
 	rec := ktrace.NewRecorder()
-	m.SetTracer(rec)
+	m.AttachTracer(rec)
 
 	var bits []int
 	var esCode, esLUT0, esLUT1 *attack.EvictionSet

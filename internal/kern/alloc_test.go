@@ -11,7 +11,7 @@ import (
 // and the scheduler's node freelist have settled, dispatching events —
 // timer fires, ticks, wakeups, context switches — must not touch the heap
 // at all. A regression here (an event literal that bypasses the pool, a
-// tracer fan-out that boxes, a fmt call on the hot path) turns sim-time
+// tracer hook that boxes, a fmt call on the hot path) turns sim-time
 // throughput directly into GC pressure, which is exactly what this PR's
 // benchmarks gate against.
 func TestSteadyStateDispatchZeroAllocs(t *testing.T) {

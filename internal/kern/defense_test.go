@@ -92,7 +92,7 @@ func TestDefensePeriodicJitterDelaysTimer(t *testing.T) {
 }
 
 // wakePreemptCounter counts Equation 2.2 wins, as a tracer.
-type wakePreemptCounter struct{ nopTracer, wins int }
+type wakePreemptCounter struct{ wins int }
 
 func (c *wakePreemptCounter) Wake(t *Thread, core int, at timebase.Time, preempted bool, curr *Thread) {
 	if preempted {
@@ -111,7 +111,7 @@ func TestDefensePreemptCapLimitsWins(t *testing.T) {
 		m := NewMachine(p)
 		defer m.Shutdown()
 		ctr := &wakePreemptCounter{}
-		m.SetTracer(ctr)
+		m.AttachTracer(ctr)
 		m.Spawn("victim", func(e *Env) { e.RunLoopForever(loopBody(64)) }, WithPin(0))
 		m.Spawn("attacker", func(e *Env) {
 			e.SetTimerSlack(1)

@@ -7,9 +7,8 @@ import (
 	"repro/internal/timebase"
 )
 
-// DefaultFlightDepth is the flight recorder's ring size when
-// Params.FlightRecorderDepth is zero.
-const DefaultFlightDepth = 64
+// flightDepth is the flight recorder's ring size.
+const flightDepth = 64
 
 type flightKind uint8
 
@@ -33,89 +32,53 @@ type flightEntry struct {
 	currTID   int            // flightWake: incumbent (0 if the core was idle)
 }
 
-// FlightRecorder is a fixed-size ring buffer over the kernel's scheduling
-// event stream (the reproduction's crash-dump flight recorder). One is
-// attached to every machine via the AttachTracer fan-out, and DumpState
-// appends its tail to each InvariantError machine dump, so every crash
-// report ships the scheduling history that led up to it.
-type FlightRecorder struct {
-	buf  []flightEntry
+// flightRecorder is a fixed-size ring over the kernel's scheduling event
+// stream (the reproduction's crash-dump flight recorder). Every machine
+// carries one, fed directly by the scheduling hooks, and DumpState appends
+// its tail to each InvariantError machine dump, so every crash report ships
+// the scheduling history that led up to it. The ring is part of the
+// machine, so recording allocates nothing, including on pool forks.
+type flightRecorder struct {
+	buf  [flightDepth]flightEntry
 	next int   // ring write position
 	n    int64 // total events ever recorded
 }
 
-// NewFlightRecorder returns a recorder keeping the last depth events
-// (DefaultFlightDepth if depth <= 0).
-func NewFlightRecorder(depth int) *FlightRecorder {
-	if depth <= 0 {
-		depth = DefaultFlightDepth
-	}
-	return &FlightRecorder{buf: make([]flightEntry, depth)}
-}
-
-func (f *FlightRecorder) record(e flightEntry) {
+func (f *flightRecorder) record(e flightEntry) {
 	f.buf[f.next] = e
-	f.next = (f.next + 1) % len(f.buf)
+	f.next = (f.next + 1) % flightDepth
 	f.n++
 }
 
-// SchedIn implements Tracer.
-func (f *FlightRecorder) SchedIn(t *Thread, core int, decideAt, startAt timebase.Time) {
-	f.record(flightEntry{kind: flightIn, at: decideAt, core: core, tid: t.id, name: t.name, startAt: startAt})
-}
-
-// SchedOut implements Tracer.
-func (f *FlightRecorder) SchedOut(t *Thread, core int, at timebase.Time, reason SchedOutReason) {
-	f.record(flightEntry{kind: flightOut, at: at, core: core, tid: t.id, name: t.name, reason: reason})
-}
-
-// Wake implements Tracer.
-func (f *FlightRecorder) Wake(t *Thread, core int, at timebase.Time, preempted bool, curr *Thread) {
-	e := flightEntry{kind: flightWake, at: at, core: core, tid: t.id, name: t.name, preempted: preempted}
-	if curr != nil {
-		e.currTID = curr.id
-	}
-	f.record(e)
-}
-
-// Depth returns the ring capacity.
-func (f *FlightRecorder) Depth() int { return len(f.buf) }
-
-// Reset empties the recorder in place, reusing the ring storage. Stale
-// entries beyond the write position are unreachable (Len and Dump derive
-// everything from the total count), so they are not scrubbed.
-func (f *FlightRecorder) Reset() {
+// reset empties the recorder in place. Stale entries beyond the write
+// position are unreachable (held and dump derive everything from the total
+// count), so they are not scrubbed.
+func (f *flightRecorder) reset() {
 	f.next = 0
 	f.n = 0
 }
 
-// Len returns how many events are currently held (≤ depth).
-func (f *FlightRecorder) Len() int {
-	if f.n < int64(len(f.buf)) {
-		return int(f.n)
-	}
-	return len(f.buf)
+// held returns how many events are currently held (≤ flightDepth).
+func (f *flightRecorder) held() int {
+	return int(min(f.n, flightDepth))
 }
 
-// Total returns how many events were ever recorded.
-func (f *FlightRecorder) Total() int64 { return f.n }
-
-// Dump renders the retained tail oldest→newest, one line per event,
+// dump renders the retained tail oldest→newest, one line per event,
 // numbered by absolute event sequence. Returns "" when nothing was
 // recorded.
-func (f *FlightRecorder) Dump() string {
-	held := f.Len()
+func (f *flightRecorder) dump() string {
+	held := f.held()
 	if held == 0 {
 		return ""
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "flight recorder (last %d of %d sched events):\n", held, f.n)
 	start := 0
-	if f.n >= int64(len(f.buf)) {
+	if f.n >= flightDepth {
 		start = f.next
 	}
 	for i := 0; i < held; i++ {
-		e := f.buf[(start+i)%len(f.buf)]
+		e := f.buf[(start+i)%flightDepth]
 		seq := f.n - int64(held) + int64(i) + 1
 		fmt.Fprintf(&b, "  #%06d %12s core%d ", seq, e.at, e.core)
 		switch e.kind {

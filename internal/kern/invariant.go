@@ -82,11 +82,7 @@ func (m *Machine) DumpState() string {
 		fmt.Fprintf(&b, "  thread %-16s state=%-8s blocked=%-6s core=%d pin=%s vrt=%d sum=%s\n",
 			t.String(), t.task.State, t.blockedIn, core, pin, t.task.Vruntime, t.task.SumExec)
 	}
-	if m.flight != nil {
-		if tail := m.flight.Dump(); tail != "" {
-			b.WriteString(tail)
-		}
-	}
+	b.WriteString(m.flight.dump())
 	return b.String()
 }
 

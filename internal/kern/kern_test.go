@@ -151,7 +151,7 @@ func TestControlledPreemptionLoop(t *testing.T) {
 	m := newTestMachine(t, 1)
 	victim := m.Spawn("victim", func(e *Env) { e.RunLoopForever(loopBody(64)) }, WithPin(0))
 	tr := &testTracer{victim: victim}
-	m.SetTracer(tr)
+	m.AttachTracer(tr)
 
 	const eps = 2 * timebase.Microsecond
 	const measure = 10 * timebase.Microsecond
@@ -265,7 +265,7 @@ func TestZeroStepsOccurWithTinyEpsilon(t *testing.T) {
 	m := newTestMachine(t, 1)
 	victim := m.Spawn("victim", func(e *Env) { e.RunLoopForever(loopBody(64)) }, WithPin(0))
 	tr := &testTracer{victim: victim}
-	m.SetTracer(tr)
+	m.AttachTracer(tr)
 	m.Spawn("attacker", func(e *Env) {
 		e.SetTimerSlack(1)
 		e.Nanosleep(50 * timebase.Millisecond)

@@ -115,9 +115,10 @@ type Params struct {
 	// kernel invariant scan (runqueue membership, thread accounting,
 	// pinning, scheduler self-checks). 0 selects the default (2048);
 	// negative disables all invariant checking, including the O(1)
-	// per-event and sched-switch boundary checks. Bench and campaign paths
-	// relax the stride; tests run the default. A violation panics with a
-	// structured *InvariantError carrying a machine-state dump.
+	// per-event and sched-switch boundary checks. Production paths run the
+	// default; tests vary it to show the scans are pure checking. A
+	// violation panics with a structured *InvariantError carrying a
+	// machine-state dump.
 	InvariantStride int
 
 	// Metrics receives the machine's telemetry (package metrics): event
@@ -132,11 +133,6 @@ type Params struct {
 	// Profiler attributes wall-clock cost per dispatched event kind
 	// (package metrics). nil means the kernel never reads the host clock.
 	Profiler *metrics.Profiler
-
-	// FlightRecorderDepth sizes the crash-dump flight recorder: a ring of
-	// the last N scheduling events appended to every InvariantError machine
-	// dump. 0 selects DefaultFlightDepth; negative disables the recorder.
-	FlightRecorderDepth int
 
 	// Seed drives all simulation jitter.
 	Seed uint64
@@ -214,35 +210,6 @@ type Tracer interface {
 	Wake(t *Thread, core int, at timebase.Time, preempted bool, curr *Thread)
 }
 
-// nopTracer is the default Tracer.
-type nopTracer struct{}
-
-func (nopTracer) SchedIn(*Thread, int, timebase.Time, timebase.Time)   {}
-func (nopTracer) SchedOut(*Thread, int, timebase.Time, SchedOutReason) {}
-func (nopTracer) Wake(*Thread, int, timebase.Time, bool, *Thread)      {}
-
-// multiTracer fans every hook out to the primary tracer and any attached
-// secondary tracers, in attachment order.
-type multiTracer []Tracer
-
-func (ts multiTracer) SchedIn(t *Thread, core int, decideAt, startAt timebase.Time) {
-	for _, tr := range ts {
-		tr.SchedIn(t, core, decideAt, startAt)
-	}
-}
-
-func (ts multiTracer) SchedOut(t *Thread, core int, at timebase.Time, reason SchedOutReason) {
-	for _, tr := range ts {
-		tr.SchedOut(t, core, at, reason)
-	}
-}
-
-func (ts multiTracer) Wake(t *Thread, core int, at timebase.Time, preempted bool, curr *Thread) {
-	for _, tr := range ts {
-		tr.Wake(t, core, at, preempted, curr)
-	}
-}
-
 // Core is one logical core: a runqueue, the current thread and the
 // microarchitecture.
 type Core struct {
@@ -289,15 +256,9 @@ type Machine struct {
 	cores   []*Core
 	caches  *cache.System
 	threads []*Thread
-	// tracer is what the kernel calls: the primary tracer alone, or a
-	// multiTracer fanning out to the attached secondaries as well.
-	tracer  Tracer
-	primary Tracer
-	extra   []Tracer
-	// fanout and metricsTr are the storage init reuses across pool forks
-	// for the fan-out and the telemetry tracer (see initTracer).
-	fanout    multiTracer
-	metricsTr metricsTracer
+	// tracers are the attached observers, called in attach order after
+	// the kernel's own telemetry and flight recorder (see reportSchedIn).
+	tracers []Tracer
 	// simRNG drives kernel-side jitter; progRNG is handed to programs.
 	simRNG  *rng.RNG
 	progRNG *rng.RNG
@@ -322,11 +283,11 @@ type Machine struct {
 	// telemetry is off — so everything attached to this machine reports
 	// into the same namespace regardless of which goroutine it runs on.
 	// prof is the sim-time profiler (nil when off). flight is the
-	// crash-dump flight recorder (nil when disabled).
+	// crash-dump flight recorder, always on.
 	tel    *machineTelemetry
 	reg    *metrics.Registry
 	prof   *metrics.Profiler
-	flight *FlightRecorder
+	flight flightRecorder
 
 	// pool, when non-nil, is the free-pool this machine returns to on
 	// Shutdown instead of being discarded (see Pool). running guards
@@ -396,8 +357,6 @@ func buildShell(p Params) *Machine {
 // in steady state.
 func (m *Machine) init(p Params) {
 	m.p = p
-	m.tracer = nopTracer{}
-	m.primary = nopTracer{}
 	m.nextTID = 1
 	root := rng.New(p.Seed)
 	m.simRNG = reseed(m.simRNG, root.ForkState(1))
@@ -436,8 +395,6 @@ func (m *Machine) init(p Params) {
 		m.defense = ds
 	}
 	if reg != nil {
-		m.metricsTr = metricsTracer{m: m, tel: m.tel}
-		m.extra = append(m.extra, &m.metricsTr)
 		m.caches.InstrumentMetrics(reg)
 		for _, c := range m.cores {
 			c.cpu.InstrumentMetrics(reg)
@@ -447,35 +404,7 @@ func (m *Machine) init(p Params) {
 		}
 	}
 	m.prof = p.Profiler
-	if p.FlightRecorderDepth >= 0 {
-		depth := p.FlightRecorderDepth
-		if depth <= 0 {
-			depth = DefaultFlightDepth
-		}
-		if m.flight != nil && m.flight.Depth() == depth {
-			m.flight.Reset()
-		} else {
-			m.flight = NewFlightRecorder(p.FlightRecorderDepth)
-		}
-		m.extra = append(m.extra, m.flight)
-	} else {
-		m.flight = nil
-	}
-	m.initTracer()
-}
-
-// initTracer builds the fan-out over the tracers init attached, reusing the
-// storage of the shell's previous fan-out: init runs on a shell whose hooks
-// cannot be mid-iteration, so — unlike rebuildTracer — it may overwrite the
-// old slice in place, and a warm pool fork allocates nothing here (the
-// kernel calls through a pointer to the field, which boxes for free).
-func (m *Machine) initTracer() {
-	if len(m.extra) == 0 {
-		m.tracer = m.primary
-		return
-	}
-	m.fanout = append(append(m.fanout[:0], m.primary), m.extra...)
-	m.tracer = &m.fanout
+	m.flight.reset()
 }
 
 // reseed resets r to state in place, allocating only when r is nil.
@@ -510,12 +439,8 @@ func (m *Machine) resetForReuse() {
 		c.cpu.Reset()
 	}
 	m.caches.Reset()
-	m.primary = nopTracer{}
-	m.tracer = nopTracer{}
-	for i := range m.extra {
-		m.extra[i] = nil
-	}
-	m.extra = m.extra[:0]
+	clear(m.tracers)
+	m.tracers = m.tracers[:0]
 	m.faults = nil
 	m.defense = nil
 	m.reg = nil
@@ -524,7 +449,8 @@ func (m *Machine) resetForReuse() {
 	m.nextTID = 1
 	m.yieldCount = 0
 	m.sinceCheck = 0
-	// m.tel and m.flight stay allocated; init re-resolves them in place.
+	// m.tel stays allocated and init re-resolves it in place; init also
+	// empties the flight ring.
 }
 
 // Params returns the machine's configuration.
@@ -568,57 +494,58 @@ func (m *Machine) FaultCounts() map[string]int64 {
 	return m.faults.Counts()
 }
 
-// SetTracer installs the primary Tracer (nil restores the no-op tracer).
-// Tracers attached with AttachTracer keep observing regardless.
-func (m *Machine) SetTracer(tr Tracer) {
-	if tr == nil {
-		tr = nopTracer{}
-	}
-	m.primary = tr
-	m.rebuildTracer()
-}
-
-// AttachTracer adds a passive secondary tracer that observes every
-// scheduling event alongside the primary one, surviving SetTracer calls.
-// Experiment drivers own the primary tracer; supervision layers (trace
-// capture, campaign recording) attach here so both see the same stream.
+// AttachTracer adds a passive observer that sees every scheduling event
+// from now on, after the tracers attached before it. It is the only way to
+// observe the event stream: experiment recorders, trace capture and span
+// slices all attach here. Attaching from inside a hook is safe; the new
+// tracer sees events from the next one on.
 func (m *Machine) AttachTracer(tr Tracer) {
-	if tr == nil {
-		return
+	if tr != nil {
+		m.tracers = append(m.tracers, tr)
 	}
-	m.extra = append(m.extra, tr)
-	m.rebuildTracer()
 }
 
-// DetachTracer removes a previously attached secondary tracer (compared by
-// identity) and reports whether it was found. Safe to call from inside a
-// tracer hook: the fan-out slice is rebuilt, never mutated in place, so an
-// in-flight multiTracer iteration keeps walking the old slice.
-func (m *Machine) DetachTracer(tr Tracer) bool {
-	for i, x := range m.extra {
-		if x == tr {
-			m.extra = append(m.extra[:i:i], m.extra[i+1:]...)
-			m.rebuildTracer()
-			return true
-		}
+// reportSchedIn, reportSchedOut and reportWake are the kernel's scheduling
+// hooks. Each feeds the telemetry handles (no-ops when telemetry is off)
+// and the flight recorder, then every attached tracer in attach order.
+func (m *Machine) reportSchedIn(t *Thread, core int, decideAt, startAt timebase.Time) {
+	m.tel.schedIn.Inc()
+	m.flight.record(flightEntry{kind: flightIn, at: decideAt, core: core, tid: t.id, name: t.name, startAt: startAt})
+	for _, tr := range m.tracers {
+		tr.SchedIn(t, core, decideAt, startAt)
 	}
-	return false
 }
 
-// FlightRecorder returns the machine's crash-dump flight recorder, or nil
-// when disabled.
-func (m *Machine) FlightRecorder() *FlightRecorder { return m.flight }
-
-// rebuildTracer recomputes the fan-out after SetTracer/AttachTracer.
-func (m *Machine) rebuildTracer() {
-	if len(m.extra) == 0 {
-		m.tracer = m.primary
-		return
+func (m *Machine) reportSchedOut(t *Thread, core int, at timebase.Time, reason SchedOutReason) {
+	if int(reason) < len(m.tel.schedOut) {
+		m.tel.schedOut[reason].Inc()
 	}
-	all := make(multiTracer, 0, 1+len(m.extra))
-	all = append(all, m.primary)
-	all = append(all, m.extra...)
-	m.tracer = all
+	m.flight.record(flightEntry{kind: flightOut, at: at, core: core, tid: t.id, name: t.name, reason: reason})
+	for _, tr := range m.tracers {
+		tr.SchedOut(t, core, at, reason)
+	}
+}
+
+func (m *Machine) reportWake(t *Thread, core int, at timebase.Time, preempted bool, curr *Thread) {
+	m.tel.wakes.Inc()
+	if preempted {
+		m.tel.wakePreemptHit.Inc()
+	} else {
+		m.tel.wakePreemptMis.Inc()
+	}
+	if m.tel.wakeDepth != nil {
+		// Queue depth as the waker saw it: the woken thread is already
+		// enqueued.
+		m.tel.wakeDepth.Observe(int64(m.cores[core].rq.NrQueued()))
+	}
+	e := flightEntry{kind: flightWake, at: at, core: core, tid: t.id, name: t.name, preempted: preempted}
+	if curr != nil {
+		e.currTID = curr.id
+	}
+	m.flight.record(e)
+	for _, tr := range m.tracers {
+		tr.Wake(t, core, at, preempted, curr)
+	}
 }
 
 func (m *Machine) coreOf(t *Thread) *Core { return t.core }
@@ -901,7 +828,7 @@ func (m *Machine) advanceCore(c *Core, T timebase.Time) {
 			c.rq.SetCurr(nil)
 			c.curr = nil
 			c.clock = req.at
-			m.tracer.SchedOut(t, c.id, req.at, OutBlocked)
+			m.reportSchedOut(t, c.id, req.at, OutBlocked)
 			if req.block == blockSleep {
 				m.armNanosleep(t, req.at, req.sleep)
 			}
@@ -913,7 +840,7 @@ func (m *Machine) advanceCore(c *Core, T timebase.Time) {
 			c.rq.SetCurr(nil)
 			c.curr = nil
 			c.clock = req.at
-			m.tracer.SchedOut(t, c.id, req.at, OutExited)
+			m.reportSchedOut(t, c.id, req.at, OutExited)
 			c.pickAndSwitch(req.at)
 		}
 	}
@@ -972,7 +899,7 @@ func (c *Core) switchTo(t *Thread, at timebase.Time) {
 	c.currStart = start
 	c.lastUpdate = start
 	c.clock = at
-	m.tracer.SchedIn(t, c.id, at, start)
+	m.reportSchedIn(t, c.id, at, start)
 	c.armTick(at)
 }
 
@@ -992,7 +919,7 @@ func (c *Core) deschedCurr(at timebase.Time, reason SchedOutReason) timebase.Tim
 	c.rq.SetCurr(nil)
 	c.curr = nil
 	c.rq.Enqueue(t.task, false)
-	c.m.tracer.SchedOut(t, c.id, eff, reason)
+	c.m.reportSchedOut(t, c.id, eff, reason)
 	c.m.applySpeculation(t)
 	if t.enclave {
 		// Asynchronous enclave exit: the TLB entries of enclave pages are

@@ -313,12 +313,11 @@ func TestShutdownMidRunDoesNotPool(t *testing.T) {
 }
 
 // TestForkZeroAllocsSteadyState pins the warm fork+reset cycle at zero heap
-// allocations: with telemetry, faults, defense and the flight recorder off,
-// a Get/Run/Shutdown round trip reuses pooled machine and arena memory
-// outright.
+// allocations: with telemetry, faults and defense off and the flight
+// recorder on (it always is), a Get/Run/Shutdown round trip reuses pooled
+// machine and arena memory outright.
 func TestForkZeroAllocsSteadyState(t *testing.T) {
 	p := snapParams(2, 1)
-	p.FlightRecorderDepth = -1
 	tmpl := NewMachine(p)
 	defer tmpl.Shutdown()
 	snap, err := tmpl.Snapshot()

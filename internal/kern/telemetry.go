@@ -1,9 +1,6 @@
 package kern
 
-import (
-	"repro/internal/metrics"
-	"repro/internal/timebase"
-)
+import "repro/internal/metrics"
 
 // machineTelemetry holds the kernel's metric handles. It is always
 // allocated — with a nil registry every handle is nil and each increment
@@ -73,34 +70,4 @@ func (tel *machineTelemetry) resolve(r *metrics.Registry) {
 	tel.wakeDepth = r.Histogram("kern_runqueue_depth", metrics.DepthBuckets)
 	tel.spawns = r.Counter("kern_spawn_total")
 	tel.migrations = r.Counter("kern_migrations_total")
-}
-
-// metricsTracer feeds scheduling events into the machine telemetry. It is
-// attached with AttachTracer, so it keeps counting across the SetTracer
-// calls experiment drivers make.
-type metricsTracer struct {
-	m   *Machine
-	tel *machineTelemetry
-}
-
-func (mt *metricsTracer) SchedIn(t *Thread, core int, decideAt, startAt timebase.Time) {
-	mt.tel.schedIn.Inc()
-}
-
-func (mt *metricsTracer) SchedOut(t *Thread, core int, at timebase.Time, reason SchedOutReason) {
-	if int(reason) < len(mt.tel.schedOut) {
-		mt.tel.schedOut[reason].Inc()
-	}
-}
-
-func (mt *metricsTracer) Wake(t *Thread, core int, at timebase.Time, preempted bool, curr *Thread) {
-	mt.tel.wakes.Inc()
-	if preempted {
-		mt.tel.wakePreemptHit.Inc()
-	} else {
-		mt.tel.wakePreemptMis.Inc()
-	}
-	// Queue depth as the waker saw it: the woken thread is already
-	// enqueued; reading it here keeps the observation point consistent.
-	mt.tel.wakeDepth.Observe(int64(mt.m.cores[core].rq.NrQueued()))
 }

@@ -42,98 +42,54 @@ func (o *orderTracer) SchedIn(t *Thread, core int, decideAt, startAt timebase.Ti
 func (o *orderTracer) SchedOut(*Thread, int, timebase.Time, SchedOutReason) {}
 func (o *orderTracer) Wake(*Thread, int, timebase.Time, bool, *Thread)      {}
 
-// TestTracerFanOutOrderingThreeTracers attaches three secondary tracers
-// alongside a primary and checks every scheduling event reaches all four in
-// a fixed order: primary first, then secondaries in attachment order.
+// TestTracerFanOutOrderingThreeTracers attaches three tracers and checks
+// every scheduling event reaches all three in attach order.
 func TestTracerFanOutOrderingThreeTracers(t *testing.T) {
 	m := newTestMachine(t, 1)
 	var log []string
-	a := &orderTracer{name: "a", log: &log}
-	b := &orderTracer{name: "b", log: &log}
-	c := &orderTracer{name: "c", log: &log}
-	p := &orderTracer{name: "primary", log: &log}
-	m.AttachTracer(a)
-	m.AttachTracer(b)
-	m.SetTracer(p)
-	m.AttachTracer(c)
+	for _, name := range []string{"a", "b", "c"} {
+		m.AttachTracer(&orderTracer{name: name, log: &log})
+	}
 
 	telemetryWorkload(m)
 
-	if len(log) == 0 || len(log)%4 != 0 {
-		t.Fatalf("want a multiple of 4 fan-out entries, got %d", len(log))
+	if len(log) == 0 || len(log)%3 != 0 {
+		t.Fatalf("want a multiple of 3 fan-out entries, got %d", len(log))
 	}
-	want := []string{"primary", "a", "b", "c"}
-	for i := 0; i < len(log); i += 4 {
-		if got := log[i : i+4]; !reflect.DeepEqual(got, want) {
-			t.Fatalf("fan-out order at event %d: got %v, want %v", i/4, got, want)
+	want := []string{"a", "b", "c"}
+	for i := 0; i < len(log); i += 3 {
+		if got := log[i : i+3]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("fan-out order at event %d: got %v, want %v", i/3, got, want)
 		}
 	}
 }
 
-// selfDetachTracer removes itself from the machine inside its first hook —
-// the detach-while-running case DetachTracer must tolerate.
-type selfDetachTracer struct {
-	m    *Machine
-	seen int
-}
-
-func (s *selfDetachTracer) SchedIn(t *Thread, core int, decideAt, startAt timebase.Time) {
-	s.seen++
-	if s.seen == 1 {
-		if !s.m.DetachTracer(s) {
-			panic("self-detach failed")
+// TestTelemetryIndependentOfAttachedTracers runs the same seeded workload
+// with no tracers and with three attached, as traced experiments have, and
+// expects identical kernel telemetry: the kernel feeds its counters itself,
+// whatever else observes the stream.
+func TestTelemetryIndependentOfAttachedTracers(t *testing.T) {
+	run := func(tracers int) *metrics.Registry {
+		reg := metrics.New()
+		p := DefaultParams(1, func() sched.Scheduler { return cfs.New(sched.DefaultParams(1)) })
+		p.Metrics = reg
+		m := NewMachine(p)
+		defer m.Shutdown()
+		for i := 0; i < tracers; i++ {
+			m.AttachTracer(&streamTracer{})
 		}
+		telemetryWorkload(m)
+		return reg
 	}
-}
-func (s *selfDetachTracer) SchedOut(*Thread, int, timebase.Time, SchedOutReason) {}
-func (s *selfDetachTracer) Wake(*Thread, int, timebase.Time, bool, *Thread)      {}
-
-// TestDetachTracerWhileRunning detaches a tracer from inside its own hook:
-// the machine must not panic, the detached tracer must see no further
-// events, and the other attached tracer keeps observing.
-func TestDetachTracerWhileRunning(t *testing.T) {
-	m := newTestMachine(t, 1)
-	stay := &countTracer{}
-	m.AttachTracer(stay)
-	sd := &selfDetachTracer{m: m}
-	m.AttachTracer(sd)
-
-	telemetryWorkload(m)
-
-	if sd.seen != 1 {
-		t.Fatalf("self-detached tracer saw %d events, want exactly 1", sd.seen)
-	}
-	if stay.total() == 0 {
-		t.Fatal("surviving tracer saw no events")
-	}
-	if m.DetachTracer(sd) {
-		t.Fatal("detaching an already-detached tracer reported true")
-	}
-	if m.DetachTracer(&countTracer{}) {
-		t.Fatal("detaching a never-attached tracer reported true")
-	}
-}
-
-// TestMetricsTracerSurvivesSetTracer builds a machine with a telemetry
-// registry and then installs (and replaces) a primary tracer, as every
-// traced experiment does: the kernel's own metrics tracer must keep
-// counting through both SetTracer calls.
-func TestMetricsTracerSurvivesSetTracer(t *testing.T) {
-	reg := metrics.New()
-	p := DefaultParams(1, func() sched.Scheduler { return cfs.New(sched.DefaultParams(1)) })
-	p.Metrics = reg
-	m := NewMachine(p)
-	defer m.Shutdown()
-
-	m.SetTracer(&countTracer{})
-	m.SetTracer(&countTracer{}) // replace again; metrics must survive both
-
-	telemetryWorkload(m)
-
+	bareReg, tracedReg := run(0), run(3)
 	for _, base := range []string{"kern_events_total", "kern_sched_in_total", "kern_sched_out_total", "kern_wake_total", "kern_timer_fired_total"} {
-		if reg.Total(base) == 0 {
+		if tracedReg.Total(base) == 0 {
 			t.Errorf("metric %s is zero after a traced workload", base)
 		}
+	}
+	bare, traced := bareReg.Flatten(), tracedReg.Flatten()
+	if !reflect.DeepEqual(bare, traced) {
+		t.Fatalf("attaching tracers changed telemetry:\n--- none\n%v\n--- three\n%v", bare, traced)
 	}
 }
 
@@ -206,42 +162,20 @@ func TestInvariantDumpContainsFlightTail(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderDisabled a negative depth turns the recorder off; the
-// dump omits the tail.
-func TestFlightRecorderDisabled(t *testing.T) {
-	p := DefaultParams(1, func() sched.Scheduler { return cfs.New(sched.DefaultParams(1)) })
-	p.FlightRecorderDepth = -1
-	m := NewMachine(p)
-	defer m.Shutdown()
-	m.Spawn("spin", func(e *Env) { e.Burn(100 * timebase.Microsecond) })
-	m.RunFor(timebase.Millisecond)
-	if m.FlightRecorder() != nil {
-		t.Fatal("recorder built despite negative depth")
-	}
-	if dump := m.DumpState(); strings.Contains(dump, "flight recorder") {
-		t.Fatalf("dump contains flight tail with recorder disabled:\n%s", dump)
-	}
-}
-
-// TestFlightRecorderWraps the ring keeps only the newest depth entries.
+// TestFlightRecorderWraps checks the always-on ring keeps only the newest
+// flightDepth entries.
 func TestFlightRecorderWraps(t *testing.T) {
-	p := DefaultParams(1, func() sched.Scheduler { return cfs.New(sched.DefaultParams(1)) })
-	p.FlightRecorderDepth = 8
-	m := NewMachine(p)
-	defer m.Shutdown()
+	m := newTestMachine(t, 1)
 	telemetryWorkload(m)
-	fr := m.FlightRecorder()
-	if fr == nil {
-		t.Fatal("no recorder")
+	fr := &m.flight
+	if fr.held() != flightDepth {
+		t.Fatalf("ring holds %d entries, want %d", fr.held(), flightDepth)
 	}
-	if fr.Len() != 8 {
-		t.Fatalf("ring holds %d entries, want 8", fr.Len())
+	if fr.n <= flightDepth {
+		t.Fatalf("workload recorded only %d events; test needs wrap-around", fr.n)
 	}
-	if fr.Total() <= 8 {
-		t.Fatalf("workload recorded only %d events; test needs wrap-around", fr.Total())
-	}
-	dump := fr.Dump()
-	if want := fmt.Sprintf("last 8 of %d", fr.Total()); !strings.Contains(dump, want) {
+	dump := m.DumpState()
+	if want := fmt.Sprintf("last %d of %d", flightDepth, fr.n); !strings.Contains(dump, want) {
 		t.Fatalf("dump header missing %q:\n%s", want, dump)
 	}
 }

@@ -211,7 +211,7 @@ func (m *Machine) wake(t *Thread) {
 	}
 	t.wakeTime = m.now
 	t.wakePreempted = preempt
-	m.tracer.Wake(t, c.id, m.now, preempt, curr)
+	m.reportWake(t, c.id, m.now, preempt, curr)
 
 	switch {
 	case curr == nil:

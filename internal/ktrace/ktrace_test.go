@@ -27,7 +27,7 @@ func body() []isa.Inst {
 func runAttack(t *testing.T, m *kern.Machine, rec *Recorder) (victim, attacker *kern.Thread) {
 	t.Helper()
 	victim = m.Spawn("victim", func(e *kern.Env) { e.RunLoopForever(body()) }, kern.WithPin(0))
-	m.SetTracer(rec)
+	m.AttachTracer(rec)
 	attacker = m.Spawn("attacker", func(e *kern.Env) {
 		e.SetTimerSlack(1)
 		e.Nanosleep(30 * timebase.Millisecond)

@@ -27,7 +27,7 @@ type Ctx struct {
 	Tracer *Tracer
 	Parent *Span
 	// Slices opts machine phases into per-event scheduler slice spans via
-	// the kern tracer fan-out. Off by default: a paper-scale entry emits
+	// an attached kern tracer. Off by default: a paper-scale entry emits
 	// millions of sched events.
 	Slices bool
 

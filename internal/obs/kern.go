@@ -15,7 +15,7 @@ type kernTime = timebase.Time
 // machine and makes it the context's current phase, ending the previous
 // phase first (experiments build machines back-to-back inside one entry;
 // each machine's lifetime is one phase). When the context opts into
-// slices, a fan-out tracer is attached so every scheduler stint becomes a
+// slices, a slice tracer is attached so every scheduler stint becomes a
 // slice span carrying both clocks.
 //
 // Nil-safe on a nil/disabled context, and called only from the goroutine
@@ -35,9 +35,8 @@ func (c *Ctx) BeginMachinePhase(label string, m *kern.Machine) {
 
 // sliceTracer implements kern.Tracer, turning the machine's event stream
 // into slice spans: one span per scheduler stint (SchedIn..SchedOut on a
-// core), plus instant marks for wakes. It rides the existing AttachTracer
-// fan-out, so experiments that install their own primary tracer (trace
-// capture, flight recorder) coexist with it.
+// core), plus instant marks for wakes. It is one of the machine's attached
+// tracers, next to the experiment's own recorder and trace capture.
 //
 // All hooks fire on the machine's driving goroutine, so the per-core book
 // needs no locking; only Tracer.emit synchronizes.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cfs"
@@ -74,39 +75,24 @@ func TestBeginMachinePhaseRecordsBothClocks(t *testing.T) {
 	}
 }
 
-// TestSliceFanOutCoexistsWithFlightRecorder attaches the slice tracer
-// next to the machine's flight recorder, detaches the recorder mid-run
-// while the machine phase span is still open, and checks both observers
-// behaved: the recorder stops cold, slices keep flowing.
+// TestSliceFanOutCoexistsWithFlightRecorder attaches the slice tracer to a
+// machine whose flight recorder is always on and checks both observers
+// see the same run: slices flow under the machine phase, and the machine
+// dump still ends with the recorder's tail.
 func TestSliceFanOutCoexistsWithFlightRecorder(t *testing.T) {
 	tr, path := newTestTracer(t, "cplab")
 	c := &Ctx{Tracer: tr, Slices: true}
 
 	m := newTestMachine(t)
-	fr := m.FlightRecorder()
-	if fr == nil {
-		t.Fatal("test machine must carry a flight recorder")
-	}
 	c.BeginMachinePhase("fig4.1 seed=1", m)
 	spin(m, "worker")
-
-	seen := fr.Total()
-	if seen == 0 {
-		t.Fatal("flight recorder saw no events")
-	}
 	before := tr.Spans()
-
-	// Detach the recorder while the phase span (and possibly a scheduler
-	// stint) is open — the slice tracer must be unaffected.
-	if !m.DetachTracer(fr) {
-		t.Fatal("DetachTracer(flight recorder) failed")
-	}
 	spin(m, "worker2")
-	if fr.Total() != seen {
-		t.Fatal("flight recorder kept observing after detach")
-	}
 	if tr.Spans() <= before {
-		t.Fatal("slice tracer stopped emitting after an unrelated detach")
+		t.Fatal("slice tracer stopped emitting")
+	}
+	if dump := m.DumpState(); !strings.Contains(dump, "flight recorder") {
+		t.Fatalf("machine dump lost the flight-recorder tail:\n%s", dump)
 	}
 
 	c.ClosePhase()
@@ -139,27 +125,6 @@ func TestSliceFanOutCoexistsWithFlightRecorder(t *testing.T) {
 	}
 	if phase == nil || phase.Tier != TierMachine {
 		t.Fatalf("slices must parent under the machine phase, got %+v", phase)
-	}
-}
-
-// TestSliceTracerDetachMidRun detaches the slice tracer itself between
-// runs — spans already emitted stay in the log, later stints are silent.
-func TestSliceTracerDetachMidRun(t *testing.T) {
-	tr, _ := newTestTracer(t, "cplab")
-	m := newTestMachine(t)
-	st := &sliceTracer{tr: tr, parent: tr.Start("phase", TierMachine, nil)}
-	m.AttachTracer(st)
-	spin(m, "worker")
-	before := tr.Spans()
-	if before == 0 {
-		t.Fatal("slice tracer emitted nothing")
-	}
-	if !m.DetachTracer(st) {
-		t.Fatal("DetachTracer(slice tracer) failed")
-	}
-	spin(m, "worker2")
-	if tr.Spans() != before {
-		t.Fatalf("detached slice tracer kept emitting: %d -> %d", before, tr.Spans())
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
+	"repro/internal/timebase"
 )
 
 var parallelIDs = []string{"fig4.1", "fig4.6", "tab2.1"}
@@ -83,5 +84,27 @@ func TestParallelHaltedCampaignResumesToSerialBytes(t *testing.T) {
 	}
 	if string(got) != string(serial) {
 		t.Fatalf("resumed parallel manifest differs from uninterrupted serial:\ngot:\n%s\nwant:\n%s", got, serial)
+	}
+}
+
+// TestCampaignNoteFormat pins the note bytes existing manifests carry.
+// `cplab campaign`, `cplab cluster` and cplabd all write CampaignNote, and
+// a resume is refused on any note mismatch, so these bytes may never
+// change.
+func TestCampaignNoteFormat(t *testing.T) {
+	cases := []struct {
+		o       Options
+		retries int
+		want    string
+	}{
+		{Options{}, 2, "paper=false faults=0 simbudget=0ns retries=2"},
+		{Options{Scale: Paper, Seed: 7, FaultRate: 0.05, SimBudget: 250 * timebase.Millisecond}, 0,
+			"paper=true faults=0.05 simbudget=250ms retries=0"},
+		{Options{Defense: "slackrand"}, 2, "paper=false faults=0 simbudget=0ns retries=2 defense=slackrand"},
+	}
+	for _, c := range cases {
+		if got := CampaignNote(c.o, c.retries); got != c.want {
+			t.Errorf("CampaignNote(%+v, %d) = %q, want %q", c.o, c.retries, got, c.want)
+		}
 	}
 }

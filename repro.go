@@ -602,6 +602,22 @@ func RunGuarded(id string, o Options, retries int) RunReport {
 	return rep
 }
 
+// CampaignNote is the manifest note of a campaign over CampaignEntries(ids,
+// o, retries). It pins every result-shaping option but the seed, so a
+// resume under different options is refused instead of silently merging
+// incomparable records. Options that do not shape results (NoMachinePool,
+// campaign width) are left out. `cplab campaign`, `cplab cluster` and
+// cplabd all write it, which is what lets each resume the others'
+// checkpoints; the defense is appended only when set, keeping pre-defense
+// manifests resumable byte-identically.
+func CampaignNote(o Options, retries int) string {
+	note := fmt.Sprintf("paper=%t faults=%g simbudget=%s retries=%d", o.Scale == Paper, o.FaultRate, o.SimBudget, retries)
+	if o.Defense != "" {
+		note += " defense=" + o.Defense
+	}
+	return note
+}
+
 // CampaignEntries builds campaign entries for ids (every registered
 // experiment, in paper order, when ids is empty) under options o: each
 // entry executes through the guarded runner with the given retry budget at
