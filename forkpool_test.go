@@ -1,7 +1,7 @@
 package repro
 
-// Fork-identity gate for machine pooling: a machine forked from a pooled
-// pristine template (exps.ScopeMachinePool) must produce a kernel event
+// Fork-identity gate for machine pooling: a machine served by a machine
+// pool (exps.ScopeMachinePool) must produce a kernel event
 // stream byte-identical to a freshly booted machine's — under the default
 // configuration, under fault injection, under every defense preset, and
 // after arbitrarily many fork/reset reuse cycles of the same pooled
@@ -48,8 +48,8 @@ func TestForkedMachineGoldenIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("fresh RunTraced(%s): %v", id, err)
 				}
-				// One pool across three runs: run 1 boots the templates,
-				// runs 2 and 3 fork from machines already through a full
+				// One pool across three runs: run 1 builds the shells,
+				// runs 2 and 3 reuse machines already through a full
 				// run-and-reset cycle. Every run must match the fresh trace.
 				restore := exps.ScopeMachinePool(exps.NewMachinePool(nil))
 				defer restore()

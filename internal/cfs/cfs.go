@@ -270,32 +270,7 @@ func (c *CFS) CheckInvariants() error {
 	return err
 }
 
-// CloneInto implements sched.Cloner: dst (which must be a *CFS) receives
-// the tunables, the vruntime floor, the current-task pointer and a
-// structural copy of the runqueue tree, with every task pointer translated
-// through remap. dst's telemetry handles are left untouched.
-func (c *CFS) CloneInto(dst sched.Scheduler, remap func(*sched.Task) *sched.Task) {
-	d, ok := dst.(*CFS)
-	if !ok {
-		panic(fmt.Sprintf("cfs: CloneInto destination is %T, not *CFS", dst))
-	}
-	d.p = c.p
-	d.minVruntime = c.minVruntime
-	d.minInit = c.minInit
-	d.curr = c.curr
-	// The nil-remap (identity) path builds no closure: a warm pool fork of
-	// an empty template runqueue must stay allocation-free.
-	var itemRemap func(rqItem) rqItem
-	if remap != nil {
-		if c.curr != nil {
-			d.curr = remap(c.curr)
-		}
-		itemRemap = func(i rqItem) rqItem { return rqItem{remap(i.t)} }
-	}
-	c.tree.CloneInto(d.tree, itemRemap)
-}
-
-// ResetState implements sched.Cloner: empty tree (nodes return to its
+// ResetState implements sched.Resetter: empty tree (nodes return to its
 // freelist), zeroed floor, detached telemetry — the state New returns,
 // minus the allocations.
 func (c *CFS) ResetState() {

@@ -318,53 +318,6 @@ func (s *Set) Config() Config {
 	return s.cfg
 }
 
-// SetState is a deep capture of a defense set's mutable state: the random
-// stream position and the per-task preemption-window accounting. The
-// configuration and cordon layout are derived from Config at construction
-// and are not part of it.
-type SetState struct {
-	RNG      uint64
-	WinStart map[int]timebase.Time
-	WinCount map[int]int
-}
-
-// CaptureState returns the set's mutable state. The returned maps are
-// copies (nil when empty), safe to hold across further simulation.
-func (s *Set) CaptureState() SetState {
-	st := SetState{RNG: s.rng.State()}
-	if len(s.winStart) > 0 {
-		st.WinStart = make(map[int]timebase.Time, len(s.winStart))
-		for k, v := range s.winStart {
-			st.WinStart[k] = v
-		}
-	}
-	if len(s.winCount) > 0 {
-		st.WinCount = make(map[int]int, len(s.winCount))
-		for k, v := range s.winCount {
-			st.WinCount[k] = v
-		}
-	}
-	return st
-}
-
-// RestoreState overwrites the set's mutable state with a capture taken from
-// a set with the same configuration.
-func (s *Set) RestoreState(st SetState) {
-	s.rng.SetState(st.RNG)
-	for k := range s.winStart {
-		delete(s.winStart, k)
-	}
-	for k := range s.winCount {
-		delete(s.winCount, k)
-	}
-	for k, v := range st.WinStart {
-		s.winStart[k] = v
-	}
-	for k, v := range st.WinCount {
-		s.winCount[k] = v
-	}
-}
-
 // NanosleepExtra returns the slack-randomization delay to add to a
 // nanosleep wake delivery armed at now. 0 (and no randomness consumed) when
 // the countermeasure is off.

@@ -340,32 +340,7 @@ func (e *EEVDF) CheckInvariants() error {
 	return nil
 }
 
-// CloneInto implements sched.Cloner: dst (which must be an *EEVDF) receives
-// the tunables, feature toggles, current-task pointer and the queue with
-// every task pointer translated through remap, reusing dst's queue backing
-// array when it is large enough. dst's telemetry handles are left untouched.
-func (e *EEVDF) CloneInto(dst sched.Scheduler, remap func(*sched.Task) *sched.Task) {
-	d, ok := dst.(*EEVDF)
-	if !ok {
-		panic(fmt.Sprintf("eevdf: CloneInto destination is %T, not *EEVDF", dst))
-	}
-	if remap == nil {
-		remap = func(t *sched.Task) *sched.Task { return t }
-	}
-	d.p = e.p
-	d.feat = e.feat
-	if e.curr != nil {
-		d.curr = remap(e.curr)
-	} else {
-		d.curr = nil
-	}
-	d.queue = d.queue[:0]
-	for _, t := range e.queue {
-		d.queue = append(d.queue, remap(t))
-	}
-}
-
-// ResetState implements sched.Cloner: empty queue (backing array retained),
+// ResetState implements sched.Resetter: empty queue (backing array retained),
 // detached telemetry — the state New returns, minus the allocations.
 func (e *EEVDF) ResetState() {
 	for i := range e.queue {

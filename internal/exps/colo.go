@@ -42,8 +42,8 @@ func RunColo(env *Env, cfg ColoConfig) *ColoResult {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 10
 	}
-	// Every trial's machine shares one configuration: fork them all from
-	// one pooled template instead of booting 16 cores per trial.
+	// Every trial's machine shares one configuration: serve them all from
+	// one machine pool instead of booting 16 cores per trial.
 	env = env.withTrialPool()
 	res := &ColoResult{Config: cfg, Trials: cfg.Trials}
 	for trial := 0; trial < cfg.Trials; trial++ {

@@ -43,9 +43,8 @@ type Env struct {
 	// Profiler, when set, attributes wall-clock cost per dispatched event
 	// kind.
 	Profiler *metrics.Profiler
-	// Pool, when set, serves every poolable machine as a seeded fork of a
-	// pristine template — byte-identical to a fresh boot (kern.Snapshot),
-	// minus the boot cost.
+	// Pool, when set, serves every poolable machine from a per-configuration
+	// kern.Pool — byte-identical to a fresh boot, minus the boot cost.
 	Pool *MachinePool
 	// Trace, when set, records the kernel event stream of every machine.
 	Trace *TraceCapture
@@ -80,9 +79,9 @@ func NewMachine(kind Sched, seed uint64, opts ...MachineOption) *kern.Machine {
 }
 
 // NewMachine builds the experiment machine for the given scheduler and
-// seed under env. With a pool set, the machine is a seeded fork of the
-// pool's template for this configuration, unless an option installed its
-// own scheduler constructor, which always builds fresh.
+// seed under env. With a pool set, the machine comes from the pool for
+// this configuration, unless an option installed its own scheduler
+// constructor, which always builds fresh.
 func (env *Env) NewMachine(kind Sched, seed uint64, opts ...MachineOption) *kern.Machine {
 	sp := sched.DefaultParams(Cores)
 	// NewSched stays nil until every option ran: a non-nil constructor
@@ -99,15 +98,12 @@ func (env *Env) NewMachine(kind Sched, seed uint64, opts ...MachineOption) *kern
 	}
 	p.Sched = sp
 	var m *kern.Machine
-	if p.NewSched == nil {
-		if env.Pool != nil {
-			m = env.Pool.get(kind, p)
-		}
-		if m == nil {
+	if p.NewSched == nil && env.Pool != nil {
+		m = env.Pool.get(kind, p)
+	} else {
+		if p.NewSched == nil {
 			p.NewSched = newSched(kind, sp)
 		}
-	}
-	if m == nil {
 		m = kern.NewMachine(p)
 	}
 	if env.Trace != nil {
@@ -154,7 +150,7 @@ func (env *Env) NewWatchdog(fallback timebase.Duration) *Watchdog {
 }
 
 // withTrialPool gives a multi-trial driver a machine pool, so its
-// per-iteration machines fork from one template instead of booting from
+// per-iteration machines reuse one scrubbed shell instead of booting from
 // scratch: env itself when it already carries one (a campaign entry's warm
 // pool then serves the trials), else a copy with a throwaway pool.
 func (env *Env) withTrialPool() *Env {

@@ -86,9 +86,9 @@ func RunMatrixCell(env *Env, cfg MatrixCellConfig) (*MatrixCellResult, error) {
 	res := &MatrixCellResult{Attack: cfg.Attack, Defense: cfg.Defense}
 
 	// One pool spans the whole cell: the defended attack machines, the
-	// colocation trials and the two overhead machines each fork from their
-	// own per-configuration template (the defense config is part of the
-	// template key).
+	// colocation trials and the two overhead machines each come from their
+	// own per-configuration pool (the defense config is part of the pool
+	// key).
 	env = env.withTrialPool()
 
 	// Attack phase, under the cell's defense. Installed even for "off", so

@@ -16,26 +16,27 @@ import (
 // scheduler construction, and the trial-heavy experiments (ablation probes,
 // colocation placements, matrix cells, fig4.4's Measures×Trials grid) build
 // hundreds of machines that differ only by seed. A MachinePool keeps one
-// pristine template snapshot per machine *configuration* and serves every
-// subsequent request for that configuration as a seeded fork from a pool of
-// reset machines (kern.Pool), so the steady-state cost of "a fresh machine"
-// drops to re-seeding RNG streams and re-resolving telemetry in place.
+// kern.Pool per machine *configuration* and serves every request for that
+// configuration from it: a machine shut down by an earlier request is
+// scrubbed and re-initialised under the new seed, so the steady-state cost
+// of "a fresh machine" drops to re-seeding RNG streams and re-resolving
+// telemetry in place.
 //
-// Correctness rests on the kernel's fork contract (kern.Snapshot): a
-// pristine-template fork under seed S is byte-identical — same event
-// stream, same RNG draws, same telemetry — to kern.NewMachine with seed S.
-// Pooling is therefore invisible in results, traces and manifests; it only
-// changes wall-clock time.
+// Correctness rests on the kern.Pool contract: Get under seed S runs the
+// same init as kern.NewMachine with seed S over a scrubbed shell, so it is
+// byte-identical to it — same event stream, same RNG draws, same
+// telemetry. Pooling is therefore invisible in results, traces and
+// manifests; it only changes wall-clock time.
 
 // poolKey is the comparable form of a machine configuration: a copy of
 // every kern.Params field except the seed (the fork axis), NewSched
-// (rebuilt per template from kind and Sched) and the per-fork Metrics and
+// (rebuilt per pool from kind and Sched) and the per-fork Metrics and
 // Profiler sinks, which each fork resolves anew. The slice-valued fault
 // and defense knobs are canonicalized into slices only when one is
 // non-empty, so the common path formats nothing. Two configurations share
-// a key iff a template built for one serves the other, so per-iteration
+// a key iff a machine built for one serves the other, so per-iteration
 // parameter mutation in a trial loop can never silently reuse the old
-// template — it misses the cache and boots its own.
+// configuration's machines — it misses the cache and starts its own pool.
 type poolKey struct {
 	kind                  Sched
 	cores                 int
@@ -115,32 +116,27 @@ func keyOf(kind Sched, p kern.Params) poolKey {
 	return k
 }
 
-// MachinePool caches pristine machine templates by configuration and hands
-// out seeded forks. A MachinePool is single-goroutine, like the kern.Pools
+// MachinePool keeps one kern.Pool per machine configuration and hands out
+// seeded forks. A MachinePool is single-goroutine, like the kern.Pools
 // it wraps: give it to one Env at a time, and use a PoolSet to share warm
 // pools across the sequential entries of a parallel campaign.
 type MachinePool struct {
-	// pools maps configuration → template pool; a nil value records a
-	// configuration that failed to snapshot (so it is not re-attempted).
+	// pools maps configuration → machine pool.
 	pools map[poolKey]*kern.Pool
 	// tel receives the pooling telemetry of a standalone pool after every
 	// fork; pools in a PoolSet report through the set instead.
 	tel poolTelemetry
-	// reported is the activity already added to a registry; snapBytes is
-	// the size of the most recently booted template.
-	reported  kern.PoolStats
-	snapBytes int64
+	// reported is the activity already added to a registry.
+	reported kern.PoolStats
 }
 
 // poolTelemetry holds the pooling instruments (kern_forks_total,
-// kern_pool_hits/misses_total, kern_snapshot_bytes), resolved once. They
-// live in the registry the pool was built with — deliberately never a
-// machine's per-fork registry — so per-entry campaign registries stay free
-// of pooling counters and manifests are byte-identical whether pooling is
-// on or off.
+// kern_pool_hits/misses_total), resolved once. They live in the registry
+// the pool was built with — deliberately never a machine's per-fork
+// registry — so per-entry campaign registries stay free of pooling
+// counters and manifests are byte-identical whether pooling is on or off.
 type poolTelemetry struct {
 	forks, hits, misses *metrics.Counter
-	bytes               *metrics.Gauge
 }
 
 func newPoolTelemetry(reg *metrics.Registry) poolTelemetry {
@@ -148,7 +144,6 @@ func newPoolTelemetry(reg *metrics.Registry) poolTelemetry {
 		forks:  reg.Counter("kern_forks_total"),
 		hits:   reg.Counter("kern_pool_hits_total"),
 		misses: reg.Counter("kern_pool_misses_total"),
-		bytes:  reg.Gauge("kern_snapshot_bytes"),
 	}
 }
 
@@ -158,37 +153,17 @@ func NewMachinePool(reg *metrics.Registry) *MachinePool {
 	return &MachinePool{pools: map[poolKey]*kern.Pool{}, tel: newPoolTelemetry(reg)}
 }
 
-// get returns a machine for the fully resolved parameters, forked from the
-// configuration's template (booting the template on first miss), or nil
-// when the configuration cannot be pooled — the caller then builds fresh.
+// get returns a machine for the fully resolved parameters from the
+// configuration's pool, starting that pool on first use.
 func (mp *MachinePool) get(kind Sched, p kern.Params) *kern.Machine {
 	key := keyOf(kind, p)
-	kp, known := mp.pools[key]
-	if !known {
-		tp := p
-		tp.NewSched = newSched(kind, p.Sched)
-		tp.Metrics, tp.Profiler = nil, nil
-		tmpl := kern.NewMachine(tp)
-		snap, err := tmpl.Snapshot()
-		tmpl.Shutdown()
-		if err != nil {
-			// A configuration that cannot snapshot (custom non-Cloner
-			// scheduler reached through the kind switch) is remembered as
-			// unpoolable.
-			mp.pools[key] = nil
-			return nil
-		}
-		kp = kern.NewPool(snap)
-		mp.pools[key] = kp
-		mp.snapBytes = snap.Bytes()
-	}
+	kp := mp.pools[key]
 	if kp == nil {
-		return nil
+		p.NewSched = newSched(kind, p.Sched)
+		kp = kern.NewPool(p)
+		mp.pools[key] = kp
 	}
-	m, err := kp.GetSeeded(p.Seed, p.Metrics, p.Profiler)
-	if err != nil {
-		return nil
-	}
+	m := kp.Get(p.Seed, p.Metrics, p.Profiler)
 	if mp.tel.forks != nil {
 		mp.report(&mp.tel)
 	}
@@ -199,19 +174,14 @@ func (mp *MachinePool) get(kind Sched, p kern.Params) *kern.Machine {
 func (mp *MachinePool) report(tel *poolTelemetry) {
 	var now kern.PoolStats
 	for _, kp := range mp.pools {
-		if kp != nil {
-			s := kp.Stats()
-			now.Forks += s.Forks
-			now.Hits += s.Hits
-			now.Misses += s.Misses
-		}
+		s := kp.Stats()
+		now.Forks += s.Forks
+		now.Hits += s.Hits
+		now.Misses += s.Misses
 	}
 	tel.forks.Add(now.Forks - mp.reported.Forks)
 	tel.hits.Add(now.Hits - mp.reported.Hits)
 	tel.misses.Add(now.Misses - mp.reported.Misses)
-	if mp.snapBytes > 0 {
-		tel.bytes.Set(mp.snapBytes)
-	}
 	mp.reported = now
 }
 
@@ -220,8 +190,8 @@ func (mp *MachinePool) report(tel *poolTelemetry) {
 // run (creating it on first use, up to one per concurrent worker) and
 // checks it back in when it finishes — so pools migrate between entry
 // goroutines but are only ever used by one at a time, and a width-N
-// campaign converges on N warm pools whose templates and free machines are
-// reused for the rest of the plan.
+// campaign converges on N warm pools whose free machines are reused for
+// the rest of the plan.
 type PoolSet struct {
 	mu   sync.Mutex
 	tel  poolTelemetry
@@ -248,7 +218,7 @@ func (ps *PoolSet) Get() *MachinePool {
 	return mp
 }
 
-// Put checks mp — with its now-warm templates — back into the set and
+// Put checks mp — with its now-warm machines — back into the set and
 // reports its pooling activity.
 func (ps *PoolSet) Put(mp *MachinePool) {
 	ps.mu.Lock()

@@ -14,7 +14,7 @@ import (
 // attacker sharing core 0 — records the same kernel event stream whether
 // the full invariant scan runs every event, at the kernel default, at a
 // heavily relaxed cadence or never, and whether the machine is booted
-// fresh or forked from a pooled template.
+// fresh or served by a machine pool.
 func TestInvariantStrideInert(t *testing.T) {
 	const seed = 7
 	run := func(stride int, pooled bool) *trace.Trace {

@@ -221,27 +221,6 @@ func MustNewInjector(cfg Config, r *rng.RNG) *Injector {
 // Config returns the injector's (defaulted) configuration.
 func (in *Injector) Config() Config { return in.cfg }
 
-// InjectorState is a deep capture of an injector's mutable state (random
-// stream position and applied-fault counters); the configuration itself is
-// not part of it. Machine snapshots use it to make a forked injector
-// continue exactly where the captured one stood.
-type InjectorState struct {
-	RNG    uint64
-	Counts [numKinds]int64
-}
-
-// CaptureState returns the injector's mutable state.
-func (in *Injector) CaptureState() InjectorState {
-	return InjectorState{RNG: in.rng.State(), Counts: in.counts}
-}
-
-// RestoreState overwrites the injector's mutable state with a capture taken
-// from an injector with the same configuration.
-func (in *Injector) RestoreState(s InjectorState) {
-	in.rng.SetState(s.RNG)
-	in.counts = s.Counts
-}
-
 // CheckPeriod returns the scheduler-check cadence.
 func (in *Injector) CheckPeriod() timebase.Duration { return in.cfg.CheckPeriod }
 

@@ -45,12 +45,7 @@ func (e *Env) RNG() *rng.RNG { return e.m.progRNG }
 func (e *Env) maybeYield() {
 	t := e.t
 	for t.clock >= t.horizon {
-		t.yield <- yieldReq{kind: yHorizon, at: t.clock}
-		g := <-t.resume
-		if g.kill {
-			panic(killSentinel{})
-		}
-		t.horizon = g.horizon
+		t.park(yieldReq{kind: yHorizon, at: t.clock})
 	}
 }
 
@@ -270,12 +265,7 @@ func (e *Env) Nanosleep(d timebase.Duration) {
 	t := e.t
 	// Syscall entry consumes CPU before the thread blocks.
 	e.advance(e.m.p.SyscallEntry)
-	t.yield <- yieldReq{kind: yBlock, at: t.clock, block: blockSleep, sleep: d}
-	g := <-t.resume
-	if g.kill {
-		panic(killSentinel{})
-	}
-	t.horizon = g.horizon
+	t.park(yieldReq{kind: yBlock, at: t.clock, block: blockSleep, sleep: d})
 }
 
 // Pause blocks until a (timer) signal arrives (§4.2 Method 2). If a signal
@@ -287,12 +277,7 @@ func (e *Env) Pause() {
 		return
 	}
 	e.advance(e.m.p.SyscallEntry)
-	t.yield <- yieldReq{kind: yBlock, at: t.clock, block: blockPause}
-	g := <-t.resume
-	if g.kill {
-		panic(killSentinel{})
-	}
-	t.horizon = g.horizon
+	t.park(yieldReq{kind: yBlock, at: t.clock, block: blockPause})
 	if t.pendingSignals > 0 {
 		t.pendingSignals--
 	}

@@ -229,21 +229,6 @@ func (q *eventQueue) reset() {
 	q.liveTimers = 0
 }
 
-// pushRaw re-enqueues a restored event keeping its recorded seq — unlike
-// push it neither advances q.seq nor renumbers e. Snapshot restore feeds it
-// the captured events in capture order and then overwrites q.seq with the
-// captured counter, reproducing the source queue's tie-breaking exactly.
-func (q *eventQueue) pushRaw(e *event) {
-	if !e.cancelled {
-		q.live++
-		if e.kind == evTimerFire {
-			q.liveTimers++
-		}
-	}
-	q.heap = append(q.heap, e)
-	q.up(len(q.heap) - 1)
-}
-
 // depth counts live (non-cancelled) queued events.
 func (q *eventQueue) depth() int { return q.live }
 

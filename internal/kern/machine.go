@@ -328,7 +328,7 @@ func normalizeParams(p Params) Params {
 // buildShell allocates the machine's long-lived memory — the cache system,
 // the cores with their runqueue and microarchitecture instances — without
 // touching seed-dependent or registry-dependent state. A shell is completed
-// by init (fresh construction, pool warm-up) or by a Snapshot restore.
+// by init, for NewMachine and for a Pool miss.
 func buildShell(p Params) *Machine {
 	caches, err := cache.NewSystem(p.CacheConfig)
 	if err != nil {
@@ -353,7 +353,7 @@ func buildShell(p Params) *Machine {
 // telemetry resolved against p.Metrics, defense set,
 // profiler and flight recorder. Reused memory (RNG structs, the telemetry
 // block, the flight ring, runqueue and arena storage) is re-seeded in place
-// rather than reallocated, which is what makes a pooled fork allocation-free
+// rather than reallocated, which is what makes a pooled Get allocation-free
 // in steady state.
 func (m *Machine) init(p Params) {
 	m.p = p
@@ -417,10 +417,10 @@ func reseed(r *rng.RNG, state uint64) *rng.RNG {
 }
 
 // resetForReuse scrubs a shut-down machine back to shell state so init can
-// rebuild it for a different seed or a snapshot restore can overwrite it.
-// Long-lived memory — event freelist, thread slice capacity, runqueue nodes,
-// cache/TLB arena slabs, the telemetry block, the flight ring — is retained.
-// The caller must have killed all thread goroutines first (Shutdown does).
+// rebuild it under any seed. Long-lived memory — event freelist, thread
+// slice capacity, runqueue nodes, cache/TLB arena slabs, the telemetry
+// block, the flight ring — is retained. The caller must have killed all
+// thread goroutines first (Shutdown does).
 func (m *Machine) resetForReuse() {
 	m.events.reset()
 	for i := range m.threads {
@@ -433,9 +433,7 @@ func (m *Machine) resetForReuse() {
 		c.currStart = 0
 		c.lastUpdate = 0
 		c.tickArmed = false
-		if cl, ok := c.rq.(sched.Cloner); ok {
-			cl.ResetState()
-		}
+		c.rq.(sched.Resetter).ResetState() // NewPool checked the policy
 		c.cpu.Reset()
 	}
 	m.caches.Reset()

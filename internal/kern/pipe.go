@@ -39,12 +39,7 @@ func (e *Env) PipeRead(p *Pipe, max int) []byte {
 			panic("kern: pipe already has a blocked reader")
 		}
 		p.reader = t
-		t.yield <- yieldReq{kind: yBlock, at: t.clock, block: blockIO}
-		g := <-t.resume
-		if g.kill {
-			panic(killSentinel{})
-		}
-		t.horizon = g.horizon
+		t.park(yieldReq{kind: yBlock, at: t.clock, block: blockIO})
 	}
 	p.reader = nil
 	n := max

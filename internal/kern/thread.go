@@ -217,6 +217,18 @@ func (t *Thread) run(horizon timebase.Time) yieldReq {
 	return req
 }
 
+// park is the thread side of the handoff: it hands req to the kernel and
+// blocks until the next grant, whose horizon it installs. A kill grant
+// unwinds the body through killSentinel.
+func (t *Thread) park(req yieldReq) {
+	t.yield <- req
+	g := <-t.resume
+	if g.kill {
+		panic(killSentinel{})
+	}
+	t.horizon = g.horizon
+}
+
 // kill unwinds a parked, unfinished thread goroutine.
 func (t *Thread) kill() {
 	if !t.started || t.done {

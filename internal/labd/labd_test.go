@@ -47,11 +47,10 @@ func fakeEntries(gate chan struct{}) func(Spec) []campaign.Entry {
 	}
 }
 
-// newTestServer builds a started server over fake entries plus its HTTP
-// front end. The returned cleanup drains with a generous deadline.
-func newTestServer(t *testing.T, dir string, gate chan struct{}) (*Server, *httptest.Server) {
-	t.Helper()
-	srv, err := NewServer(Config{
+// testConfig is the test servers' configuration: fake entries, seed 0
+// normalized to 1, and a note that depends only on Paper.
+func testConfig(dir string, gate chan struct{}) Config {
+	return Config{
 		StateDir: dir,
 		Entries:  fakeEntries(gate),
 		Normalize: func(sp Spec) Spec {
@@ -61,7 +60,14 @@ func newTestServer(t *testing.T, dir string, gate chan struct{}) (*Server, *http
 			return sp
 		},
 		Note: func(sp Spec) string { return fmt.Sprintf("paper=%t", sp.Paper) },
-	})
+	}
+}
+
+// newTestServer builds a started server over fake entries plus its HTTP
+// front end. The returned cleanup drains with a generous deadline.
+func newTestServer(t *testing.T, dir string, gate chan struct{}) (*Server, *httptest.Server) {
+	t.Helper()
+	srv, err := NewServer(testConfig(dir, gate))
 	if err != nil {
 		t.Fatal(err)
 	}

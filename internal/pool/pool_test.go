@@ -316,26 +316,30 @@ func TestRunGroupsReadyResults(t *testing.T) {
 }
 
 // TestRunFlushErrorSurfaces: a failed flush ends the run and is
-// returned.
+// returned. The first flush fails, so the checks hold however the
+// parallel sequencer batches results: flush runs exactly once, and no
+// commit lands after it.
 func TestRunFlushErrorSurfaces(t *testing.T) {
 	boom := errors.New("fsync failed")
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			commits := 0
+			commits, flushes, atFlush := 0, 0, 0
 			err := Run(context.Background(), workers, 100,
 				func(_ context.Context, i int) int { return i },
 				func(i, v int) (bool, error) { commits++; return false, nil },
 				func() error {
-					if commits >= 10 {
-						return boom
-					}
-					return nil
+					flushes++
+					atFlush = commits
+					return boom
 				})
 			if !errors.Is(err, boom) {
 				t.Fatalf("Run err = %v, want %v", err, boom)
 			}
-			if commits == 100 {
-				t.Fatal("flush error did not end the run")
+			if flushes != 1 {
+				t.Fatalf("flush ran %d times, want 1", flushes)
+			}
+			if commits != atFlush {
+				t.Fatalf("%d commits landed after the failing flush", commits-atFlush)
 			}
 		})
 	}

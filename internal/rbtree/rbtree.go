@@ -175,41 +175,6 @@ func clearSub[T Item](t *Tree[T], n *node[T]) {
 	t.releaseNode(n)
 }
 
-// CloneInto replaces dst's contents with a deep structural copy of t: node
-// shape, colors, size and the leftmost cache are replicated exactly, so the
-// clone is indistinguishable from the original tree — not merely
-// equal-ordered. Items pass through remap (nil keeps them as-is), which is
-// how a machine snapshot translates task pointers between machines. Nodes
-// come from dst's freelist, so cloning into a warm tree allocates nothing.
-func (t *Tree[T]) CloneInto(dst *Tree[T], remap func(T) T) {
-	if dst == t {
-		panic("rbtree: CloneInto self")
-	}
-	dst.Clear()
-	if remap == nil {
-		remap = func(x T) T { return x }
-	}
-	dst.root = cloneSub(dst, t.root, nil, remap)
-	dst.size = t.size
-	lm := dst.root
-	for lm != nil && lm.left != nil {
-		lm = lm.left
-	}
-	dst.leftmost = lm
-}
-
-func cloneSub[T Item](dst *Tree[T], src, parent *node[T], remap func(T) T) *node[T] {
-	if src == nil {
-		return nil
-	}
-	n := dst.newNode(remap(src.item))
-	n.parent = parent
-	n.color = src.color
-	n.left = cloneSub(dst, src.left, n, remap)
-	n.right = cloneSub(dst, src.right, n, remap)
-	return n
-}
-
 // find locates the node with the same (Key, ID) as item.
 func (t *Tree[T]) find(item T) *node[T] {
 	cur := t.root

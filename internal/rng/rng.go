@@ -21,13 +21,13 @@ type RNG struct {
 // New returns a generator seeded with seed.
 func New(seed uint64) *RNG { return &RNG{state: seed} }
 
-// State returns the generator's internal state. Together with SetState it
-// lets a snapshot capture and replay a stream mid-sequence: a generator
-// restored to a saved state produces exactly the tail the original would
-// have produced.
+// State returns the generator's internal state: a generator set to a saved
+// state (SetState) produces exactly the tail the original would have
+// produced.
 func (r *RNG) State() uint64 { return r.state }
 
-// SetState overwrites the generator's internal state (see State).
+// SetState overwrites the generator's internal state (see State); pooled
+// machines re-seed their streams in place with it.
 func (r *RNG) SetState(s uint64) { r.state = s }
 
 // Fork derives an independent generator from r, labelled by tag. Forked

@@ -187,19 +187,10 @@ type Checker interface {
 	CheckInvariants() error
 }
 
-// Cloner is an optional Scheduler extension: policies that support machine
-// snapshotting implement it, and kern.Machine.Snapshot/Fork use it to deep-
-// copy and reset per-core runqueues. Both built-in policies (cfs, eevdf)
-// implement it; a machine whose cores run a policy without Cloner cannot be
-// snapshotted.
-type Cloner interface {
-	// CloneInto replicates the receiver's policy state into dst, which must
-	// be the same concrete type constructed with the same tunables. Queued
-	// task pointers are passed through remap, which translates them into the
-	// destination machine's task identity space (remap may be nil for an
-	// identity copy). Telemetry handles are NOT copied: dst keeps its own
-	// instrumentation (or lack of it).
-	CloneInto(dst Scheduler, remap func(*Task) *Task)
+// Resetter is an optional Scheduler extension: policies whose runqueues can
+// be scrubbed in place implement it, and kern.Pool requires it to reuse a
+// shut-down machine. Both built-in policies (cfs, eevdf) implement it.
+type Resetter interface {
 	// ResetState returns the runqueue to its freshly constructed state —
 	// empty queue, zeroed virtual-time bookkeeping, detached telemetry —
 	// retaining backing storage where possible so a pooled machine can be

@@ -52,10 +52,11 @@ type Options struct {
 	// NoMachinePool disables campaign machine pooling: by default each
 	// CampaignEntries entry checks a machine pool out of the plan's
 	// exps.PoolSet into its run environment, so the machines it builds are
-	// seeded forks of one pristine boot per configuration instead of
-	// from-scratch constructions. Forks are byte-identical to fresh
-	// machines (the kern.Snapshot contract), so results, traces and
-	// manifests do not change either way — this switch exists for A/B
+	// earlier machines of the same configuration, scrubbed and
+	// re-initialised under the new seed, instead of from-scratch
+	// constructions. A pooled machine runs the same init as a fresh one
+	// (the kern.Pool contract), so results, traces and manifests do not
+	// change either way — this switch exists for A/B
 	// verification and as an escape hatch.
 	NoMachinePool bool
 
@@ -673,8 +674,8 @@ func CampaignEntries(ids []string, o Options, retries int) []campaign.Entry {
 
 // planPools returns the machine-pool set one campaign plan shares: each
 // entry checks a pool out exclusively for its run and returns it warm, so
-// a width-N parallel campaign converges on N template boots per machine
-// configuration and every later entry forks instead of booting. The set's
+// a width-N parallel campaign converges on N shell builds per machine
+// configuration and every later entry reuses one instead of booting. The set's
 // telemetry (kern_forks_total, pool hits/misses) reports into the registry
 // ambient at plan build — never into the per-entry registries — so
 // manifests stay byte-identical with pooling on or off.
