@@ -52,7 +52,7 @@ func entriesFor(ids []string, gate chan struct{}, sleep time.Duration) []campaig
 
 // newWorker starts one in-process labd worker and returns its HTTP front
 // end. gate and sleep feed entriesFor; cleanup drains the server.
-func newWorker(t *testing.T, gate chan struct{}, sleep time.Duration) *httptest.Server {
+func newWorker(t testing.TB, gate chan struct{}, sleep time.Duration) *httptest.Server {
 	t.Helper()
 	srv := labd.MustNewServer(labd.Config{
 		StateDir: t.TempDir(),
@@ -91,7 +91,7 @@ func serialBytes(t *testing.T, plan []string, seed uint64) string {
 
 // testConfig is the base coordinator config for tests: tight timings, a
 // temp manifest path, and the note matching testNote.
-func testConfig(t *testing.T, workers []string, seed uint64) Config {
+func testConfig(t testing.TB, workers []string, seed uint64) Config {
 	t.Helper()
 	return Config{
 		Workers:        workers,

@@ -5,8 +5,8 @@
 // scheduler tick (Scenario 1), blocking system calls (Scenario 3), and the
 // load balancer the colocation technique of §4.4 leans on.
 //
-// Threads are goroutines driven in strict lock-step: the machine resumes
-// exactly one thread at a time and waits for it to yield, so the whole
+// Threads are iter.Pull coroutines driven in strict lock-step: the machine
+// resumes exactly one thread body at a time until it yields, so the whole
 // simulation is single-threaded in effect and fully deterministic.
 package kern
 
@@ -420,7 +420,7 @@ func reseed(r *rng.RNG, state uint64) *rng.RNG {
 // rebuild it under any seed. Long-lived memory — event freelist, thread
 // slice capacity, runqueue nodes, cache/TLB arena slabs, the telemetry
 // block, the flight ring — is retained. The caller must have killed all
-// thread goroutines first (Shutdown does).
+// thread coroutines first (Shutdown does).
 func (m *Machine) resetForReuse() {
 	m.events.reset()
 	for i := range m.threads {
@@ -456,7 +456,7 @@ func (m *Machine) Params() Params { return m.p }
 
 // Metrics returns the telemetry registry the machine reports into (nil
 // when telemetry is off; package metrics instruments no-op on nil).
-// Receivers and attackers running on the machine's thread goroutines take
+// Receivers and attackers running in the machine's thread bodies take
 // their instrument handles from here.
 func (m *Machine) Metrics() *metrics.Registry { return m.reg }
 
@@ -765,7 +765,7 @@ func (m *Machine) RunFor(d timebase.Duration) timebase.Time {
 	return m.Run(m.now.Add(d), nil)
 }
 
-// Shutdown unwinds all live thread goroutines. A machine forked from a Pool
+// Shutdown unwinds all live thread coroutines. A machine forked from a Pool
 // is scrubbed and returned to the pool for reuse; it must not be used after
 // Shutdown either way. A machine whose Run loop unwound via panic is killed
 // but never pooled, so a crashed simulation cannot poison later forks.

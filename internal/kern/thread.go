@@ -1,7 +1,10 @@
+//go:build go1.23
+
 package kern
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/cpu"
 	"repro/internal/isa"
@@ -13,16 +16,6 @@ import (
 // terminates the thread when it returns.
 type Func func(*Env)
 
-// grant is the kernel→thread message allowing execution up to a horizon.
-type grant struct {
-	// horizon is the simulated time the thread may run until (exclusive
-	// for starting new work; an instruction started before it retires).
-	horizon timebase.Time
-	// kill asks the thread goroutine to unwind and exit (machine
-	// shutdown).
-	kill bool
-}
-
 // yieldKind discriminates thread→kernel yields.
 type yieldKind uint8
 
@@ -33,8 +26,6 @@ const (
 	yBlock
 	// yExit: the thread body returned.
 	yExit
-	// yPanic: the thread body panicked; the kernel re-raises it.
-	yPanic
 )
 
 // blockKind distinguishes why a thread blocked.
@@ -71,17 +62,16 @@ type yieldReq struct {
 	block blockKind
 	// sleep is the requested nanosleep duration for blockSleep.
 	sleep timebase.Duration
-	// panicked is a yPanic's panic value.
-	panicked any
 }
 
 // killSentinel is panicked through the thread body on machine shutdown.
 type killSentinel struct{}
 
-// Thread is one simulated kernel thread. Its body runs on a goroutine that
-// the machine drives in strict lock-step: at any instant at most one
-// goroutine in the whole simulation is runnable, which keeps the simulation
-// deterministic.
+// Thread is one simulated kernel thread. Its body runs as an iter.Pull
+// coroutine that the machine drives in strict lock-step: resuming it
+// switches control from the kernel to the body and a yield switches it
+// back, so at any instant exactly one of them executes, which keeps the
+// simulation deterministic.
 type Thread struct {
 	id   int
 	name string
@@ -93,15 +83,19 @@ type Thread struct {
 	// prog is the thread body.
 	prog Func
 
-	// resume and yield implement the lock-step handoff.
-	resume chan grant
-	yield  chan yieldReq
+	// next and stop drive the body's coroutine; yield is its side of
+	// the handoff.
+	next  func() (yieldReq, bool)
+	stop  func()
+	yield func(yieldReq) bool
 
 	// clock is the thread's local time while on-CPU. The kernel writes it
-	// at switch-in; the goroutine advances it while executing. Channel
-	// handoffs order all accesses.
+	// at switch-in; the body advances it while executing. Coroutine
+	// switches order all accesses.
 	clock timebase.Time
-	// horizon is the current grant's limit.
+	// horizon is the current grant's limit: the simulated time the thread
+	// may run until (exclusive for starting new work; an instruction
+	// started before it retires).
 	horizon timebase.Time
 
 	// core is the runqueue the thread belongs to.
@@ -141,8 +135,7 @@ type Thread struct {
 	// smear model applied at preemption.
 	specPeek func(n int) []isa.Inst
 
-	started bool
-	done    bool
+	done bool
 }
 
 // ID returns the simulated PID.
@@ -176,64 +169,47 @@ func (t *Thread) Enclave() bool { return t.enclave }
 // String identifies the thread in messages.
 func (t *Thread) String() string { return fmt.Sprintf("%s(%d)", t.name, t.id) }
 
-// start launches the thread body goroutine, parked until first scheduled.
+// start builds the thread body's coroutine, suspended until first
+// scheduled. A body that returns ends the coroutine; one that panics marks
+// the thread done and lets iter.Pull carry the panic to the kernel side.
 func (t *Thread) start() {
-	t.resume = make(chan grant)
-	t.yield = make(chan yieldReq)
-	go func() {
-		g := <-t.resume
-		if g.kill {
-			return
-		}
-		t.horizon = g.horizon
+	t.next, t.stop = iter.Pull(func(yield func(yieldReq) bool) {
+		t.yield = yield
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(killSentinel); ok {
 					return // machine shutdown
 				}
-				// Hand the panic to the kernel goroutine, where the
-				// caller's containment (a recover around Machine.Run)
-				// can see it; re-raising here would kill the process.
-				t.yield <- yieldReq{kind: yPanic, panicked: r}
+				t.done = true
+				panic(r)
 			}
 		}()
-		env := &Env{t: t, m: t.m}
-		t.prog(env)
-		t.yield <- yieldReq{kind: yExit, at: t.clock}
-	}()
-	t.started = true
+		t.prog(&Env{t: t, m: t.m})
+	})
 }
 
-// run resumes the thread until horizon and returns its yield. A body panic
-// is re-raised here, on the kernel goroutine, like an InvariantError; the
-// thread is done by then, so kill never waits on its exited goroutine.
+// run resumes the thread until horizon and returns its yield, or yExit once
+// the body has returned. A body panic surfaces here, on the kernel's
+// goroutine, where the caller's containment (a recover around Machine.Run)
+// sees it like an InvariantError.
 func (t *Thread) run(horizon timebase.Time) yieldReq {
-	t.resume <- grant{horizon: horizon}
-	req := <-t.yield
-	if req.kind == yPanic {
-		t.done = true
-		panic(req.panicked)
+	t.horizon = horizon
+	req, ok := t.next()
+	if !ok {
+		return yieldReq{kind: yExit, at: t.clock}
 	}
 	return req
 }
 
 // park is the thread side of the handoff: it hands req to the kernel and
-// blocks until the next grant, whose horizon it installs. A kill grant
-// unwinds the body through killSentinel.
+// is suspended until the next grant. A stopped coroutine unwinds the body
+// through killSentinel.
 func (t *Thread) park(req yieldReq) {
-	t.yield <- req
-	g := <-t.resume
-	if g.kill {
+	if !t.yield(req) {
 		panic(killSentinel{})
 	}
-	t.horizon = g.horizon
 }
 
-// kill unwinds a parked, unfinished thread goroutine.
-func (t *Thread) kill() {
-	if !t.started || t.done {
-		return
-	}
-	t.resume <- grant{kill: true}
-	t.done = true
-}
+// kill unwinds a suspended, unfinished thread body; on a finished or
+// never-run one it does nothing.
+func (t *Thread) kill() { t.stop() }

@@ -6,8 +6,11 @@
 package rsakeys
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 	"strings"
 
 	"repro/internal/rng"
@@ -57,19 +60,81 @@ func Generate(r *rng.RNG) (*Key, error) {
 	return nil, fmt.Errorf("rsakeys: prime generation did not converge")
 }
 
-// genPrime returns a random prime with exactly bits bits (top two bits
-// set, odd).
-func genPrime(r *rng.RNG, bits int) *big.Int {
-	bs := make([]byte, bits/8)
+// genPrime returns a random prime with exactly nbits bits (top two bits
+// set, odd). Candidates with a small odd factor are discarded before the
+// costly ProbablyPrime test; that only skips composites, so the primes are
+// those the test alone would pick.
+func genPrime(r *rng.RNG, nbits int) *big.Int {
+	bs := make([]byte, nbits/8)
 	for {
 		r.Bytes(bs)
-		bs[0] |= 0xC0 // exactly `bits` bits and p*q reaching 2*bits
+		bs[0] |= 0xC0 // exactly `nbits` bits and p*q reaching 2*nbits
 		bs[len(bs)-1] |= 1
+		if hasSmallFactor(bs) {
+			continue
+		}
 		p := new(big.Int).SetBytes(bs)
 		if p.ProbablyPrime(20) {
 			return p
 		}
 	}
+}
+
+// primeGroup is a run of consecutive odd primes whose product fits in a
+// uint64, so one remainder by the product serves every prime in the run.
+type primeGroup struct {
+	prod   uint64
+	primes []uint64
+}
+
+// smallPrimes holds the odd primes below 2^14, smallest first, so most
+// composites are rejected by the first groups.
+var smallPrimes = groupPrimes(1 << 14)
+
+// groupPrimes sieves the odd primes below limit into primeGroups.
+func groupPrimes(limit int) []primeGroup {
+	composite := make([]bool, limit)
+	var groups []primeGroup
+	g := primeGroup{prod: 1}
+	for n := 3; n < limit; n += 2 {
+		if composite[n] {
+			continue
+		}
+		for m := n * n; m < limit; m += 2 * n {
+			composite[m] = true
+		}
+		q := uint64(n)
+		if g.prod > math.MaxUint64/q {
+			groups = append(groups, g)
+			g = primeGroup{prod: 1}
+		}
+		g.prod *= q
+		g.primes = append(g.primes, q)
+	}
+	return append(groups, g)
+}
+
+// hasSmallFactor reports whether the big-endian number bs, which must
+// exceed 2^14, is divisible by an odd prime below 2^14. It reduces bs
+// modulo each group's product a 64-bit word at a time.
+func hasSmallFactor(bs []byte) bool {
+	head := len(bs) % 8
+	var top uint64 // the bytes before the first whole word
+	for _, b := range bs[:head] {
+		top = top<<8 | uint64(b)
+	}
+	for _, g := range smallPrimes {
+		rem := top % g.prod
+		for i := head; i < len(bs); i += 8 {
+			rem = bits.Rem64(rem, binary.BigEndian.Uint64(bs[i:]), g.prod)
+		}
+		for _, q := range g.primes {
+			if rem%q == 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // derInt encodes a DER INTEGER (two's complement, minimal, with a leading
