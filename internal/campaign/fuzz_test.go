@@ -83,7 +83,8 @@ func (fi mapFileInfo) Sys() any           { return nil }
 
 // fuzzSeedStore builds a real two-source store in memory: a compacted
 // manifest holding one record and a Checkpointer journal that committed a
-// second one after it. It returns the manifest and journal bytes.
+// second one after it, then a later session's re-run of the first. It
+// returns the manifest and journal bytes.
 func fuzzSeedStore(f *testing.F) (manifest, journal []byte) {
 	f.Helper()
 	const path = "m.json"
@@ -109,6 +110,12 @@ func fuzzSeedStore(f *testing.F) (manifest, journal []byte) {
 	if err := cp.Commit(man, b); err != nil {
 		f.Fatal(err)
 	}
+	rerun := *a
+	rerun.Sessions, rerun.Seed = 2, 5
+	man.Entries["a"] = &rerun
+	if err := cp.Commit(man, &rerun); err != nil {
+		f.Fatal(err)
+	}
 	return manifest, mfs[WALPath(path)]
 }
 
@@ -116,7 +123,11 @@ func fuzzSeedStore(f *testing.F) (manifest, journal []byte) {
 // recovery read path. Whatever is on disk, recovery must not panic, and it
 // must return one of three things: fs.ErrNotExist, a *durable.CorruptError,
 // or a manifest whose encoding survives a decode and re-encode byte for
-// byte.
+// byte. Recovery also never serves less than a valid source holds: when
+// the manifest bytes decode on their own, Committed serves every record
+// they hold, and every record of the journal's valid prefix whenever the
+// journal is folded in (its plan matches the manifest's, or there is no
+// valid manifest) — each at least as recent, by session, as the source's.
 func FuzzManifestRecovery(f *testing.F) {
 	manifest, journal := fuzzSeedStore(f)
 	f.Add(manifest, []byte(nil))
@@ -135,6 +146,33 @@ func FuzzManifestRecovery(f *testing.F) {
 		}
 		Inspect(mfs, path)
 		man, err := Committed(mfs, path)
+		fromManifest, manErr := decodeManifest(path, manifest)
+		if manifest == nil {
+			fromManifest, manErr = nil, fs.ErrNotExist
+		}
+		var fromJournal map[string]*Record
+		if d, err := durable.ReadLog(mfs, WALPath(path)); err == nil {
+			if hdr, folded, _ := foldWAL(d); hdr != nil && hdr.Version == ManifestVersion &&
+				(manErr != nil || hdr.matches(fromManifest)) {
+				fromJournal = folded
+			}
+		}
+		if manErr == nil && err != nil {
+			t.Fatalf("the manifest decodes on its own, but recovery serves nothing: %v", err)
+		}
+		if len(fromJournal) > 0 && err != nil {
+			t.Fatalf("the journal's valid prefix holds %d records, but recovery serves nothing: %v", len(fromJournal), err)
+		}
+		if err == nil {
+			for source, recs := range map[string]map[string]*Record{"manifest": entriesOf(fromManifest), "journal": fromJournal} {
+				for id, rec := range recs {
+					got, ok := man.Entries[id]
+					if !ok || (rec != nil && (got == nil || got.Sessions < rec.Sessions)) {
+						t.Fatalf("the %s holds %q as %+v, recovery serves %+v", source, id, rec, got)
+					}
+				}
+			}
+		}
 		if err != nil {
 			var ce *durable.CorruptError
 			if !errors.Is(err, fs.ErrNotExist) && !errors.As(err, &ce) {
@@ -158,4 +196,12 @@ func FuzzManifestRecovery(f *testing.F) {
 			t.Fatalf("encoding not stable across decode:\nfirst:\n%s\nsecond:\n%s", first, second)
 		}
 	})
+}
+
+// entriesOf returns m's records, nil for a nil manifest.
+func entriesOf(m *Manifest) map[string]*Record {
+	if m == nil {
+		return nil
+	}
+	return m.Entries
 }

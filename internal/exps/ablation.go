@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kern"
-	"repro/internal/ktrace"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/timebase"
@@ -62,80 +61,80 @@ func ablationAttack(timerSlack timebase.Duration) kern.Func {
 }
 
 // ablationProbe runs the probe attack against a machine configuration and
-// reports (median burst length, median victim instructions per attacker
-// interleave).
-func ablationProbe(env *Env, seed uint64, slack timebase.Duration, opts ...MachineOption) (int64, int64) {
+// reports {median burst length, median victim instructions per attacker
+// interleave}.
+func ablationProbe(env *Env, seed uint64, slack timebase.Duration, opts ...MachineOption) [2]int64 {
 	m := env.NewMachine(CFS, seed, opts...)
 	defer m.Shutdown()
 	victim := m.Spawn("victim", func(e *kern.Env) {
 		e.RunLoopForever(loopvictim.DefaultBody())
 	}, kern.WithPin(0))
-	rec := ktrace.NewRecorder()
-	m.AttachTracer(rec)
-	att := m.Spawn("attacker", ablationAttack(slack), kern.WithPin(0))
-	m.RunFor(2 * timebase.Second)
-
 	// Burst = attacker's successful-preemption runs; steps = victim
 	// instructions retired between attacker interleaves (any sched-out
 	// reason — with wakeup preemption disabled the interleave only
 	// happens at tick preemptions, and the resolution collapses).
-	bursts := rec.PreemptionBursts(att)
 	var steps []int64
-	for _, st := range rec.Stints {
-		if st.Thread == victim && st.End.Sub(st.Start) < 60*timebase.Millisecond {
-			steps = append(steps, st.Retired)
+	m.AttachTracer(&stintFold{thread: victim, fn: func(d timebase.Duration, _ kern.SchedOutReason, retired int64) {
+		if d < 60*timebase.Millisecond {
+			steps = append(steps, retired)
 		}
+	}})
+	bf := &burstFold{}
+	m.AttachTracer(bf)
+	bf.thread = m.Spawn("attacker", ablationAttack(slack), kern.WithPin(0))
+	m.RunFor(2 * timebase.Second)
+	return [2]int64{stats.MedianInt64(bf.bursts()), stats.MedianInt64(steps)}
+}
+
+// ablationPair runs the probe attack twice, as two trials: the baseline
+// machine under seed, and the variant — timer slack slack, machine options
+// opts — under seed+1.
+func ablationPair(env *Env, seed uint64, slack timebase.Duration, opts ...MachineOption) *AblationResult {
+	env = env.withTrialPool()
+	r := Trials(env, 2, func(env *Env, i int) [2]int64 {
+		if i == 0 {
+			return ablationProbe(env, seed, 0)
+		}
+		return ablationProbe(env, seed+1, slack, opts...)
+	})
+	return &AblationResult{
+		BaselineBurst: r[0][0], VariantBurst: r[1][0],
+		BaselineStep: r[0][1], VariantStep: r[1][1],
 	}
-	return stats.MedianInt64(bursts), stats.MedianInt64(steps)
 }
 
 // RunAblationNoWakeupPreemption evaluates the Linux security team's
 // recommended mitigation (Chapter 6): with NO_WAKEUP_PREEMPTION the waking
 // attacker cannot preempt the victim mid-slice and the attack collapses.
 func RunAblationNoWakeupPreemption(env *Env, seed uint64) *AblationResult {
-	env = env.withTrialPool()
-	bb, bs := ablationProbe(env, seed, 0)
-	vb, vs := ablationProbe(env, seed+1, 0, WithSchedParams(func(sp *sched.Params) {
+	res := ablationPair(env, seed, 0, WithSchedParams(func(sp *sched.Params) {
 		sp.WakeupPreemption = false
 	}))
-	return &AblationResult{
-		Name:          "NO_WAKEUP_PREEMPTION (Chapter 6 mitigation)",
-		BaselineBurst: bb, VariantBurst: vb,
-		BaselineStep: bs, VariantStep: vs,
-		Note: "with the mitigation the attacker only runs at Scenario-1 slice boundaries: zero wakeup preemptions, million-instruction resolution",
-	}
+	res.Name = "NO_WAKEUP_PREEMPTION (Chapter 6 mitigation)"
+	res.Note = "with the mitigation the attacker only runs at Scenario-1 slice boundaries: zero wakeup preemptions, million-instruction resolution"
+	return res
 }
 
 // RunAblationGentleFairSleepers evaluates GENTLE_FAIR_SLEEPERS off
 // (S_slack = S_bnd = 24ms instead of 12ms): the preemption budget grows
 // from 8ms to 20ms, ~2.5× more preemptions per hibernation.
 func RunAblationGentleFairSleepers(env *Env, seed uint64) *AblationResult {
-	env = env.withTrialPool()
-	bb, bs := ablationProbe(env, seed, 0)
-	vb, vs := ablationProbe(env, seed+1, 0, WithSchedParams(func(sp *sched.Params) {
+	res := ablationPair(env, seed, 0, WithSchedParams(func(sp *sched.Params) {
 		sp.GentleFairSleepers = false
 	}))
-	return &AblationResult{
-		Name:          "GENTLE_FAIR_SLEEPERS off (S_slack = S_bnd)",
-		BaselineBurst: bb, VariantBurst: vb,
-		BaselineStep: bs, VariantStep: vs,
-		Note: "sleeper credit doubles: budget grows from S_bnd/2−S_preempt=8ms to S_bnd−S_preempt=20ms (≈2.5× preemptions)",
-	}
+	res.Name = "GENTLE_FAIR_SLEEPERS off (S_slack = S_bnd)"
+	res.Note = "sleeper credit doubles: budget grows from S_bnd/2−S_preempt=8ms to S_bnd−S_preempt=20ms (≈2.5× preemptions)"
+	return res
 }
 
 // RunAblationDefaultTimerSlack evaluates skipping the PR_SET_TIMERSLACK
 // step of §4.2: with the default 50µs slack, wake-up times smear across
 // tens of microseconds and temporal resolution is destroyed.
 func RunAblationDefaultTimerSlack(env *Env, seed uint64) *AblationResult {
-	env = env.withTrialPool()
-	bb, bs := ablationProbe(env, seed, 0)
-	vb, vs := ablationProbe(env, seed+1, 50*timebase.Microsecond)
-	return &AblationResult{
-		Name:          "default timer slack (no PR_SET_TIMERSLACK)",
-		BaselineBurst: bb, VariantBurst: vb,
-		BaselineStep: bs, VariantStep: vs,
-		Note: "the 50µs default slack turns ε into ε+U[0,50µs]: preemptions still land but the victim runs far longer per step",
-	}
+	res := ablationPair(env, seed, 50*timebase.Microsecond)
+	res.Name = "default timer slack (no PR_SET_TIMERSLACK)"
+	res.Note = "the 50µs default slack turns ε into ε+U[0,50µs]: preemptions still land but the victim runs far longer per step"
+	return res
 }
 
 // RunAblationRoundRobin contrasts the single-thread budget against the
@@ -146,9 +145,26 @@ func RunAblationRoundRobin(env *Env, seed uint64, target int) *AblationResult {
 		target = 2500
 	}
 	env = env.withTrialPool()
-	// Single thread: bursts with re-hibernation gaps.
-	m1 := env.NewMachine(CFS, seed)
-	m1.Spawn("victim", func(e *kern.Env) {
+	ms := Trials(env, 2, func(env *Env, i int) int64 {
+		if i == 0 {
+			return singleThreadAttackMs(env, seed, target)
+		}
+		return roundRobinAttackMs(env, seed+1, target)
+	})
+	return &AblationResult{
+		Name:          fmt.Sprintf("round-robin budget extension (%d preemptions)", target),
+		BaselineBurst: ms[0],
+		VariantBurst:  ms[1],
+		Note:          "burst columns here are total attack time in ms: single-thread pays a hibernation per budget, round-robin hands off without gaps",
+	}
+}
+
+// singleThreadAttackMs times one attacker thread collecting target
+// preemptions in bursts with re-hibernation gaps, in whole milliseconds.
+func singleThreadAttackMs(env *Env, seed uint64, target int) int64 {
+	m := env.NewMachine(CFS, seed)
+	defer m.Shutdown()
+	m.Spawn("victim", func(e *kern.Env) {
 		e.RunLoopForever(loopvictim.DefaultBody())
 	}, kern.WithPin(0))
 	a := core.NewAttacker(core.Config{
@@ -160,21 +176,25 @@ func RunAblationRoundRobin(env *Env, seed uint64, target int) *AblationResult {
 			return true
 		},
 	})
-	m1.Spawn("attacker", a.Run, kern.WithPin(0))
-	start1 := m1.Now()
-	var end1 timebase.Time
-	m1.Run(m1.Now().Add(30*timebase.Second), func() bool {
+	m.Spawn("attacker", a.Run, kern.WithPin(0))
+	start := m.Now()
+	var end timebase.Time
+	m.Run(m.Now().Add(30*timebase.Second), func() bool {
 		if a.Stats().Preemptions >= int64(target) {
-			end1 = m1.Now()
+			end = m.Now()
 			return true
 		}
 		return false
 	})
-	m1.Shutdown()
+	return int64(end.Sub(start) / timebase.Millisecond)
+}
 
-	// Round-robin with 8 threads: continuous.
-	m2 := env.NewMachine(CFS, seed+1)
-	m2.Spawn("victim", func(e *kern.Env) {
+// roundRobinAttackMs times 8 round-robin attacker threads collecting
+// target preemptions continuously, in whole milliseconds.
+func roundRobinAttackMs(env *Env, seed uint64, target int) int64 {
+	m := env.NewMachine(CFS, seed)
+	defer m.Shutdown()
+	m.Spawn("victim", func(e *kern.Env) {
 		e.RunLoopForever(loopvictim.DefaultBody())
 	}, kern.WithPin(0))
 	rr := core.NewRoundRobin(core.Config{
@@ -185,22 +205,15 @@ func RunAblationRoundRobin(env *Env, seed uint64, target int) *AblationResult {
 			return s.Index < target-1
 		},
 	}, 8)
-	rr.SpawnAll(m2, 0)
-	start2 := m2.Now()
-	var end2 timebase.Time
-	m2.Run(m2.Now().Add(30*timebase.Second), func() bool {
+	rr.SpawnAll(m, 0)
+	start := m.Now()
+	var end timebase.Time
+	m.Run(m.Now().Add(30*timebase.Second), func() bool {
 		if rr.Preemptions() >= int64(target) {
-			end2 = m2.Now()
+			end = m.Now()
 			return true
 		}
 		return false
 	})
-	m2.Shutdown()
-
-	return &AblationResult{
-		Name:          fmt.Sprintf("round-robin budget extension (%d preemptions)", target),
-		BaselineBurst: int64(end1.Sub(start1) / timebase.Millisecond),
-		VariantBurst:  int64(end2.Sub(start2) / timebase.Millisecond),
-		Note:          "burst columns here are total attack time in ms: single-thread pays a hibernation per budget, round-robin hands off without gaps",
-	}
+	return int64(end.Sub(start) / timebase.Millisecond)
 }

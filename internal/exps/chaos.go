@@ -76,9 +76,9 @@ func RunChaos(env *Env, cfg ChaosConfig) *ChaosResult {
 		cfg.Seed = 1
 	}
 	res := &ChaosResult{Target: cfg.Target}
-	for _, rate := range cfg.Rates {
-		res.Rows = append(res.Rows, runChaosRate(env, cfg, rate))
-	}
+	res.Rows = Trials(env, len(cfg.Rates), func(env *Env, i int) ChaosRow {
+		return runChaosRate(env, cfg, cfg.Rates[i])
+	})
 	return res
 }
 

@@ -46,44 +46,60 @@ func RunColo(env *Env, cfg ColoConfig) *ColoResult {
 	// one machine pool instead of booting 16 cores per trial.
 	env = env.withTrialPool()
 	res := &ColoResult{Config: cfg, Trials: cfg.Trials}
-	for trial := 0; trial < cfg.Trials; trial++ {
-		seed := cfg.Seed + uint64(trial)*7919
-		m := env.NewMachine(CFS, seed)
-		m.StartBalancer()
-		rec := ktrace.NewRecorder()
-		m.AttachTracer(rec)
-
-		target := trial % Cores // reserve a different core each trial
-		plan := colocate.Prepare(m, target)
-		m.RunFor(5 * timebase.Millisecond)
-
-		// Invoke the (unpinned!) victim: placement picks the idle core.
-		victim := m.Spawn("victim", func(e *kern.Env) {
+	for _, t := range Trials(env, cfg.Trials, func(env *Env, trial int) coloTrial {
+		return runColoTrial(env, cfg.Seed+uint64(trial)*7919, trial, func(e *kern.Env) {
 			e.RunLoopForever(loopvictim.DefaultBody())
 		})
-		if plan.VictimLandedOnTarget(victim) {
+	}) {
+		if t.landed {
 			res.Landed++
 		}
-		// Pin the attacker to the target core and attack.
-		a := core.NewAttacker(core.Config{
-			Epsilon:        2 * timebase.Microsecond,
-			Hibernate:      60 * timebase.Millisecond,
-			StopAfterBurst: true,
-			Measure: func(e *kern.Env, s core.Sample) bool {
-				e.Burn(12 * timebase.Microsecond)
-				return true
-			},
-		})
-		m.Spawn("attacker", a.Run, kern.WithPin(plan.TargetCore))
-		m.RunFor(200 * timebase.Millisecond)
-
-		if plan.Stayed(rec.CoreLog[victim.ID()]) {
+		if t.stayed {
 			res.Stayed++
 		}
-		res.PreemptionsPerTrial = append(res.PreemptionsPerTrial, a.Stats().Preemptions)
-		m.Shutdown()
+		res.PreemptionsPerTrial = append(res.PreemptionsPerTrial, t.preemptions)
 	}
 	return res
+}
+
+// coloTrial is one colocation attempt's outcome.
+type coloTrial struct {
+	landed, stayed bool
+	preemptions    int64
+}
+
+// runColoTrial reserves core trial%Cores, places an unpinned victim
+// running body and attacks it from the reserved core.
+func runColoTrial(env *Env, seed uint64, trial int, body kern.Func) coloTrial {
+	m := env.NewMachine(CFS, seed)
+	defer m.Shutdown()
+	m.StartBalancer()
+	rec := ktrace.NewRecorder()
+	m.AttachTracer(rec)
+
+	target := trial % Cores // reserve a different core each trial
+	plan := colocate.Prepare(m, target)
+	m.RunFor(5 * timebase.Millisecond)
+
+	// Invoke the (unpinned!) victim: placement picks the idle core.
+	victim := m.Spawn("victim", body)
+	out := coloTrial{landed: plan.VictimLandedOnTarget(victim)}
+	// Pin the attacker to the target core and attack.
+	a := core.NewAttacker(core.Config{
+		Epsilon:        2 * timebase.Microsecond,
+		Hibernate:      60 * timebase.Millisecond,
+		StopAfterBurst: true,
+		Measure: func(e *kern.Env, s core.Sample) bool {
+			e.Burn(12 * timebase.Microsecond)
+			return true
+		},
+	})
+	m.Spawn("attacker", a.Run, kern.WithPin(plan.TargetCore))
+	m.RunFor(200 * timebase.Millisecond)
+
+	out.stayed = plan.Stayed(rec.CoreLog[victim.ID()])
+	out.preemptions = a.Stats().Preemptions
+	return out
 }
 
 // String renders the outcome.

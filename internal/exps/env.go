@@ -25,8 +25,10 @@ import (
 // globals on the way. Concurrent runs simply use different Envs.
 //
 // An Env is used by one goroutine at a time, like the MachinePool and
-// TraceCapture it may carry. The zero Env builds plain, unobserved,
-// unpooled machines.
+// TraceCapture it may carry. A driver that fans its independent trials out
+// (Trials) hands each trial a derived Env with fresh sinks and merges them
+// back in trial order; a helper goroutine gets such a derived Env, never
+// the caller's. The zero Env builds plain, unobserved, unpooled machines.
 type Env struct {
 	// Faults configures fault injection in every machine (package fault);
 	// the zero value turns it off. Each machine forks its injector stream
@@ -172,7 +174,9 @@ func (env *Env) withDefense(d defense.Config) *Env {
 // TraceCapture records the kernel event stream of every machine an Env
 // builds: a passive trace.Collector rides alongside whatever tracer the
 // experiment attaches, so runs are unperturbed (collectors consume no
-// randomness). Single-goroutine, like the Env carrying it.
+// randomness). Single-goroutine, like the Env carrying it: concurrent
+// trials record into captures of their own, appended to this one's
+// machines in trial order.
 type TraceCapture struct {
 	max      int
 	machines []capturedMachine

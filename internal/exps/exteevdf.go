@@ -43,13 +43,14 @@ func RunExtEEVDF(env *Env, cfg ExtEEVDFConfig) *ExtEEVDFResult {
 	}
 	res := &ExtEEVDFResult{Config: cfg}
 	env = env.withTrialPool()
-	seed := cfg.Seed
-	for _, m := range cfg.Measures {
+	// Trial i measures Measures[i/Trials] under seed Seed+1+i.
+	points := Trials(env, len(cfg.Measures)*cfg.Trials, func(env *Env, i int) Fig44Point {
+		return runBurstTrial(env, EEVDF, 0, cfg.Measures[i/cfg.Trials], cfg.Seed+1+uint64(i))
+	})
+	for n := range cfg.Measures {
 		var lens []int64
 		var dIs []int64
-		for trial := 0; trial < cfg.Trials; trial++ {
-			seed++
-			p := runBurstTrial(env, EEVDF, 0, m, seed)
+		for _, p := range points[n*cfg.Trials : (n+1)*cfg.Trials] {
 			lens = append(lens, p.Preemptions)
 			dIs = append(dIs, int64(p.DeltaI))
 		}

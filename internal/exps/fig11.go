@@ -48,68 +48,84 @@ func RunFig11(env *Env, cfg Fig11Config) *Fig11Result {
 	if cfg.Target <= 0 {
 		cfg.Target = 400
 	}
-	res := &Fig11Result{Config: cfg, CPThreads: 1}
-
-	// Baseline: recharge-style rotation.
-	{
-		m := env.NewMachine(CFS, cfg.Seed)
-		m.Spawn("victim", func(e *kern.Env) {
-			e.RunLoopForever(loopvictim.DefaultBody())
-		}, kern.WithPin(0))
-		ra := &core.RechargeAttack{
-			Threads:        cfg.PriorThreads,
-			Cooldown:       30 * timebase.Millisecond,
-			MaxPreemptions: cfg.Target,
-			Measure: func(e *kern.Env, s core.Sample) bool {
-				e.Burn(10 * timebase.Microsecond)
-				return true
-			},
+	// The two attacks are two trials: the baseline fills the prior-work
+	// fields, Controlled Preemption the CP ones.
+	parts := Trials(env, 2, func(env *Env, i int) Fig11Result {
+		if i == 0 {
+			return runPriorRecharge(env, cfg)
 		}
-		ra.SpawnAll(m, 0)
-		start := m.Now()
-		m.Run(m.Now().Add(60*timebase.Second), func() bool {
-			return len(ra.PreemptTimes()) >= cfg.Target
-		})
-		ts := ra.PreemptTimes()
-		if len(ts) > 0 {
-			res.PriorDuration = ts[len(ts)-1].Sub(start)
-		}
-		res.PriorBursts = core.BurstsFromTimes(ts, timebase.Millisecond)
-		m.Shutdown()
+		return runControlledPreemption(env, cfg)
+	})
+	return &Fig11Result{
+		Config:        cfg,
+		PriorBursts:   parts[0].PriorBursts,
+		PriorDuration: parts[0].PriorDuration,
+		CPBurst:       parts[1].CPBurst,
+		CPDuration:    parts[1].CPDuration,
+		CPThreads:     1,
 	}
+}
 
-	// Controlled Preemption: one thread.
-	{
-		m := env.NewMachine(CFS, cfg.Seed+1)
-		m.Spawn("victim", func(e *kern.Env) {
-			e.RunLoopForever(loopvictim.DefaultBody())
-		}, kern.WithPin(0))
-		a := core.NewAttacker(core.Config{
-			Epsilon:        2 * timebase.Microsecond,
-			Hibernate:      70 * timebase.Millisecond,
-			MaxPreemptions: cfg.Target,
-			Measure: func(e *kern.Env, s core.Sample) bool {
-				e.Burn(10 * timebase.Microsecond)
-				return true
-			},
-		})
-		m.Spawn("attacker", a.Run, kern.WithPin(0))
-		start := m.Now()
-		var end timebase.Time
-		m.Run(m.Now().Add(60*timebase.Second), func() bool {
-			if a.Stats().Preemptions >= int64(cfg.Target) {
-				end = m.Now()
-				return true
-			}
-			return false
-		})
-		res.CPDuration = end.Sub(start)
-		if len(a.Stats().BurstLengths) > 0 {
-			res.CPBurst = a.Stats().BurstLengths[0]
-		} else {
-			res.CPBurst = a.Stats().Preemptions
+// runPriorRecharge runs the baseline: recharge-style rotation.
+func runPriorRecharge(env *Env, cfg Fig11Config) (res Fig11Result) {
+	m := env.NewMachine(CFS, cfg.Seed)
+	defer m.Shutdown()
+	m.Spawn("victim", func(e *kern.Env) {
+		e.RunLoopForever(loopvictim.DefaultBody())
+	}, kern.WithPin(0))
+	ra := &core.RechargeAttack{
+		Threads:        cfg.PriorThreads,
+		Cooldown:       30 * timebase.Millisecond,
+		MaxPreemptions: cfg.Target,
+		Measure: func(e *kern.Env, s core.Sample) bool {
+			e.Burn(10 * timebase.Microsecond)
+			return true
+		},
+	}
+	ra.SpawnAll(m, 0)
+	start := m.Now()
+	m.Run(m.Now().Add(60*timebase.Second), func() bool {
+		return len(ra.PreemptTimes()) >= cfg.Target
+	})
+	ts := ra.PreemptTimes()
+	if len(ts) > 0 {
+		res.PriorDuration = ts[len(ts)-1].Sub(start)
+	}
+	res.PriorBursts = core.BurstsFromTimes(ts, timebase.Millisecond)
+	return res
+}
+
+// runControlledPreemption runs Controlled Preemption: one thread.
+func runControlledPreemption(env *Env, cfg Fig11Config) (res Fig11Result) {
+	m := env.NewMachine(CFS, cfg.Seed+1)
+	defer m.Shutdown()
+	m.Spawn("victim", func(e *kern.Env) {
+		e.RunLoopForever(loopvictim.DefaultBody())
+	}, kern.WithPin(0))
+	a := core.NewAttacker(core.Config{
+		Epsilon:        2 * timebase.Microsecond,
+		Hibernate:      70 * timebase.Millisecond,
+		MaxPreemptions: cfg.Target,
+		Measure: func(e *kern.Env, s core.Sample) bool {
+			e.Burn(10 * timebase.Microsecond)
+			return true
+		},
+	})
+	m.Spawn("attacker", a.Run, kern.WithPin(0))
+	start := m.Now()
+	var end timebase.Time
+	m.Run(m.Now().Add(60*timebase.Second), func() bool {
+		if a.Stats().Preemptions >= int64(cfg.Target) {
+			end = m.Now()
+			return true
 		}
-		m.Shutdown()
+		return false
+	})
+	res.CPDuration = end.Sub(start)
+	if len(a.Stats().BurstLengths) > 0 {
+		res.CPBurst = a.Stats().BurstLengths[0]
+	} else {
+		res.CPBurst = a.Stats().Preemptions
 	}
 	return res
 }

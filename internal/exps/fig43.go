@@ -7,7 +7,6 @@ import (
 	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/kern"
-	"repro/internal/ktrace"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/timebase"
@@ -93,9 +92,9 @@ func RunFig43(env *Env, cfg Fig43Config) *Fig43Result {
 		cfg.Epsilons = DefaultEpsilons(cfg.Variant)
 	}
 	res := &Fig43Result{Variant: cfg.Variant, Epsilons: cfg.Epsilons}
-	for i, eps := range cfg.Epsilons {
-		res.Hists = append(res.Hists, runFig43One(env, cfg, eps, cfg.Seed+uint64(i)))
-	}
+	res.Hists = Trials(env, len(cfg.Epsilons), func(env *Env, i int) *stats.Hist {
+		return runFig43One(env, cfg, cfg.Epsilons[i], cfg.Seed+uint64(i))
+	})
 	return res
 }
 
@@ -116,8 +115,16 @@ func runFig43One(env *Env, cfg Fig43Config, eps timebase.Duration, seed uint64) 
 		e.RunLoopForever(loopvictim.DefaultBody())
 	}, victimOpts...)
 
-	rec := ktrace.NewRecorder()
-	m.AttachTracer(rec)
+	h := stats.NewHist()
+	m.AttachTracer(&stintFold{thread: victim, fn: func(d timebase.Duration, reason kern.SchedOutReason, retired int64) {
+		// Exclude the burst-leading stint (the victim ran freely through
+		// the attacker's whole hibernation); the paper's measurement
+		// window likewise starts "from when the attacker begins
+		// launching interrupts".
+		if reason == kern.OutPreemptedWakeup && d <= 50*timebase.Microsecond {
+			h.Add(int(retired))
+		}
+	}})
 
 	method := core.MethodNanosleep
 	if cfg.Variant == Fig43c {
@@ -149,21 +156,6 @@ func runFig43One(env *Env, cfg Fig43Config, eps timebase.Duration, seed uint64) 
 	m.Run(m.Now().Add(300*timebase.Second), func() bool {
 		return a.Stats().Preemptions >= int64(cfg.Samples)
 	})
-
-	h := stats.NewHist()
-	for _, s := range rec.Stints {
-		if s.Thread != victim || s.Reason != kern.OutPreemptedWakeup {
-			continue
-		}
-		// Exclude the burst-leading stint (the victim ran freely through
-		// the attacker's whole hibernation); the paper's measurement
-		// window likewise starts "from when the attacker begins
-		// launching interrupts".
-		if s.End.Sub(s.Start) > 50*timebase.Microsecond {
-			continue
-		}
-		h.Add(int(s.Retired))
-	}
 	return h
 }
 

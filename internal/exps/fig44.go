@@ -56,13 +56,10 @@ func RunFig44(env *Env, cfg Fig44Config) *Fig44Result {
 	}
 	res := &Fig44Result{Config: cfg}
 	env = env.withTrialPool()
-	seed := cfg.Seed
-	for _, mdur := range cfg.Measures {
-		for trial := 0; trial < cfg.Trials; trial++ {
-			seed++
-			res.Points = append(res.Points, runBurstTrial(env, cfg.Sched, cfg.Nice, mdur, seed))
-		}
-	}
+	// Trial i measures Measures[i/Trials] under seed Seed+1+i.
+	res.Points = Trials(env, len(cfg.Measures)*cfg.Trials, func(env *Env, i int) Fig44Point {
+		return runBurstTrial(env, cfg.Sched, cfg.Nice, cfg.Measures[i/cfg.Trials], cfg.Seed+1+uint64(i))
+	})
 	// Both schedulers run the same tunables; the budget is a pure function
 	// of them — no machine needed.
 	res.Budget = sched.DefaultParams(Cores).PreemptionBudget()

@@ -51,18 +51,21 @@ func RunFig45(env *Env, cfg Fig45Config) *Fig45Result {
 	const iVic = epsilon + 300*timebase.Nanosecond - 1500*timebase.Nanosecond
 	res := &Fig45Result{Config: cfg, Nices: cfg.Nices}
 	env = env.withTrialPool()
-	seed := cfg.Seed
-
-	// Calibrate effective I_attacker from a nice-0 trial.
-	calib := runBurstTrialEps(env, CFS, 0, measure, epsilon, seed+99991)
+	// Trial 0 is the nice-0 calibration burst (seed Seed+99991); trial
+	// 1+i runs nice Nices[i/Trials] under seed Seed+1+i.
+	bursts := Trials(env, 1+len(cfg.Nices)*cfg.Trials, func(env *Env, i int) Fig44Point {
+		if i == 0 {
+			return runBurstTrialEps(env, CFS, 0, measure, epsilon, cfg.Seed+99991)
+		}
+		return runBurstTrialEps(env, CFS, cfg.Nices[(i-1)/cfg.Trials], measure, epsilon, cfg.Seed+uint64(i))
+	})
+	calib := bursts[0]
 	iAtt := calib.DeltaI + iVic // ΔI at nice 0 ≈ I_att − I_vic
 
 	budget := sched.DefaultParams(Cores).PreemptionBudget()
-	for _, nice := range cfg.Nices {
+	for n, nice := range cfg.Nices {
 		var lens []int64
-		for trial := 0; trial < cfg.Trials; trial++ {
-			seed++
-			p := runBurstTrialEps(env, CFS, nice, measure, epsilon, seed)
+		for _, p := range bursts[1+n*cfg.Trials : 1+(n+1)*cfg.Trials] {
 			lens = append(lens, p.Preemptions)
 		}
 		res.Medians = append(res.Medians, stats.MedianInt64(lens))

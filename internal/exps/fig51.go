@@ -69,18 +69,49 @@ func RunFig51(env *Env, cfg Fig51Config) *Fig51Result {
 		cfg.TracesPerKey = 5
 	}
 	res := &Fig51Result{Config: cfg}
+	// Each trace is one trial. Keys and plaintexts are drawn before the
+	// fan-out, in the serial order: a key, then its traces' plaintexts.
 	r := rng.New(cfg.Seed ^ 0xae5)
-
-	correct, total := 0, 0
-	var sampleCount int64
-	var traceCount int64
-	for k := 0; k < cfg.Keys; k++ {
-		key := make([]byte, 16)
-		r.Bytes(key)
-		ek, err := aes.ExpandKey(key)
+	keys := make([][]byte, cfg.Keys)
+	eks := make([]*aes.Key, cfg.Keys)
+	pts := make([][]byte, cfg.Keys*cfg.TracesPerKey)
+	for k := range keys {
+		keys[k] = make([]byte, 16)
+		r.Bytes(keys[k])
+		ek, err := aes.ExpandKey(keys[k])
 		if err != nil {
 			panic(err)
 		}
+		eks[k] = ek
+		for t := 0; t < cfg.TracesPerKey; t++ {
+			pt := make([]byte, 16)
+			r.Bytes(pt)
+			pts[k*cfg.TracesPerKey+t] = pt
+		}
+	}
+	traces := Trials(env, len(pts), func(env *Env, i int) aesSummary {
+		k, t := i/cfg.TracesPerKey, i%cfg.TracesPerKey
+		tr := collectAESTrace(env, cfg, eks[k], pts[i], cfg.Seed+uint64(k*31+t))
+		out := aesSummary{samples: len(tr.samples)}
+		for table := range out.early {
+			out.early[table] = firstDistinctLines(tr, table, 4)
+		}
+		if i == 0 {
+			out.heatmap = heatmapOf(tr, 0)
+		}
+		return out
+	})
+
+	res.Heatmap = traces[0].heatmap
+	res.HeatmapFirstFour = traces[0].early[0]
+	x := aes.FirstRoundState(keys[0], pts[0])
+	for pos := 0; pos < 4; pos++ {
+		b := aes.ByteAtTablePosition(0, pos)
+		res.HeatmapTruth = append(res.HeatmapTruth, int(x[b]>>4))
+	}
+	correct, total := 0, 0
+	var sampleCount int64
+	for k, key := range keys {
 		// Per key byte, per candidate upper nibble: accumulated evidence.
 		// A candidate scores high when its implied line ℓ = v ⊕ p_hi is
 		// the line observed at the byte's first-round position, scores a
@@ -89,22 +120,11 @@ func RunFig51(env *Env, cfg Fig51Config) *Fig51Result {
 		// round accesses), and is penalized when ℓ never shows early.
 		var score [16][16]int
 		for t := 0; t < cfg.TracesPerKey; t++ {
-			pt := make([]byte, 16)
-			r.Bytes(pt)
-			tr := collectAESTrace(env, cfg, ek, pt, cfg.Seed+uint64(k*31+t))
-			sampleCount += int64(len(tr.samples))
-			traceCount++
-			if res.Heatmap == nil {
-				res.Heatmap = heatmapOf(tr, 0)
-				res.HeatmapFirstFour = firstDistinctLines(tr, 0, 4)
-				x := aes.FirstRoundState(key, pt)
-				for pos := 0; pos < 4; pos++ {
-					b := aes.ByteAtTablePosition(0, pos)
-					res.HeatmapTruth = append(res.HeatmapTruth, int(x[b]>>4))
-				}
-			}
+			i := k*cfg.TracesPerKey + t
+			pt, tr := pts[i], traces[i]
+			sampleCount += int64(tr.samples)
 			for table := 0; table < 4; table++ {
-				lines := firstDistinctLines(tr, table, 4)
+				lines := tr.early[table]
 				inEarly := map[int]bool{}
 				for _, l := range lines {
 					inEarly[l] = true
@@ -140,8 +160,17 @@ func RunFig51(env *Env, cfg Fig51Config) *Fig51Result {
 		}
 	}
 	res.NibbleAccuracy = float64(correct) / float64(total)
-	res.PerTraceSamples = float64(sampleCount) / float64(traceCount)
+	res.PerTraceSamples = float64(sampleCount) / float64(len(traces))
 	return res
+}
+
+// aesSummary is what the key recovery reads of one trace: its sample
+// count, the first four distinct lines of each table and, for the figure's
+// trace, the T0 heatmap.
+type aesSummary struct {
+	samples int
+	early   [4][]int
+	heatmap [][]bool
 }
 
 // collectAESTrace runs one victim invocation under attack and returns the

@@ -67,47 +67,29 @@ func RunFig52(env *Env, cfg Fig52Config) *Fig52Result {
 		cfg.Keys = 30
 	}
 	res := &Fig52Result{Config: cfg}
-	var covSum, accSum, fullSum, charSum float64
+	// Each key is one trial; its generator is forked off the experiment's
+	// before the fan-out, in key order.
 	r := rng.New(cfg.Seed ^ 0xb64)
-	for k := 0; k < cfg.Keys; k++ {
-		key, err := rsakeys.Generate(r.Fork(uint64(k)))
-		if err != nil {
-			panic(err)
-		}
-		input := key.PEMBody()
-		truth := base64.LineBits(input)
-		charSum += float64(len(input))
-
-		// Run 1: attack from the start of the decode.
-		run1 := runSGXOnce(env, input, 0, cfg.Seed+uint64(k*97))
-		if res.TraceRows == nil {
-			res.TraceNames = []string{"code", "LUT[0]", "LUT[1]"}
-			n := len(run1.codeLat)
-			if n > 260 {
-				n = 260
-			}
-			res.TraceRows = [][]int64{run1.codeLat[:n], run1.lut0Lat[:n], run1.lut1Lat[:n]}
-		}
-		cov := float64(len(run1.bits)) / float64(len(truth))
-		if cov > 1 {
-			cov = 1
-		}
-		covSum += cov
-		accSum += prefixAccuracy(run1.bits, truth)
-
-		// Run 2: profile the victim's standalone duration, then start the
-		// attack a bit before the halfway point and splice.
-		profile := profileSGXDuration(env, input, cfg.Seed+uint64(k*97)+3)
-		delay := timebase.Duration(float64(profile) * 0.45)
-		run2 := runSGXOnce(env, input, delay, cfg.Seed+uint64(k*97)+7)
-		full := spliceTraces(run1.bits, run2.bits, len(truth))
-		fullSum += prefixAccuracy(full, truth)
-		rep := leak.Analyze(input, full)
-		res.MeanBitsLeaked += rep.BitsLeaked()
-		if rep.PublicAnchorOK {
+	keyRNGs := make([]*rng.RNG, cfg.Keys)
+	for k := range keyRNGs {
+		keyRNGs[k] = r.Fork(uint64(k))
+	}
+	keys := Trials(env, cfg.Keys, func(env *Env, k int) sgxKey {
+		return attackSGXKey(env, keyRNGs[k], cfg.Seed+uint64(k*97), k == 0)
+	})
+	var covSum, accSum, fullSum, charSum float64
+	for _, kr := range keys {
+		charSum += kr.chars
+		covSum += kr.cov
+		accSum += kr.acc
+		fullSum += kr.full
+		res.MeanBitsLeaked += kr.bitsLeaked
+		if kr.anchorOK {
 			res.AnchorOK++
 		}
 	}
+	res.TraceNames = []string{"code", "LUT[0]", "LUT[1]"}
+	res.TraceRows = keys[0].traceRows
 	n := float64(cfg.Keys)
 	res.MeanChars = charSum / n
 	res.SingleCoverage = covSum / n
@@ -115,6 +97,55 @@ func RunFig52(env *Env, cfg Fig52Config) *Fig52Result {
 	res.FullAccuracy = fullSum / n
 	res.MeanBitsLeaked /= n
 	return res
+}
+
+// sgxKey is one key's outcome: the PEM body length, run 1's coverage and
+// accuracy, the spliced trace's accuracy and leakage, and — for the
+// figure's key — run 1's probe-latency segment.
+type sgxKey struct {
+	chars, cov, acc, full, bitsLeaked float64
+	anchorOK                          bool
+	traceRows                         [][]int64
+}
+
+// attackSGXKey generates one RSA key from r and attacks its PEM decode
+// twice (§5.2): run 1 from the start, run 2 from a profiled midpoint, then
+// splices the two traces. seed seeds the three machines.
+func attackSGXKey(env *Env, r *rng.RNG, seed uint64, withTrace bool) sgxKey {
+	key, err := rsakeys.Generate(r)
+	if err != nil {
+		panic(err)
+	}
+	input := key.PEMBody()
+	truth := base64.LineBits(input)
+	out := sgxKey{chars: float64(len(input))}
+
+	// Run 1: attack from the start of the decode.
+	run1 := runSGXOnce(env, input, 0, seed)
+	if withTrace {
+		n := len(run1.codeLat)
+		if n > 260 {
+			n = 260
+		}
+		out.traceRows = [][]int64{run1.codeLat[:n], run1.lut0Lat[:n], run1.lut1Lat[:n]}
+	}
+	out.cov = float64(len(run1.bits)) / float64(len(truth))
+	if out.cov > 1 {
+		out.cov = 1
+	}
+	out.acc = prefixAccuracy(run1.bits, truth)
+
+	// Run 2: profile the victim's standalone duration, then start the
+	// attack a bit before the halfway point and splice.
+	profile := profileSGXDuration(env, input, seed+3)
+	delay := timebase.Duration(float64(profile) * 0.45)
+	run2 := runSGXOnce(env, input, delay, seed+7)
+	full := spliceTraces(run1.bits, run2.bits, len(truth))
+	out.full = prefixAccuracy(full, truth)
+	rep := leak.Analyze(input, full)
+	out.bitsLeaked = rep.BitsLeaked()
+	out.anchorOK = rep.PublicAnchorOK
+	return out
 }
 
 // runSGXOnce attacks one victim execution, starting the preemption loop

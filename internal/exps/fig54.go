@@ -45,15 +45,27 @@ func RunFig54(env *Env, cfg Fig54Config) *Fig54Result {
 	res := &Fig54Result{Config: cfg}
 	r := rng.New(cfg.Seed ^ 0xb7b)
 
-	// The paper's worked example first (Figure 5.4).
-	exTruth, exGot := runGCDAttack(env, mpi.New(1001941), mpi.New(300463), cfg.Seed+1)
-	res.ExampleTruth, res.ExampleGot = exTruth, exGot
+	// Trial 0 is the paper's worked example (Figure 5.4); trial 1+p
+	// attacks random pair p, whose primes are drawn before the fan-out.
+	as := []*mpi.Int{mpi.New(1001941)}
+	bs := []*mpi.Int{mpi.New(300463)}
+	for p := 0; p < cfg.Pairs; p++ {
+		as = append(as, mpi.New(randomPrime20(r)))
+		bs = append(bs, mpi.New(randomPrime20(r)))
+	}
+	runs := Trials(env, len(as), func(env *Env, i int) [2][]bool {
+		seed := cfg.Seed + 1
+		if i > 0 {
+			seed = cfg.Seed + uint64((i-1)*131) + 17
+		}
+		truth, got := runGCDAttack(env, as[i], bs[i], seed)
+		return [2][]bool{truth, got}
+	})
+	res.ExampleTruth, res.ExampleGot = runs[0][0], runs[0][1]
 
 	var correct, total, iters int
-	for p := 0; p < cfg.Pairs; p++ {
-		a := mpi.New(randomPrime20(r))
-		b := mpi.New(randomPrime20(r))
-		truth, got := runGCDAttack(env, a, b, cfg.Seed+uint64(p*131)+17)
+	for _, run := range runs[1:] {
+		truth, got := run[0], run[1]
 		iters += len(truth)
 		n := len(got)
 		if n > len(truth) {

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/colocate"
 	"repro/internal/core"
 	"repro/internal/defense"
 	"repro/internal/kern"
-	"repro/internal/ktrace"
 	"repro/internal/timebase"
 	"repro/internal/victim/loopvictim"
 )
@@ -106,8 +104,13 @@ func RunMatrixCell(env *Env, cfg MatrixCellConfig) (*MatrixCellResult, error) {
 	// Overhead phase: the same benign workload on an undefended and a
 	// defended machine, same seed. The undefended run sets its defense too,
 	// so the baseline is the true zero-defense machine whatever env holds.
-	base := benignRetired(env, cfg.Seed, defense.Config{})
-	defended := benignRetired(env, cfg.Seed, dcfg)
+	retired := Trials(env, 2, func(env *Env, i int) int64 {
+		if i == 0 {
+			return benignRetired(env, cfg.Seed, defense.Config{})
+		}
+		return benignRetired(env, cfg.Seed, dcfg)
+	})
+	base, defended := retired[0], retired[1]
 	if base > 0 {
 		res.Overhead = 1 - float64(defended)/float64(base)
 	}
@@ -177,45 +180,22 @@ func runMatrixTimerCell(env *Env, cfg MatrixCellConfig, res *MatrixCellResult) {
 func runMatrixColoCell(env *Env, cfg MatrixCellConfig, res *MatrixCellResult) {
 	succeeded := 0
 	var totalPre int64
-	for trial := 0; trial < cfg.Trials; trial++ {
-		seed := cfg.Seed + uint64(trial)*7919
-		m := env.NewMachine(CFS, seed)
-		m.StartBalancer()
-		rec := ktrace.NewRecorder()
-		m.AttachTracer(rec)
-
-		target := trial % Cores
-		plan := colocate.Prepare(m, target)
-		m.RunFor(5 * timebase.Millisecond)
-
+	for _, t := range Trials(env, cfg.Trials, func(env *Env, trial int) coloTrial {
 		// The victim computes but also blocks periodically, like a real
 		// service — each nap's wake is a placement decision, which is the
 		// surface wake-placement noise perturbs.
-		victim := m.Spawn("victim", func(e *kern.Env) {
+		return runColoTrial(env, cfg.Seed+uint64(trial)*7919, trial, func(e *kern.Env) {
 			for {
 				e.Burn(200 * timebase.Microsecond)
 				e.Nanosleep(20 * timebase.Microsecond)
 			}
 		})
-		landed := plan.VictimLandedOnTarget(victim)
-		a := core.NewAttacker(core.Config{
-			Epsilon:        2 * timebase.Microsecond,
-			Hibernate:      60 * timebase.Millisecond,
-			StopAfterBurst: true,
-			Measure: func(e *kern.Env, s core.Sample) bool {
-				e.Burn(12 * timebase.Microsecond)
-				return true
-			},
-		})
-		m.Spawn("attacker", a.Run, kern.WithPin(plan.TargetCore))
-		m.RunFor(200 * timebase.Millisecond)
-
-		if landed && plan.Stayed(rec.CoreLog[victim.ID()]) {
+	}) {
+		if t.landed && t.stayed {
 			succeeded++
 		}
-		totalPre += a.Stats().Preemptions
+		totalPre += t.preemptions
 		res.Bursts++
-		m.Shutdown()
 	}
 	res.SuccessRate = float64(succeeded) / float64(cfg.Trials)
 	res.Preemptions = totalPre

@@ -31,15 +31,12 @@ func RunSec45(env *Env, cfg Sec45Config) *Sec45Result {
 	}
 	res := &Sec45Result{Config: cfg}
 	env = env.withTrialPool()
-	seed := cfg.Seed
-	for i := 0; i < cfg.Trials; i++ {
-		seed++
+	res.Lengths = Trials(env, cfg.Trials, func(env *Env, i int) int64 {
 		// Sweep the measurement length across the paper's ΔI band.
 		us := 10 + 5*float64(i)/float64(cfg.Trials)
 		measure := timebase.Duration(us * 1000)
-		p := runBurstTrial(env, EEVDF, 0, measure, seed)
-		res.Lengths = append(res.Lengths, p.Preemptions)
-	}
+		return runBurstTrial(env, EEVDF, 0, measure, cfg.Seed+1+uint64(i)).Preemptions
+	})
 	res.Summary = stats.Summarize(res.Lengths)
 	return res
 }

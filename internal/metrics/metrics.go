@@ -25,6 +25,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -250,6 +251,36 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	}
 	r.hists[name] = h
 	return h
+}
+
+// Merge adds src's instruments into r, as if every observation src saw had
+// been made on r directly: counters and histogram buckets, sums and counts
+// add, and a gauge — a level, not a tally — takes src's value. Instruments
+// src registered but never moved are registered on r too, so r's Flatten
+// keys match a run that used r throughout. A name src and r register as
+// different kinds panics, as registering it on r would; so do histograms
+// of one name with different bounds. A nil src or r is a no-op.
+func (r *Registry) Merge(src *Registry) {
+	if r == nil || src == nil {
+		return
+	}
+	for name, c := range src.counters {
+		r.Counter(name).Add(c.v)
+	}
+	for name, g := range src.gauges {
+		r.Gauge(name).Set(g.v)
+	}
+	for name, h := range src.hists {
+		dst := r.Histogram(name, h.bounds)
+		if !slices.Equal(dst.bounds, h.bounds) {
+			panic(fmt.Sprintf("metrics: histogram %q merged with different bounds", name))
+		}
+		for i, n := range h.counts {
+			dst.counts[i] += n
+		}
+		dst.sum += h.sum
+		dst.n += h.n
+	}
 }
 
 // Names returns every registered metric name, sorted.

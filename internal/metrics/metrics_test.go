@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -343,4 +344,99 @@ func TestAmbientInstallRestore(t *testing.T) {
 	if Ambient() != nil || AmbientProfiler() != nil {
 		t.Fatal("ambient not restored")
 	}
+}
+
+// TestMergeMatchesDirectObservation: merging per-part registries into one
+// yields the registry a single run observing everything directly would —
+// counters, gauges, histogram buckets, sums and counts, and the names of
+// instruments nobody moved.
+func TestMergeMatchesDirectObservation(t *testing.T) {
+	observe := func(r *Registry, part int) {
+		r.Counter("events_total").Add(int64(3 + part))
+		r.Counter(`out_total{reason="blocked"}`).Add(int64(part))
+		r.Counter("idle_total")
+		r.Gauge("depth").Set(int64(10 * part))
+		h := r.Histogram("lat", []int64{10, 100})
+		for _, v := range []int64{int64(part), 50, 1000 + int64(part)} {
+			h.Observe(v)
+		}
+		if part == 2 {
+			r.Histogram("late", DurationBuckets).Observe(7)
+		}
+	}
+	direct := New()
+	merged := New()
+	for part := 0; part < 3; part++ {
+		observe(direct, part)
+		sub := New()
+		observe(sub, part)
+		merged.Merge(sub)
+	}
+	if !reflect.DeepEqual(merged.Flatten(), direct.Flatten()) {
+		t.Fatalf("merged Flatten %v, want %v", merged.Flatten(), direct.Flatten())
+	}
+	if !reflect.DeepEqual(merged.Snapshot(), direct.Snapshot()) {
+		t.Fatalf("merged snapshot %+v, want %+v", merged.Snapshot(), direct.Snapshot())
+	}
+	if !reflect.DeepEqual(merged.Names(), direct.Names()) {
+		t.Fatalf("merged names %v, want %v", merged.Names(), direct.Names())
+	}
+	merged.Merge(nil)
+	(*Registry)(nil).Merge(direct)
+}
+
+func TestMergeKindClashPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		dst, src   func(*Registry)
+		wantSubstr string
+	}{
+		{"counter into histogram",
+			func(r *Registry) { r.Histogram("x", DepthBuckets) },
+			func(r *Registry) { r.Counter("x").Inc() }, "already registered"},
+		{"gauge into counter",
+			func(r *Registry) { r.Counter("x") },
+			func(r *Registry) { r.Gauge("x").Set(1) }, "already registered"},
+		{"histogram bounds",
+			func(r *Registry) { r.Histogram("x", []int64{1, 2}) },
+			func(r *Registry) { r.Histogram("x", []int64{1, 3}).Observe(1) }, "different bounds"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dst, src := New(), New()
+			tc.dst(dst)
+			tc.src(src)
+			defer func() {
+				r := recover()
+				if r == nil || !strings.Contains(fmt.Sprint(r), tc.wantSubstr) {
+					t.Fatalf("Merge recovered %v, want a panic mentioning %q", r, tc.wantSubstr)
+				}
+			}()
+			dst.Merge(src)
+		})
+	}
+}
+
+func TestProfilerMergeSumsLanes(t *testing.T) {
+	direct, merged := NewProfiler(), NewProfiler()
+	parts := [][]struct {
+		kind string
+		d    time.Duration
+	}{
+		{{"tick", 2 * time.Microsecond}, {"timer", 10 * time.Microsecond}},
+		{{"tick", 3 * time.Microsecond}},
+		{{"wake", time.Microsecond}, {"timer", 4 * time.Microsecond}},
+	}
+	for _, part := range parts {
+		sub := NewProfiler()
+		for _, o := range part {
+			direct.Observe(o.kind, o.d)
+			sub.Observe(o.kind, o.d)
+		}
+		merged.Merge(sub)
+	}
+	if got, want := merged.Report(), direct.Report(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged report %+v, want %+v", got, want)
+	}
+	merged.Merge(nil)
+	(*Profiler)(nil).Merge(direct)
 }

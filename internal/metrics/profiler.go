@@ -45,6 +45,23 @@ func (p *Profiler) Observe(kind string, d time.Duration) {
 	l.wall += d
 }
 
+// Merge adds src's lanes into p, as if src's events had been observed on
+// p. A nil src or p is a no-op.
+func (p *Profiler) Merge(src *Profiler) {
+	if p == nil || src == nil {
+		return
+	}
+	for kind, l := range src.events {
+		dst, ok := p.events[kind]
+		if !ok {
+			dst = &lane{}
+			p.events[kind] = dst
+		}
+		dst.n += l.n
+		dst.wall += l.wall
+	}
+}
+
 // ProfileRow is one attribution lane in a report.
 type ProfileRow struct {
 	Key        string  `json:"key"`
