@@ -38,7 +38,6 @@
 //	-wall D       wall-clock budget for the whole session (halts resumable)
 //	-haltafter N  halt (resumable) after N experiments — interruption injection
 //	-parallel N   campaign workers; manifest bytes are identical at any width
-//	-nopool       boot machines fresh instead of forking pooled templates
 //	-force        discard an existing manifest and start over
 //	-diskchaos R  inject ENOSPC/EIO into manifest writes at rate R (testing)
 //
@@ -322,7 +321,6 @@ func campaignCmd(args []string, resumeOnly bool) int {
 	wall := fs.Duration("wall", 0, "wall-clock budget for this session; halts resumable (0 = unbounded)")
 	haltAfter := fs.Int("haltafter", 0, "halt (resumable) after N experiments this session (0 = off)")
 	parallel := fs.Int("parallel", 1, "campaign workers (manifest is byte-identical at any width)")
-	nopool := fs.Bool("nopool", false, "boot every machine fresh instead of forking pooled templates (manifest is byte-identical either way)")
 	force := fs.Bool("force", false, "discard an existing manifest and start over")
 	diskchaos := fs.Float64("diskchaos", 0, "inject ENOSPC/EIO into manifest writes with this probability (testing)")
 	diskchaosseed := fs.Uint64("diskchaosseed", 1, "seed for the -diskchaos fault schedule")
@@ -355,7 +353,6 @@ func campaignCmd(args []string, resumeOnly bool) int {
 			}
 		}
 	}
-	o.NoMachinePool = *nopool
 	entries := repro.CampaignEntries(ids, o, *retries)
 	cfg := campaign.Config{
 		Path:      *manifest,
@@ -620,7 +617,7 @@ usage:
   cplab list
   cplab run <id> [-paper] [-seed N] [-json] [-faults R] [-simbudget D]
   cplab all [flags]
-  cplab campaign [flags] [-manifest P] [-ids CSV] [-retries N] [-expwall D] [-wall D] [-haltafter N] [-parallel N] [-nopool] [-force]
+  cplab campaign [flags] [-manifest P] [-ids CSV] [-retries N] [-expwall D] [-wall D] [-haltafter N] [-parallel N] [-force]
   cplab resume [same flags — continues the manifest]
   cplab matrix [-attacks CSV] [-defenses CSV] [-manifest P] [-retries N] [-wall D] [-haltafter N] [-parallel N] [-force] [flags]
   cplab cluster -workers URLS [flags] [-shard N] [-parallel N] [-hang D] [-steal D] [-chaosnet R] [-metricsaddr A] [-force]

@@ -159,10 +159,12 @@ func TestTraceRecordByteIdenticalWithSpans(t *testing.T) {
 }
 
 // TestSpansCloseLastMachinePhase checks every single-experiment command
-// that takes -spans: the log exists and holds the run's final machine
-// phase as a closed machine-tier span stamped with its simulated end. No
-// later machine or campaign teardown is there to end that phase; the run
-// itself must.
+// that takes -spans, and a campaign: the log exists and holds every
+// machine phase as a closed machine-tier span stamped with its simulated
+// end. No later machine or campaign teardown is there to end the final
+// phase; the run itself must. Machines are pooled, so a phase may close
+// after its machine's Shutdown scrubbed the shell, or when the pool
+// hands that shell out again: its end is still the run's final time.
 func TestSpansCloseLastMachinePhase(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range []struct {
@@ -173,6 +175,7 @@ func TestSpansCloseLastMachinePhase(t *testing.T) {
 		{"trace-record", []string{"trace", "record", "fig4.1", "-o", filepath.Join(dir, "t.cptrace")}},
 		{"metrics", []string{"metrics", "-exp", "fig4.1", "-o", filepath.Join(dir, "m.prom")}},
 		{"profile", []string{"profile", "-exp", "fig4.1", "-o", filepath.Join(dir, "p.txt")}},
+		{"campaign", []string{"campaign", "-manifest", filepath.Join(dir, "c.json"), "-ids", "fig4.1,fig4.6", "-seed", "1"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			log := filepath.Join(dir, tc.name+".jsonl")

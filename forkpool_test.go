@@ -5,14 +5,13 @@ package repro
 // stream byte-identical to a freshly booted machine's — under the default
 // configuration, under fault injection, under every defense preset, and
 // after arbitrarily many fork/reset reuse cycles of the same pooled
-// shells. The campaign gate below requires the same at the manifest level
-// with pooling on versus off at width 2.
+// shells. The committed goldens, recorded from freshly booted machines,
+// are the fresh reference. The campaign gate below requires every record
+// of a width-2 campaign sharing warm pools to equal its entry run alone.
 
 import (
 	"context"
-	"fmt"
-	"os"
-	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/campaign"
@@ -44,13 +43,16 @@ func TestForkedMachineGoldenIdentity(t *testing.T) {
 	for _, id := range forkIdentityIDs {
 		for _, v := range variants {
 			t.Run(id+"/"+v.name, func(t *testing.T) {
-				_, fresh, err := RunTraced(id, v.opts, goldenEventCap)
+				// The reference runs in an Env of its own, whose pool starts
+				// cold; TestGoldenTraces pins it, under the default
+				// options, to the goldens recorded from fresh boots.
+				_, ref, err := RunTraced(id, v.opts, goldenEventCap)
 				if err != nil {
-					t.Fatalf("fresh RunTraced(%s): %v", id, err)
+					t.Fatalf("reference RunTraced(%s): %v", id, err)
 				}
 				// One pool across three runs: run 1 builds the shells,
 				// runs 2 and 3 reuse machines already through a full
-				// run-and-reset cycle. Every run must match the fresh trace.
+				// run-and-reset cycle. Every run must match the reference.
 				restore := exps.ScopeMachinePool(exps.NewMachinePool(nil))
 				defer restore()
 				for cycle := 1; cycle <= 3; cycle++ {
@@ -58,8 +60,8 @@ func TestForkedMachineGoldenIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatalf("pooled RunTraced(%s) cycle %d: %v", id, cycle, err)
 					}
-					if d := trace.Diff(forked, fresh); d != nil {
-						t.Fatalf("cycle %d: forked machine trace diverges from fresh boot:\n%s", cycle, d)
+					if d := trace.Diff(forked, ref); d != nil {
+						t.Fatalf("cycle %d: warm-pool machine trace diverges from the reference:\n%s", cycle, d)
 					}
 				}
 			})
@@ -67,34 +69,46 @@ func TestForkedMachineGoldenIdentity(t *testing.T) {
 	}
 }
 
-// TestPooledCampaignMatchesUnpooled runs the campaign gate at width 2 with
-// machine pooling on (the default) and off, and requires byte-identical
-// manifests. Under -race this additionally exercises the pool hand-off:
+// TestPooledCampaignMatchesStandaloneRuns: a width-2 campaign, whose
+// entries share warm machine pools through the plan's PoolSet, records
+// for every entry exactly what that entry produces run standalone through
+// RunGuarded in an Env of its own — rendered result, headline metrics and
+// telemetry. Under -race this additionally exercises the pool hand-off:
 // entries run on fresh contained goroutines that check machine pools in
 // and out of the shared PoolSet, and no machine may ever be reachable from
 // two goroutines at once.
-func TestPooledCampaignMatchesUnpooled(t *testing.T) {
-	run := func(noPool bool) []byte {
-		t.Helper()
-		path := filepath.Join(t.TempDir(), fmt.Sprintf("campaign-pool-%v.json", !noPool))
-		c, err := campaign.New(campaign.Config{Path: path, Seed: 1, Note: "pool-gate"},
-			CampaignEntries(forkIdentityIDs, Options{Scale: Quick, Seed: 1, NoMachinePool: noPool}, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.RunParallel(context.Background(), 2); err != nil {
-			t.Fatalf("campaign (noPool=%v): %v", noPool, err)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+func TestPooledCampaignMatchesStandaloneRuns(t *testing.T) {
+	c, err := campaign.New(campaign.Config{Seed: 1, Note: "pool-gate"},
+		CampaignEntries(forkIdentityIDs, Options{Scale: Quick, Seed: 1}, 0))
+	if err != nil {
+		t.Fatal(err)
 	}
-	pooled := run(false)
-	unpooled := run(true)
-	if string(pooled) != string(unpooled) {
-		t.Fatalf("pooled manifest differs from unpooled:\npooled:\n%s\nunpooled:\n%s", pooled, unpooled)
+	man, err := c.RunParallel(context.Background(), 2)
+	if err != nil {
+		t.Fatalf("campaign: %v", err)
+	}
+	for _, id := range forkIdentityIDs {
+		rec := man.Entries[id]
+		if rec == nil || rec.Status != campaign.StatusOK {
+			t.Fatalf("%s: campaign record %+v, want a completed entry", id, rec)
+		}
+		o := Options{Scale: Quick, Seed: rec.Seed}
+		o.env = o.newEnv()
+		o.env.Metrics = metrics.New()
+		rep := RunGuarded(id, o, 0)
+		if rep.Err != nil {
+			t.Fatalf("%s standalone: %v", id, rep.Err)
+		}
+		e, _ := Lookup(id)
+		if got := rep.Result.String(); got != rec.Rendered {
+			t.Errorf("%s: campaign rendered\n%s\nstandalone rendered\n%s", id, rec.Rendered, got)
+		}
+		if got := e.Metrics(rep.Result); !reflect.DeepEqual(got, rec.Metrics) {
+			t.Errorf("%s: campaign metrics %v, standalone %v", id, rec.Metrics, got)
+		}
+		if got := o.env.Metrics.Counts(); !reflect.DeepEqual(got, rec.Telemetry) {
+			t.Errorf("%s: campaign telemetry %v, standalone %v", id, rec.Telemetry, got)
+		}
 	}
 }
 

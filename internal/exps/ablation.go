@@ -90,7 +90,6 @@ func ablationProbe(env *Env, seed uint64, slack timebase.Duration, opts ...Machi
 // machine under seed, and the variant — timer slack slack, machine options
 // opts — under seed+1.
 func ablationPair(env *Env, seed uint64, slack timebase.Duration, opts ...MachineOption) *AblationResult {
-	env = env.withTrialPool()
 	r := Trials(env, 2, func(env *Env, i int) [2]int64 {
 		if i == 0 {
 			return ablationProbe(env, seed, 0)
@@ -144,7 +143,6 @@ func RunAblationRoundRobin(env *Env, seed uint64, target int) *AblationResult {
 	if target <= 0 {
 		target = 2500
 	}
-	env = env.withTrialPool()
 	ms := Trials(env, 2, func(env *Env, i int) int64 {
 		if i == 0 {
 			return singleThreadAttackMs(env, seed, target)

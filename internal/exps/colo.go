@@ -42,9 +42,6 @@ func RunColo(env *Env, cfg ColoConfig) *ColoResult {
 	if cfg.Trials <= 0 {
 		cfg.Trials = 10
 	}
-	// Every trial's machine shares one configuration: serve them all from
-	// one machine pool instead of booting 16 cores per trial.
-	env = env.withTrialPool()
 	res := &ColoResult{Config: cfg, Trials: cfg.Trials}
 	for _, t := range Trials(env, cfg.Trials, func(env *Env, trial int) coloTrial {
 		return runColoTrial(env, cfg.Seed+uint64(trial)*7919, trial, func(e *kern.Env) {

@@ -28,7 +28,8 @@ import (
 // TraceCapture it may carry. A driver that fans its independent trials out
 // (Trials) hands each trial a derived Env with fresh sinks and merges them
 // back in trial order; a helper goroutine gets such a derived Env, never
-// the caller's. The zero Env builds plain, unobserved, unpooled machines.
+// the caller's. The zero Env builds plain, unobserved machines, from a
+// machine pool of its own that its first NewMachine installs.
 type Env struct {
 	// Faults configures fault injection in every machine (package fault);
 	// the zero value turns it off. Each machine forks its injector stream
@@ -45,8 +46,9 @@ type Env struct {
 	// Profiler, when set, attributes wall-clock cost per dispatched event
 	// kind.
 	Profiler *metrics.Profiler
-	// Pool, when set, serves every poolable machine from a per-configuration
-	// kern.Pool — byte-identical to a fresh boot, minus the boot cost.
+	// Pool serves every machine from a kern.Pool per shell shape —
+	// byte-identical to a fresh boot, minus the boot cost. NewMachine
+	// installs a fresh one when it is nil.
 	Pool *MachinePool
 	// Trace, when set, records the kernel event stream of every machine.
 	Trace *TraceCapture
@@ -58,8 +60,9 @@ var processPool *MachinePool
 // Default returns the process-wide environment: no faults or defense,
 // default budget, plus the process-wide registry and profiler
 // (metrics.SetAmbient, metrics.SetAmbientProfiler) and machine pool
-// (ScopeMachinePool) as installed right now. repro.Options layers its
-// settings on top of it.
+// (ScopeMachinePool) as installed right now; with no process-wide pool,
+// the returned Env installs a pool of its own on first use. repro.Options
+// layers its settings on top of it.
 func Default() *Env {
 	return &Env{Metrics: metrics.Ambient(), Profiler: metrics.AmbientProfiler(), Pool: processPool}
 }
@@ -81,9 +84,8 @@ func NewMachine(kind Sched, seed uint64, opts ...MachineOption) *kern.Machine {
 }
 
 // NewMachine builds the experiment machine for the given scheduler and
-// seed under env. With a pool set, the machine comes from the pool for
-// this configuration, unless an option installed its own scheduler
-// constructor, which always builds fresh.
+// seed under env. It comes from env's machine pool, unless an option
+// installed its own scheduler constructor, which always builds fresh.
 func (env *Env) NewMachine(kind Sched, seed uint64, opts ...MachineOption) *kern.Machine {
 	sp := sched.DefaultParams(Cores)
 	// NewSched stays nil until every option ran: a non-nil constructor
@@ -99,23 +101,24 @@ func (env *Env) NewMachine(kind Sched, seed uint64, opts ...MachineOption) *kern
 		p, sp = applyOptions(p, sp, opts)
 	}
 	p.Sched = sp
+	// Per-machine attribution: when an ambient span context is installed,
+	// each machine opens a machine-tier span, so the timeline attributes
+	// the entry's wall and sim time per machine in construction order. The
+	// prior machine's span ends first, while its shut-down shell still
+	// reads the run's final time: the pool may hand that shell out again
+	// below. A nil context makes this one predicted branch.
+	c := obs.Ambient()
+	c.ClosePhase()
 	var m *kern.Machine
-	if p.NewSched == nil && env.Pool != nil {
-		m = env.Pool.get(kind, p)
-	} else {
-		if p.NewSched == nil {
-			p.NewSched = newSched(kind, sp)
-		}
+	if p.NewSched != nil {
 		m = kern.NewMachine(p)
+	} else {
+		m = env.pool().get(kind, p)
 	}
 	if env.Trace != nil {
 		env.Trace.attach(m, seed, kind)
 	}
-	// Per-machine attribution: when an ambient span context is installed,
-	// each machine opens a machine-tier span (ending the prior machine's),
-	// so the timeline attributes the entry's wall and sim time per machine
-	// in construction order. A nil context makes this one predicted branch.
-	if c := obs.Ambient(); c.Enabled() {
+	if c.Enabled() {
 		c.BeginMachinePhase(fmt.Sprintf("%s seed=%d", kind, seed), m)
 		if p.Defense.Enabled() {
 			c.Mark("defense "+p.Defense.Summary(), nil)
@@ -151,17 +154,13 @@ func (env *Env) NewWatchdog(fallback timebase.Duration) *Watchdog {
 	return &Watchdog{Budget: fallback}
 }
 
-// withTrialPool gives a multi-trial driver a machine pool, so its
-// per-iteration machines reuse one scrubbed shell instead of booting from
-// scratch: env itself when it already carries one (a campaign entry's warm
-// pool then serves the trials), else a copy with a throwaway pool.
-func (env *Env) withTrialPool() *Env {
-	if env.Pool != nil {
-		return env
+// pool returns env's machine pool, installing a fresh one when it has
+// none. Copies of env made after that share it.
+func (env *Env) pool() *MachinePool {
+	if env.Pool == nil {
+		env.Pool = NewMachinePool(nil)
 	}
-	e := *env
-	e.Pool = NewMachinePool(nil)
-	return &e
+	return env.Pool
 }
 
 // withDefense returns a copy of env installing d in every machine.
@@ -204,7 +203,11 @@ func (tc *TraceCapture) attach(m *kern.Machine, seed uint64, kind Sched) {
 // machine, in construction order, followed by that machine's scheduling
 // events.
 func (tc *TraceCapture) Trace() *trace.Trace {
-	tr := &trace.Trace{}
+	n := len(tc.machines)
+	for _, cm := range tc.machines {
+		n += len(cm.col.Events())
+	}
+	tr := &trace.Trace{Events: make([]trace.Event, 0, n)}
 	for _, cm := range tc.machines {
 		tr.Events = append(tr.Events, trace.Event{Kind: trace.EvMachine, Seed: cm.seed, Label: cm.label})
 		tr.Events = append(tr.Events, cm.col.Events()...)

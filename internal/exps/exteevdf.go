@@ -42,7 +42,6 @@ func RunExtEEVDF(env *Env, cfg ExtEEVDFConfig) *ExtEEVDFResult {
 		cfg.Trials = 15
 	}
 	res := &ExtEEVDFResult{Config: cfg}
-	env = env.withTrialPool()
 	// Trial i measures Measures[i/Trials] under seed Seed+1+i.
 	points := Trials(env, len(cfg.Measures)*cfg.Trials, func(env *Env, i int) Fig44Point {
 		return runBurstTrial(env, EEVDF, 0, cfg.Measures[i/cfg.Trials], cfg.Seed+1+uint64(i))

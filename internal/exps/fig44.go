@@ -55,7 +55,6 @@ func RunFig44(env *Env, cfg Fig44Config) *Fig44Result {
 		cfg.Trials = 50
 	}
 	res := &Fig44Result{Config: cfg}
-	env = env.withTrialPool()
 	// Trial i measures Measures[i/Trials] under seed Seed+1+i.
 	res.Points = Trials(env, len(cfg.Measures)*cfg.Trials, func(env *Env, i int) Fig44Point {
 		return runBurstTrial(env, cfg.Sched, cfg.Nice, cfg.Measures[i/cfg.Trials], cfg.Seed+1+uint64(i))

@@ -50,7 +50,6 @@ func RunFig45(env *Env, cfg Fig45Config) *Fig45Result {
 	// cost (the Goldilocks arithmetic of §4.2).
 	const iVic = epsilon + 300*timebase.Nanosecond - 1500*timebase.Nanosecond
 	res := &Fig45Result{Config: cfg, Nices: cfg.Nices}
-	env = env.withTrialPool()
 	// Trial 0 is the nice-0 calibration burst (seed Seed+99991); trial
 	// 1+i runs nice Nices[i/Trials] under seed Seed+1+i.
 	bursts := Trials(env, 1+len(cfg.Nices)*cfg.Trials, func(env *Env, i int) Fig44Point {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/kern"
 	"repro/internal/leak"
 	"repro/internal/report"
@@ -110,7 +111,8 @@ type sgxKey struct {
 
 // attackSGXKey generates one RSA key from r and attacks its PEM decode
 // twice (§5.2): run 1 from the start, run 2 from a profiled midpoint, then
-// splices the two traces. seed seeds the three machines.
+// splices the two traces. seed seeds the three machines, which all run the
+// one victim program built here: executing a program never modifies it.
 func attackSGXKey(env *Env, r *rng.RNG, seed uint64, withTrace bool) sgxKey {
 	key, err := rsakeys.Generate(r)
 	if err != nil {
@@ -119,9 +121,13 @@ func attackSGXKey(env *Env, r *rng.RNG, seed uint64, withTrace bool) sgxKey {
 	input := key.PEMBody()
 	truth := base64.LineBits(input)
 	out := sgxKey{chars: float64(len(input))}
+	prog, _, err := base64.BuildProgram(input, base64.DefaultLayout, base64.DefaultBuildOptions)
+	if err != nil {
+		panic(err)
+	}
 
 	// Run 1: attack from the start of the decode.
-	run1 := runSGXOnce(env, input, 0, seed)
+	run1 := runSGXOnce(env, prog, 0, seed)
 	if withTrace {
 		n := len(run1.codeLat)
 		if n > 260 {
@@ -137,9 +143,9 @@ func attackSGXKey(env *Env, r *rng.RNG, seed uint64, withTrace bool) sgxKey {
 
 	// Run 2: profile the victim's standalone duration, then start the
 	// attack a bit before the halfway point and splice.
-	profile := profileSGXDuration(env, input, seed+3)
+	profile := profileSGXDuration(env, prog, seed+3)
 	delay := timebase.Duration(float64(profile) * 0.45)
-	run2 := runSGXOnce(env, input, delay, seed+7)
+	run2 := runSGXOnce(env, prog, delay, seed+7)
 	full := spliceTraces(run1.bits, run2.bits, len(truth))
 	out.full = prefixAccuracy(full, truth)
 	rep := leak.Analyze(input, full)
@@ -148,9 +154,9 @@ func attackSGXKey(env *Env, r *rng.RNG, seed uint64, withTrace bool) sgxKey {
 	return out
 }
 
-// runSGXOnce attacks one victim execution, starting the preemption loop
-// startDelay after the victim is invoked.
-func runSGXOnce(env *Env, input string, startDelay timebase.Duration, seed uint64) *sgxRun {
+// runSGXOnce attacks one execution of the victim program prog, starting
+// the preemption loop startDelay after the victim is invoked.
+func runSGXOnce(env *Env, prog *isa.Program, startDelay timebase.Duration, seed uint64) *sgxRun {
 	// The paper's SGX victim is compiled with the LVI mitigation
 	// (MITIGATION-CVE2020-0551=LOAD), which fences every load and thereby
 	// suppresses the speculative touches that would otherwise smear the
@@ -160,10 +166,6 @@ func runSGXOnce(env *Env, input string, startDelay timebase.Duration, seed uint6
 	}))
 	defer m.Shutdown()
 
-	prog, _, err := base64.BuildProgram(input, base64.DefaultLayout, base64.DefaultBuildOptions)
-	if err != nil {
-		panic(err)
-	}
 	victim := SpawnInvokedVictim(m, "sgx-victim", prog, 0,
 		kern.WithEnclave(), kern.WithITLB(), kern.WithFetchThroughCache())
 
@@ -277,13 +279,9 @@ func snapChunk(group []int) []int {
 
 // profileSGXDuration measures the victim's unattacked execution time — the
 // offline profiling run the attacker uses to time its run-2 hibernation.
-func profileSGXDuration(env *Env, input string, seed uint64) timebase.Duration {
+func profileSGXDuration(env *Env, prog *isa.Program, seed uint64) timebase.Duration {
 	m := env.NewMachine(CFS, seed)
 	defer m.Shutdown()
-	prog, _, err := base64.BuildProgram(input, base64.DefaultLayout, base64.DefaultBuildOptions)
-	if err != nil {
-		panic(err)
-	}
 	victim := SpawnInvokedVictim(m, "profile-victim", prog, 0,
 		kern.WithEnclave(), kern.WithITLB(), kern.WithFetchThroughCache())
 	victim.Invoke()

@@ -83,11 +83,10 @@ func RunMatrixCell(env *Env, cfg MatrixCellConfig) (*MatrixCellResult, error) {
 	}
 	res := &MatrixCellResult{Attack: cfg.Attack, Defense: cfg.Defense}
 
-	// One pool spans the whole cell: the defended attack machines, the
-	// colocation trials and the two overhead machines each come from their
-	// own per-configuration pool (the defense config is part of the pool
-	// key).
-	env = env.withTrialPool()
+	// One machine pool spans the whole cell: the defended attack
+	// machines, the colocation trials and the two overhead machines share
+	// its shells (the defense is applied by init, not part of the shape).
+	env.pool()
 
 	// Attack phase, under the cell's defense. Installed even for "off", so
 	// a defense the caller's env carries cannot leak into a baseline cell.

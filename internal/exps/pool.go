@@ -1,127 +1,56 @@
 package exps
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/cache"
-	"repro/internal/fault"
 	"repro/internal/kern"
 	"repro/internal/metrics"
 	"repro/internal/sched"
-	"repro/internal/timebase"
 )
 
 // Machine pooling: NewMachine costs ~a millisecond of arena carving and
 // scheduler construction, and the trial-heavy experiments (ablation probes,
-// colocation placements, matrix cells, fig4.4's Measures×Trials grid) build
-// hundreds of machines that differ only by seed. A MachinePool keeps one
-// kern.Pool per machine *configuration* and serves every request for that
-// configuration from it: a machine shut down by an earlier request is
-// scrubbed and re-initialised under the new seed, so the steady-state cost
-// of "a fresh machine" drops to re-seeding RNG streams and re-resolving
-// telemetry in place.
+// colocation placements, matrix cells, fig4.4's Measures×Trials grid, one
+// attack per key) build hundreds of machines that differ only by seed or
+// by knobs init applies. Every Env acquires its machines through a
+// MachinePool, which keeps one kern.Pool per shell *shape* and serves every
+// request of that shape from it: a machine shut down by an earlier request
+// is scrubbed and re-initialised under the new parameters, so the
+// steady-state cost of "a fresh machine" drops to re-seeding RNG streams
+// and re-resolving telemetry in place.
 //
-// Correctness rests on the kern.Pool contract: Get under seed S runs the
-// same init as kern.NewMachine with seed S over a scrubbed shell, so it is
-// byte-identical to it — same event stream, same RNG draws, same
-// telemetry. Pooling is therefore invisible in results, traces and
-// manifests; it only changes wall-clock time.
+// Correctness rests on the kern.Pool contract: Get(p) runs the same init
+// as kern.NewMachine(p) over a scrubbed shell, so it is byte-identical to
+// it — same event stream, same RNG draws, same telemetry. Pooling is
+// therefore invisible in results, traces and manifests; it only changes
+// wall-clock time and memory.
 
-// poolKey is the comparable form of a machine configuration: a copy of
-// every kern.Params field except the seed (the fork axis), NewSched
-// (rebuilt per pool from kind and Sched) and the per-fork Metrics and
-// Profiler sinks, which each fork resolves anew. The slice-valued fault
-// and defense knobs are canonicalized into slices only when one is
-// non-empty, so the common path formats nothing. Two configurations share
-// a key iff a machine built for one serves the other, so per-iteration
-// parameter mutation in a trial loop can never silently reuse the old
-// configuration's machines — it misses the cache and starts its own pool.
+// poolKey is a machine's shell shape: the inputs kern's buildShell reads
+// (core count, cache geometry, and the scheduler — its kind and tunables).
+// Every other kern.Params field is applied by init, so configurations that
+// differ only there (fig5.2's SpecProb 0 victim machine and its default
+// profiling machine, a fault or defense sweep) share one pool and one
+// idle shell.
 type poolKey struct {
-	kind                  Sched
-	cores                 int
-	clock                 timebase.Clock
-	sched                 sched.Params
-	switchCost            timebase.Duration
-	switchJitter          timebase.Duration
-	timerIRQLat           timebase.Duration
-	timerIRQJitter        timebase.Duration
-	timerSlackDefault     timebase.Duration
-	syscallEntry          timebase.Duration
-	signalDeliver         timebase.Duration
-	interruptCost         timebase.Duration
-	timestampCycles       int64
-	tickPeriod            timebase.Duration
-	balancePeriod         timebase.Duration
-	wellSleptMin          timebase.Duration
-	specWindow            int
-	specProb              float64
-	noiseEvictionsPerWake float64
-	cacheConfig           cache.SystemConfig
-	faultRate             float64
-	faultWindow           fault.Window
-	faultCheckPeriod      timebase.Duration
-	faultIRQDelayMax      timebase.Duration
-	faultSlackSpikeMax    timebase.Duration
-	faultDropRetry        timebase.Duration
-	slackRandMax          timebase.Duration
-	periodicJitterMax     timebase.Duration
-	wakeNoiseProb         float64
-	preemptCap            int
-	preemptWindow         timebase.Duration
-	invariantStride       int
-	slices                string
+	kind        Sched
+	cores       int
+	sched       sched.Params
+	cacheConfig cache.SystemConfig
 }
 
 // keyOf builds the pool key of a machine configuration.
 func keyOf(kind Sched, p kern.Params) poolKey {
-	f, d := p.Faults, p.Defense
-	k := poolKey{
-		kind:                  kind,
-		cores:                 p.Cores,
-		clock:                 p.Clock,
-		sched:                 p.Sched,
-		switchCost:            p.SwitchCost,
-		switchJitter:          p.SwitchJitter,
-		timerIRQLat:           p.TimerIRQLat,
-		timerIRQJitter:        p.TimerIRQJitter,
-		timerSlackDefault:     p.TimerSlackDefault,
-		syscallEntry:          p.SyscallEntry,
-		signalDeliver:         p.SignalDeliver,
-		interruptCost:         p.InterruptCost,
-		timestampCycles:       p.TimestampCycles,
-		tickPeriod:            p.TickPeriod,
-		balancePeriod:         p.BalancePeriod,
-		wellSleptMin:          p.WellSleptMin,
-		specWindow:            p.SpecWindow,
-		specProb:              p.SpecProb,
-		noiseEvictionsPerWake: p.NoiseEvictionsPerWake,
-		cacheConfig:           p.CacheConfig,
-		faultRate:             f.Rate,
-		faultWindow:           f.Window,
-		faultCheckPeriod:      f.CheckPeriod,
-		faultIRQDelayMax:      f.IRQDelayMax,
-		faultSlackSpikeMax:    f.SlackSpikeMax,
-		faultDropRetry:        f.DropRetry,
-		slackRandMax:          d.SlackRandMax,
-		periodicJitterMax:     d.PeriodicJitterMax,
-		wakeNoiseProb:         d.WakeNoiseProb,
-		preemptCap:            d.PreemptCap,
-		preemptWindow:         d.PreemptWindow,
-		invariantStride:       p.InvariantStride,
-	}
-	if len(f.Kinds) > 0 || len(d.CordonCores) > 0 || len(d.CordonAllow) > 0 {
-		k.slices = fmt.Sprintf("%v|%v|%q", f.Kinds, d.CordonCores, d.CordonAllow)
-	}
-	return k
+	return poolKey{kind: kind, cores: p.Cores, sched: p.Sched, cacheConfig: p.CacheConfig}
 }
 
-// MachinePool keeps one kern.Pool per machine configuration and hands out
-// seeded forks. A MachinePool is single-goroutine, like the kern.Pools
-// it wraps: give it to one Env at a time, and use a PoolSet to share warm
-// pools across the sequential entries of a parallel campaign.
+// MachinePool keeps one kern.Pool per shell shape and hands out machines
+// of any configuration of that shape. A MachinePool is single-goroutine,
+// like the kern.Pools it wraps: give it to one Env at a time, and use a
+// PoolSet to share warm pools across the sequential entries of a parallel
+// campaign.
 type MachinePool struct {
-	// pools maps configuration → machine pool.
+	// pools maps shell shape → machine pool.
 	pools map[poolKey]*kern.Pool
 	// tel receives the pooling telemetry of a standalone pool after every
 	// fork; pools in a PoolSet report through the set instead.
@@ -134,7 +63,7 @@ type MachinePool struct {
 // kern_pool_hits/misses_total), resolved once. They live in the registry
 // the pool was built with — deliberately never a machine's per-fork
 // registry — so per-entry campaign registries stay free of pooling
-// counters and manifests are byte-identical whether pooling is on or off.
+// counters and manifests do not depend on which entries shared a pool.
 type poolTelemetry struct {
 	forks, hits, misses *metrics.Counter
 }
@@ -153,8 +82,8 @@ func NewMachinePool(reg *metrics.Registry) *MachinePool {
 	return &MachinePool{pools: map[poolKey]*kern.Pool{}, tel: newPoolTelemetry(reg)}
 }
 
-// get returns a machine for the fully resolved parameters from the
-// configuration's pool, starting that pool on first use.
+// get returns a machine for the fully resolved parameters from the pool of
+// their shell shape, starting that pool on first use.
 func (mp *MachinePool) get(kind Sched, p kern.Params) *kern.Machine {
 	key := keyOf(kind, p)
 	kp := mp.pools[key]
@@ -163,7 +92,7 @@ func (mp *MachinePool) get(kind Sched, p kern.Params) *kern.Machine {
 		kp = kern.NewPool(p)
 		mp.pools[key] = kp
 	}
-	m := kp.Get(p.Seed, p.Metrics, p.Profiler)
+	m := kp.Get(p)
 	if mp.tel.forks != nil {
 		mp.report(&mp.tel)
 	}

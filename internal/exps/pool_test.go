@@ -1,14 +1,19 @@
 package exps
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cfs"
 	"repro/internal/fault"
+	"repro/internal/isa"
 	"repro/internal/kern"
 	"repro/internal/metrics"
 	"repro/internal/sched"
+	"repro/internal/timebase"
+	"repro/internal/trace"
 )
 
 // mutateLeaves calls visit once per settable leaf under v (numbers, bools,
@@ -49,26 +54,107 @@ func mutateLeaves(t *testing.T, v reflect.Value, path string, visit func(path st
 	v.Set(old)
 }
 
-// TestPoolKeySeesEveryParam is the pool key's completeness property:
-// changing any kern.Params field — nested fields of the scheduler, cache,
-// fault and defense configs included — changes the key, so a pool can
-// never serve a configuration it was not built for. Changing the seed or
-// the per-fork NewSched/Metrics/Profiler sinks does not, so those forks
-// share one pool.
-func TestPoolKeySeesEveryParam(t *testing.T) {
+// shapeWorkload runs an attack-shaped mix on m: a slack-lowered sleeper
+// preempting a loading victim on core 0 (so speculation at preemption
+// draws randomness), two hogs the balancer spreads, 60ms of simulated
+// time. It returns m's event transcript and a fingerprint of its final
+// state, telemetry included (the cache counters see speculative touches),
+// or of the panic that ended the run.
+func shapeWorkload(m *kern.Machine) (events []trace.Event, state string) {
+	col := trace.NewCollector(0)
+	m.AttachTracer(col)
+	defer func() {
+		if r := recover(); r != nil {
+			events, state = col.Events(), fmt.Sprint("panic: ", r)
+		}
+	}()
+	body := isa.NewBuilder("victim", 0x0048_0000, 4).ALU(16).Load(0x1000_0000).ALU(16).Load(0x1004_0000).Build().Insts
+	m.Spawn("victim", func(e *kern.Env) { e.RunLoopForever(body) }, kern.WithPin(0))
+	m.Spawn("attacker", func(e *kern.Env) {
+		e.SetTimerSlack(1)
+		for {
+			e.Nanosleep(30 * timebase.Microsecond)
+			e.Burn(10 * timebase.Microsecond)
+		}
+	}, kern.WithPin(0))
+	for i := 0; i < 2; i++ {
+		m.Spawn("hog", func(e *kern.Env) {
+			for {
+				e.Burn(50 * timebase.Microsecond)
+			}
+		})
+	}
+	m.StartBalancer()
+	m.RunFor(60 * timebase.Millisecond)
+	var b strings.Builder
+	fmt.Fprintf(&b, "now=%d faults=%v\ntelemetry=%v\n", m.Now(), m.FaultCounts(), m.Metrics().Flatten())
+	for _, t := range m.Threads() {
+		fmt.Fprintf(&b, "t%d state=%v vrt=%d exec=%d ret=%d core=%d\n",
+			t.ID(), t.State(), t.Task().Vruntime, t.Task().SumExec, t.Retired(), t.CoreID())
+	}
+	for _, c := range m.Cores() {
+		fmt.Fprintf(&b, "c%d nr=%d\n", c.ID(), c.NrRunnable())
+	}
+	return col.Events(), b.String()
+}
+
+// TestPoolKeyIsShellShape classifies every kern.Params leaf — nested
+// fields of the scheduler, cache, fault and defense configs included. A
+// shell-shape leaf (the core count, a scheduler tunable, the cache
+// geometry) must change the pool key, so a pool never serves a shell it
+// did not build. Every other leaf must leave the key alone, and a shell
+// warmed under the base parameters and then reused under the mutated
+// ones must match kern.NewMachine of the mutated parameters, in event
+// transcript and final state (or panic): init applies that leaf, whatever
+// the shell ran before. The base runs with fault injection on, so the
+// fault knobs are live. The scheduler kind changes the key; NewSched and
+// the per-fork Metrics and Profiler sinks do not.
+func TestPoolKeyIsShellShape(t *testing.T) {
 	base := kern.DefaultParams(Cores, nil)
 	base.Sched = sched.DefaultParams(Cores)
+	base.Faults = fault.Config{Rate: 0.05}
 	want := keyOf(CFS, base)
+	// withSinks completes p for a run: its scheduler constructor and a
+	// registry of its own.
+	withSinks := func(p kern.Params) kern.Params {
+		p.NewSched = newSched(CFS, p.Sched)
+		p.Metrics = metrics.New()
+		return p
+	}
 	p := base
 	mutateLeaves(t, reflect.ValueOf(&p).Elem(), "Params", func(path string) {
-		if path == "Params.Seed" {
-			if keyOf(CFS, p) != want {
-				t.Errorf("%s changed the key; seeds must share a pool", path)
+		if path == "Params.Cores" || strings.HasPrefix(path, "Params.Sched.") || strings.HasPrefix(path, "Params.CacheConfig.") {
+			if keyOf(CFS, p) == want {
+				t.Errorf("shell-shape leaf %s does not change the pool key", path)
 			}
 			return
 		}
-		if keyOf(CFS, p) == want {
-			t.Errorf("%s does not change the pool key", path)
+		if keyOf(CFS, p) != want {
+			t.Errorf("%s changes the pool key, but init applies it", path)
+			return
+		}
+		fresh := kern.NewMachine(withSinks(p))
+		wantEvents, wantState := shapeWorkload(fresh)
+		fresh.Shutdown()
+		if len(wantEvents) < 100 {
+			t.Fatalf("%s: the workload recorded only %d events", path, len(wantEvents))
+		}
+
+		kp := kern.NewPool(withSinks(base))
+		warm := kp.Get(withSinks(base))
+		shapeWorkload(warm)
+		warm.Shutdown()
+		reused := kp.Get(withSinks(p))
+		gotEvents, gotState := shapeWorkload(reused)
+		reused.Shutdown()
+		if s := kp.Stats(); s.Misses != 1 {
+			t.Fatalf("%s: pool built %d shells, want 1", path, s.Misses)
+		}
+		if !reflect.DeepEqual(gotEvents, wantEvents) {
+			t.Errorf("%s: reused shell's event transcript differs from a fresh machine's", path)
+		}
+		if gotState != wantState {
+			t.Errorf("%s: reused shell's final state differs:\nfresh:\n%s\nreused:\n%s", path, wantState, gotState)
 		}
 	})
 	if keyOf(EEVDF, base) == want {
@@ -79,24 +165,40 @@ func TestPoolKeySeesEveryParam(t *testing.T) {
 	p.NewSched = func() sched.Scheduler { return cfs.New(p.Sched) }
 	p.Metrics = metrics.New()
 	p.Profiler = metrics.NewProfiler()
-	p.Seed = 99
 	if keyOf(CFS, p) != want {
-		t.Error("NewSched, Metrics, Profiler or Seed changed the pool key")
-	}
-
-	// Empty and nil slices mean the same configuration.
-	p = base
-	p.Faults.Kinds = []fault.Kind{}
-	if keyOf(CFS, p) != want {
-		t.Error("an empty fault-kind list keys differently from none")
+		t.Error("NewSched, Metrics or Profiler changed the pool key")
 	}
 }
 
-// TestEnvForkCycleZeroAllocs pins the pooled acquisition path at zero heap
-// allocations: once warm, Env.NewMachine (key, pool lookup, seeded Get)
-// plus Shutdown (scrub back into the pool) allocates nothing.
+// TestAlternatingConfigsShareOneShell: fig5.2 alternates its SpecProb-0
+// victim machines with a default-configuration profiling machine. Both
+// have one shell shape, so a MachinePool — here the one a zero Env
+// installs on first use — builds a single shell and serves the A/B/A
+// alternation from it.
+func TestAlternatingConfigsShareOneShell(t *testing.T) {
+	env := &Env{}
+	noSpec := WithKernParams(func(kp *kern.Params) { kp.SpecProb = 0 })
+	for key := uint64(0); key < 3; key++ {
+		env.NewMachine(CFS, key, noSpec).Shutdown()
+		env.NewMachine(CFS, key+3).Shutdown()
+		env.NewMachine(CFS, key+7, noSpec).Shutdown()
+	}
+	if n := len(env.Pool.pools); n != 1 {
+		t.Fatalf("machine pool holds %d kern pools, want 1", n)
+	}
+	for _, kp := range env.Pool.pools {
+		if s := kp.Stats(); s != (kern.PoolStats{Forks: 9, Hits: 8, Misses: 1}) {
+			t.Fatalf("pool stats = %+v, want 9 forks from one shell", s)
+		}
+	}
+}
+
+// TestEnvForkCycleZeroAllocs pins the acquisition path at zero heap
+// allocations: once the zero Env's pool is installed and warm,
+// Env.NewMachine (key, pool lookup, seeded Get) plus Shutdown (scrub back
+// into the pool) allocates nothing.
 func TestEnvForkCycleZeroAllocs(t *testing.T) {
-	env := &Env{Pool: NewMachinePool(nil)}
+	env := &Env{}
 	seed := uint64(1)
 	cycle := func() {
 		seed++

@@ -30,7 +30,6 @@ func RunSec45(env *Env, cfg Sec45Config) *Sec45Result {
 		cfg.Trials = 165
 	}
 	res := &Sec45Result{Config: cfg}
-	env = env.withTrialPool()
 	res.Lengths = Trials(env, cfg.Trials, func(env *Env, i int) int64 {
 		// Sweep the measurement length across the paper's ΔI band.
 		us := 10 + 5*float64(i)/float64(cfg.Trials)

@@ -14,15 +14,20 @@ import (
 // attacker sharing core 0 — records the same kernel event stream whether
 // the full invariant scan runs every event, at the kernel default, at a
 // heavily relaxed cadence or never, and whether the machine is booted
-// fresh or served by a machine pool.
+// fresh or served by one machine pool whose shell ran the other strides
+// before.
 func TestInvariantStrideInert(t *testing.T) {
 	const seed = 7
+	pool := NewMachinePool(nil)
 	run := func(stride int, pooled bool) *trace.Trace {
-		env := &Env{Trace: NewTraceCapture(0)}
-		if pooled {
-			env.Pool = NewMachinePool(nil)
+		env := &Env{Trace: NewTraceCapture(0), Pool: pool}
+		opts := []MachineOption{WithKernParams(func(p *kern.Params) { p.InvariantStride = stride })}
+		if !pooled {
+			// A scheduler constructor of its own is what the pool cannot
+			// serve: the machine boots fresh.
+			opts = append(opts, WithKernParams(func(p *kern.Params) { p.NewSched = newSched(CFS, p.Sched) }))
 		}
-		m := env.NewMachine(CFS, seed, WithKernParams(func(p *kern.Params) { p.InvariantStride = stride }))
+		m := env.NewMachine(CFS, seed, opts...)
 		defer m.Shutdown()
 		m.Spawn("victim", func(e *kern.Env) { e.RunLoopForever(pollBody()) }, kern.WithPin(0))
 		m.Spawn("attacker", func(e *kern.Env) {

@@ -36,6 +36,9 @@ func TestTraceCaptureRecordsMachines(t *testing.T) {
 	if tr.Truncated {
 		t.Fatal("unbounded capture marked truncated")
 	}
+	if len(tr.Events) != cap(tr.Events) {
+		t.Fatalf("%d events merged into a slice sized for %d", len(tr.Events), cap(tr.Events))
+	}
 }
 
 // TestTraceCaptureDeterministic is the golden-trace property: two recordings

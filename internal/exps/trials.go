@@ -60,6 +60,9 @@ type trialRun struct {
 // sees (the error, the telemetry, the partial trace) is what the serial
 // loop would have left.
 func Trials[T any](env *Env, n int, trial func(env *Env, i int) T) []T {
+	// The caller's trials pool their machines in env's pool, installed
+	// before any helper copies env (trialEnv).
+	callerPool := env.pool()
 	out := make([]T, n)
 	runs := make([]trialRun, n)
 	var next atomic.Int64
@@ -101,15 +104,11 @@ func Trials[T any](env *Env, n int, trial func(env *Env, i int) T) []T {
 				defer helpers.Add(-1)
 				// A MachinePool is single-goroutine: a helper pools its
 				// machines in one of its own for the duration of the map.
-				var pool *MachinePool
-				if env.Pool != nil {
-					pool = NewMachinePool(nil)
-				}
-				work(pool, func() {})
+				work(NewMachinePool(nil), func() {})
 			}()
 		}
 	}
-	work(env.Pool, mergeDone)
+	work(callerPool, mergeDone)
 	wg.Wait()
 	mergeDone()
 	if merged < n {

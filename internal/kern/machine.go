@@ -357,6 +357,7 @@ func buildShell(p Params) *Machine {
 // in steady state.
 func (m *Machine) init(p Params) {
 	m.p = p
+	m.now = 0
 	m.nextTID = 1
 	root := rng.New(p.Seed)
 	m.simRNG = reseed(m.simRNG, root.ForkState(1))
@@ -419,8 +420,11 @@ func reseed(r *rng.RNG, state uint64) *rng.RNG {
 // resetForReuse scrubs a shut-down machine back to shell state so init can
 // rebuild it under any seed. Long-lived memory — event freelist, thread
 // slice capacity, runqueue nodes, cache/TLB arena slabs, the telemetry
-// block, the flight ring — is retained. The caller must have killed all
-// thread coroutines first (Shutdown does).
+// block, the flight ring — is retained. The clock is left at the final
+// simulated time until init zeroes it, so Now on a shut-down machine still
+// reports where its run ended (a span phase closed after Shutdown reads
+// it). The caller must have killed all thread coroutines first (Shutdown
+// does).
 func (m *Machine) resetForReuse() {
 	m.events.reset()
 	for i := range m.threads {
@@ -443,7 +447,6 @@ func (m *Machine) resetForReuse() {
 	m.defense = nil
 	m.reg = nil
 	m.prof = nil
-	m.now = 0
 	m.nextTID = 1
 	m.yieldCount = 0
 	m.sinceCheck = 0
@@ -460,7 +463,8 @@ func (m *Machine) Params() Params { return m.p }
 // their instrument handles from here.
 func (m *Machine) Metrics() *metrics.Registry { return m.reg }
 
-// Now returns the last processed event time.
+// Now returns the last processed event time; after Shutdown, the time the
+// machine's run ended.
 func (m *Machine) Now() timebase.Time { return m.now }
 
 // Cores returns the machine's cores.

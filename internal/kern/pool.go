@@ -1,22 +1,27 @@
 package kern
 
 import (
-	"repro/internal/metrics"
 	"repro/internal/sched"
 )
 
-// Pool is a free-pool of machines of one configuration. Get completes a
-// machine shell — one that Shutdown scrubbed and parked here, or a new one
-// on a miss — with the same init NewMachine runs, under the requested seed
-// and telemetry sinks, so a pooled machine is byte-identical to a freshly
-// built one. In steady state a Get+Run+Shutdown cycle reuses the event
-// arena, runqueue nodes, cache/TLB slabs, telemetry block and flight ring
-// of earlier cycles: the warm path allocates nothing.
+// Pool is a free-pool of machines of one shell shape: the inputs
+// buildShell reads — core count, cache geometry and the per-core scheduler
+// (the pool's NewSched, with the tunables Sched). Get completes a machine
+// shell — one that Shutdown scrubbed and parked here, or a new one on a
+// miss — with the same init NewMachine runs, under the requested
+// parameters, so a pooled machine is byte-identical to a freshly built
+// one. init applies
+// every other parameter (timing, speculation, noise, faults, defense,
+// invariant stride, seed, telemetry sinks), so one pool serves every
+// configuration of its shape. In steady state a Get+Run+Shutdown cycle
+// reuses the event arena, runqueue nodes, cache/TLB slabs, telemetry block
+// and flight ring of earlier cycles: the warm path allocates nothing.
 //
 // A Pool is single-goroutine, like the machines it manages: parallel
 // campaign workers each keep their own pool (see exps.PoolSet).
 type Pool struct {
-	p     Params
+	// shape holds the normalized shell inputs; its other fields are zero.
+	shape Params
 	free  []*Machine
 	stats PoolStats
 }
@@ -29,18 +34,16 @@ type PoolStats struct {
 	Forks, Hits, Misses int64
 }
 
-// NewPool returns an empty pool of machines built from p; p's seed and
-// telemetry sinks are ignored, since each Get supplies its own. Like
-// NewMachine on a nil NewSched, it panics when p.NewSched builds a
-// scheduler without sched.Resetter: Shutdown could not scrub its
-// runqueues for reuse.
+// NewPool returns an empty pool of machines shaped like p: only p's
+// Cores, CacheConfig, Sched and NewSched are kept. Like NewMachine on a
+// nil NewSched, it panics when p.NewSched builds a scheduler without
+// sched.Resetter: Shutdown could not scrub its runqueues for reuse.
 func NewPool(p Params) *Pool {
 	p = normalizeParams(p)
 	if _, ok := p.NewSched().(sched.Resetter); !ok {
 		panic("kern: a pooled machine's scheduler must implement sched.Resetter")
 	}
-	p.Seed, p.Metrics, p.Profiler = 0, nil, nil
-	return &Pool{p: p}
+	return &Pool{shape: Params{Cores: p.Cores, CacheConfig: p.CacheConfig, Sched: p.Sched, NewSched: p.NewSched}}
 }
 
 // Stats returns the pool's activity so far.
@@ -49,10 +52,16 @@ func (pl *Pool) Stats() PoolStats { return pl.stats }
 // Idle returns how many scrubbed machines are parked in the pool.
 func (pl *Pool) Idle() int { return len(pl.free) }
 
-// Get returns a machine equal to NewMachine of the pool's parameters under
-// seed, reporting into reg and prof (either may be nil). Shutdown returns
-// it here.
-func (pl *Pool) Get(seed uint64, reg *metrics.Registry, prof *metrics.Profiler) *Machine {
+// Get returns a machine equal to NewMachine(p), its runqueues built by the
+// pool's scheduler constructor in place of p.NewSched. It panics when p's
+// shell inputs (Cores, CacheConfig, Sched) differ from the pool's, since
+// no shell of this pool is that machine. Shutdown returns it here.
+func (pl *Pool) Get(p Params) *Machine {
+	p.NewSched = pl.shape.NewSched
+	p = normalizeParams(p)
+	if p.Cores != pl.shape.Cores || p.CacheConfig != pl.shape.CacheConfig || p.Sched != pl.shape.Sched {
+		panic("kern: Pool.Get with parameters of another shell shape")
+	}
 	var m *Machine
 	if n := len(pl.free); n > 0 {
 		m = pl.free[n-1]
@@ -61,12 +70,10 @@ func (pl *Pool) Get(seed uint64, reg *metrics.Registry, prof *metrics.Profiler) 
 		m.inPool = false
 		pl.stats.Hits++
 	} else {
-		m = buildShell(pl.p)
+		m = buildShell(pl.shape)
 		m.pool = pl
 		pl.stats.Misses++
 	}
-	p := pl.p
-	p.Seed, p.Metrics, p.Profiler = seed, reg, prof
 	m.init(p)
 	pl.stats.Forks++
 	return m

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/cfs"
 	"repro/internal/defense"
 	"repro/internal/eevdf"
@@ -87,57 +88,100 @@ func runWithRecorder(m *Machine) (string, string) {
 	return strings.Join(rec.lines, "\n"), stateSig(m)
 }
 
-// TestPoolMatchesFreshMachine: a pooled machine under seed S behaves
-// exactly like NewMachine under S, on a cold shell and on a reused one
-// (seed 7 comes back after the pool has run 1, 7 and 99).
+// faultyParams is a 4-core machine with fault injection and the
+// slackrand defense installed.
+func faultyParams(t *testing.T, seed uint64) Params {
+	p := poolParams(4, seed)
+	p.Faults = fault.Config{
+		Rate:  0.2,
+		Kinds: []fault.Kind{fault.DelayIRQ, fault.SpuriousWake, fault.Preempt},
+	}
+	cfg, err := defense.Preset("slackrand")
+	if err != nil {
+		t.Fatalf("preset: %v", err)
+	}
+	p.Defense = cfg
+	return p
+}
+
+// TestPoolMatchesFreshMachine: a pooled machine under parameters P behaves
+// exactly like NewMachine(P), on a cold shell and on a reused one. In the
+// single-configuration cases seed 7 comes back after the pool has run 1, 7
+// and 99; the cross-config case reuses one shell under faults and a
+// defense, then under the plain configuration, then with speculation off,
+// then under faults again.
 func TestPoolMatchesFreshMachine(t *testing.T) {
+	seeds := func(newP func(seed uint64) Params) []Params {
+		var ps []Params
+		for _, seed := range []uint64{1, 7, 99, 7} {
+			ps = append(ps, newP(seed))
+		}
+		return ps
+	}
+	noSpec := poolParams(4, 5)
+	noSpec.SpecProb = 0
 	for _, tc := range []struct {
 		name string
-		newP func(seed uint64) Params
+		ps   []Params
 	}{
-		{"cfs", func(seed uint64) Params { return poolParams(2, seed) }},
-		{"eevdf", func(seed uint64) Params {
+		{"cfs", seeds(func(seed uint64) Params { return poolParams(2, seed) })},
+		{"eevdf", seeds(func(seed uint64) Params {
 			p := DefaultParams(2, func() sched.Scheduler {
 				return eevdf.New(sched.DefaultParams(2))
 			})
 			p.Seed = seed
 			return p
-		}},
-		{"faults+slackrand", func(seed uint64) Params {
-			p := poolParams(4, seed)
-			p.Faults = fault.Config{
-				Rate:  0.2,
-				Kinds: []fault.Kind{fault.DelayIRQ, fault.SpuriousWake, fault.Preempt},
-			}
-			cfg, err := defense.Preset("slackrand")
-			if err != nil {
-				t.Fatalf("preset: %v", err)
-			}
-			p.Defense = cfg
-			return p
-		}},
+		})},
+		{"faults+slackrand", seeds(func(seed uint64) Params { return faultyParams(t, seed) })},
+		{"cross-config", []Params{faultyParams(t, 3), poolParams(4, 3), noSpec, faultyParams(t, 3)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pool := NewPool(tc.newP(1))
-			for _, seed := range []uint64{1, 7, 99, 7} {
-				fresh := NewMachine(tc.newP(seed))
+			pool := NewPool(tc.ps[0])
+			for i, p := range tc.ps {
+				fresh := NewMachine(p)
 				wantTrace, wantSig := runWithRecorder(fresh)
 				fresh.Shutdown()
 
-				pooled := pool.Get(seed, nil, nil)
+				pooled := pool.Get(p)
 				gotTrace, gotSig := runWithRecorder(pooled)
 				pooled.Shutdown()
 
 				if gotTrace != wantTrace {
-					t.Fatalf("seed %d: pooled trace diverges from fresh machine", seed)
+					t.Fatalf("request %d (seed %d): pooled trace diverges from fresh machine", i, p.Seed)
 				}
 				if gotSig != wantSig {
-					t.Fatalf("seed %d: pooled final state diverges:\nfresh:\n%s\npooled:\n%s", seed, wantSig, gotSig)
+					t.Fatalf("request %d (seed %d): pooled final state diverges:\nfresh:\n%s\npooled:\n%s", i, p.Seed, wantSig, gotSig)
 				}
 			}
 			if s := pool.Stats(); s != (PoolStats{Forks: 4, Hits: 3, Misses: 1}) {
 				t.Fatalf("pool stats = %+v, want 4 forks, 3 hits, 1 miss", s)
 			}
+		})
+	}
+}
+
+// TestPoolGetRejectsOtherShape: a pool serves only parameters with its
+// shell inputs; a different core count, cache geometry or scheduler
+// tunable is refused, never silently served from a mismatched shell.
+func TestPoolGetRejectsOtherShape(t *testing.T) {
+	pool := NewPool(poolParams(2, 1))
+	for name, mut := range map[string]func(*Params){
+		"cores": func(p *Params) { p.Cores = 3 },
+		"cache": func(p *Params) {
+			p.CacheConfig = cache.I9900K(2)
+			p.CacheConfig.LLC.Ways = 8
+		},
+		"sched": func(p *Params) { p.Sched.WakeupPreemption = false },
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := poolParams(2, 1)
+			mut(&p)
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "shape") {
+					t.Fatalf("Get with another %s: recover()=%v, want a shape panic", name, r)
+				}
+			}()
+			pool.Get(p)
 		})
 	}
 }
@@ -164,7 +208,7 @@ func TestPoolReuseStaysByteIdentical(t *testing.T) {
 	seeds := []uint64{3, 11, 3, 11, 3}
 	want := map[uint64][2]string{}
 	for cycle, seed := range seeds {
-		m := pool.Get(seed, nil, nil)
+		m := pool.Get(poolParams(2, seed))
 		trace, sig := runWithRecorder(m)
 		m.Shutdown()
 		if prev, ok := want[seed]; ok {
@@ -191,7 +235,7 @@ func TestPoolReuseStaysByteIdentical(t *testing.T) {
 
 func TestShutdownMidRunDoesNotPool(t *testing.T) {
 	pool := NewPool(poolParams(1, 1))
-	m := pool.Get(1, nil, nil)
+	m := pool.Get(poolParams(1, 1))
 	// A machine that unwound out of Run (panic from an invariant check or a
 	// thread body) leaves running=true; Shutdown must refuse to pool it.
 	m.running = true
@@ -215,9 +259,10 @@ func TestShutdownMidRunDoesNotPool(t *testing.T) {
 // recorder on (it always is), a Get/Run/Shutdown round trip reuses pooled
 // machine and arena memory outright.
 func TestForkZeroAllocsSteadyState(t *testing.T) {
-	pool := NewPool(poolParams(2, 1))
+	p := poolParams(2, 1)
+	pool := NewPool(p)
 	cycle := func() {
-		m := pool.Get(1, nil, nil)
+		m := pool.Get(p)
 		m.RunFor(timebase.Millisecond)
 		m.Shutdown()
 	}

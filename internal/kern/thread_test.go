@@ -37,7 +37,7 @@ func TestThreadCoroutinesDoNotLeak(t *testing.T) {
 		if i%2 == 0 {
 			m = NewMachine(poolParams(2, uint64(i)))
 		} else {
-			m = pool.Get(uint64(i), nil, nil)
+			m = pool.Get(poolParams(2, uint64(i)))
 		}
 		var short []*Thread
 		for j := 0; j < 3; j++ {

@@ -137,6 +137,16 @@ func TestBuildProgram(t *testing.T) {
 	if DefaultLayout.ValidityCode>>6 == DefaultLayout.DecodeCode>>6 {
 		t.Fatal("layout places both loops on one cache line")
 	}
+	// The stream is sized up front, with and without the LVI fences.
+	for _, opt := range []BuildOptions{DefaultBuildOptions, {ValidityALU: 3, DecodeALU: 5, GlueALU: 2}} {
+		prog, _, err := BuildProgram(in, DefaultLayout, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(prog.Insts) != cap(prog.Insts) {
+			t.Fatalf("%+v: %d instructions emitted into a stream sized for %d", opt, len(prog.Insts), cap(prog.Insts))
+		}
+	}
 }
 
 func TestLUTGeometry(t *testing.T) {

@@ -72,17 +72,31 @@ var DefaultBuildOptions = BuildOptions{
 // iterations revisiting the same PCs. Tags hold the input position.
 func BuildProgram(input string, l Layout, opt BuildOptions) (*isa.Program, []Access, error) {
 	_, trace, err := Decode(input)
-	prog := &isa.Program{Name: "base64-decode"}
-	emitIter := func(a Access) {
-		var codePC uint64
-		var alu int
+	// An iteration is its load, the LVI fence, the ALU body and the loop
+	// branch; glue sits between phases. Sizing the stream up front keeps
+	// the build to one allocation.
+	n := 0
+	for i, a := range trace {
+		if i > 0 && a.Phase != trace[i-1].Phase {
+			n += opt.GlueALU
+		}
+		n += 2 + opt.alu(a.Phase)
+		if opt.LVIMitigation {
+			n++
+		}
+	}
+	prog := &isa.Program{Name: "base64-decode", Insts: make([]isa.Inst, 0, n)}
+	for i, a := range trace {
+		if i > 0 && a.Phase != trace[i-1].Phase {
+			for k := 0; k < opt.GlueALU; k++ {
+				prog.Insts = append(prog.Insts, isa.Inst{PC: l.GlueCode + uint64(4*k), Kind: isa.ALU, Size: 4})
+			}
+		}
+		codePC := l.DecodeCode
 		if a.Phase == PhaseValidity {
 			codePC = l.ValidityCode
-			alu = opt.ValidityALU
-		} else {
-			codePC = l.DecodeCode
-			alu = opt.DecodeALU
 		}
+		alu := opt.alu(a.Phase)
 		// The LUT load at the loop's load instruction.
 		prog.Insts = append(prog.Insts, isa.Inst{
 			PC: codePC, Kind: isa.Load, Mem: l.EntryAddr(a.Char), Tag: int32(a.Pos), Size: 4,
@@ -99,21 +113,15 @@ func BuildProgram(input string, l Layout, opt BuildOptions) (*isa.Program, []Acc
 			PC: codePC + 8 + uint64(4*alu), Kind: isa.CondBranch, Target: codePC, Taken: true, Size: 4,
 		})
 	}
-	emitGlue := func() {
-		for k := 0; k < opt.GlueALU; k++ {
-			prog.Insts = append(prog.Insts, isa.Inst{PC: l.GlueCode + uint64(4*k), Kind: isa.ALU, Size: 4})
-		}
-	}
-	var prevPhase Phase
-	havePrev := false
-	for _, a := range trace {
-		if havePrev && a.Phase != prevPhase {
-			emitGlue()
-		}
-		emitIter(a)
-		prevPhase, havePrev = a.Phase, true
-	}
 	return prog, trace, err
+}
+
+// alu returns the loop-body arithmetic length of a phase's loop.
+func (opt BuildOptions) alu(p Phase) int {
+	if p == PhaseValidity {
+		return opt.ValidityALU
+	}
+	return opt.DecodeALU
 }
 
 // IterationCost returns roughly how many instructions one validity-loop

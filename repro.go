@@ -49,16 +49,6 @@ type Options struct {
 	// experiment builds; "" and "off" both mean no defense. Defended runs
 	// stay deterministic per seed.
 	Defense string
-	// NoMachinePool disables campaign machine pooling: by default each
-	// CampaignEntries entry checks a machine pool out of the plan's
-	// exps.PoolSet into its run environment, so the machines it builds are
-	// earlier machines of the same configuration, scrubbed and
-	// re-initialised under the new seed, instead of from-scratch
-	// constructions. A pooled machine runs the same init as a fresh one
-	// (the kern.Pool contract), so results, traces and manifests do not
-	// change either way — this switch exists for A/B
-	// verification and as an escape hatch.
-	NoMachinePool bool
 
 	// env is the run environment Run, RunGuarded, RunTraced or a campaign
 	// entry built for this run; experiments build their machines from it.
@@ -606,8 +596,8 @@ func RunGuarded(id string, o Options, retries int) RunReport {
 // CampaignNote is the manifest note of a campaign over CampaignEntries(ids,
 // o, retries). It pins every result-shaping option but the seed, so a
 // resume under different options is refused instead of silently merging
-// incomparable records. Options that do not shape results (NoMachinePool,
-// campaign width) are left out. `cplab campaign`, `cplab cluster` and
+// incomparable records. What does not shape results (the campaign width)
+// is left out. `cplab campaign`, `cplab cluster` and
 // cplabd all write it, which is what lets each resume the others'
 // checkpoints; the defense is appended only when set, keeping pre-defense
 // manifests resumable byte-identically.
@@ -628,17 +618,15 @@ func CampaignNote(o Options, retries int) string {
 //
 // Each entry owns its telemetry: it runs in an environment of its own with
 // a private registry, whose counts it returns as Attempt.Telemetry, so
-// concurrent entries never share a counter.
+// concurrent entries never share a counter. Its machines come from a pool
+// it checks out of the plan's exps.PoolSet for the run.
 func CampaignEntries(ids []string, o Options, retries int) []campaign.Entry {
 	if len(ids) == 0 {
 		for _, e := range registry {
 			ids = append(ids, e.ID)
 		}
 	}
-	var ps *exps.PoolSet
-	if !o.NoMachinePool {
-		ps = planPools()
-	}
+	ps := planPools()
 	out := make([]campaign.Entry, 0, len(ids))
 	for _, id := range ids {
 		e, ok := Lookup(id)
@@ -653,11 +641,8 @@ func CampaignEntries(ids []string, o Options, retries int) []campaign.Entry {
 			oa.Seed = seed
 			oa.env = o.newEnv()
 			oa.env.Metrics = reg
-			oa.env.Pool = nil
-			if ps != nil {
-				oa.env.Pool = ps.Get()
-				defer ps.Put(oa.env.Pool)
-			}
+			oa.env.Pool = ps.Get()
+			defer ps.Put(oa.env.Pool)
 			rep := RunGuarded(exp.ID, oa, retries)
 			att := campaign.Attempt{Attempts: rep.Attempts, Degraded: rep.Degraded, Telemetry: reg.Counts()}
 			if rep.Result == nil {
@@ -678,12 +663,12 @@ func CampaignEntries(ids []string, o Options, retries int) []campaign.Entry {
 // configuration and every later entry reuses one instead of booting. The set's
 // telemetry (kern_forks_total, pool hits/misses) reports into the registry
 // ambient at plan build — never into the per-entry registries — so
-// manifests stay byte-identical with pooling on or off.
+// manifests do not depend on which entries shared a pool.
 func planPools() *exps.PoolSet { return exps.NewPoolSet(metrics.Ambient()) }
 
 // MicroBenchEntries builds a plan of n tiny machine-bound entries for the
-// benchmark harness: each entry boots (or, thanks to the default machine
-// pooling, forks) a full 16-core machine, runs a short attack-shaped
+// benchmark harness: each entry takes a full 16-core machine from its
+// pool (reusing the shell an earlier entry shut down), runs a short attack-shaped
 // workload — an ε-sleeper preempting a spinner on a shared core — and
 // shuts the machine down. The per-entry simulation is a few hundred
 // microseconds, so the plan's entries/sec measures the fixed per-entry
