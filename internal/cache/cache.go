@@ -59,11 +59,15 @@ type Config struct {
 // Sets returns the number of sets implied by the configuration.
 func (c Config) Sets() int { return c.Size / (c.Ways * LineSize) }
 
+// way packs the line tag with tagValid, so 0 is an invalid way. Invalid ways
+// have lru 0 and valid ones a stamp >= 1, so a set's first strict minimum of
+// lru is its first free way if it has one, else its least recently used.
 type way struct {
-	valid bool
-	tag   uint64
-	lru   uint64
+	tag uint64
+	lru uint64
 }
+
+const tagValid = 1 << 63 // line tags (addr >> LineShift) never reach bit 63
 
 // Cache is a single set-associative, LRU cache structure. Set storage is
 // carved lazily: a set's ways are allocated on its first fill, and a nil set
@@ -111,14 +115,10 @@ func New(cfg Config) (*Cache, error) {
 // carve provisions the ways of set si on its first fill.
 func (c *Cache) carve(si int) []way {
 	if len(c.arena) < c.cfg.Ways {
-		if c.chunkPos < len(c.chunks) {
-			// Re-use a slab retained across Reset.
-			c.arena = c.chunks[c.chunkPos]
-		} else {
-			slab := make([]way, setChunk*c.cfg.Ways)
-			c.chunks = append(c.chunks, slab)
-			c.arena = slab
+		if c.chunkPos == len(c.chunks) {
+			c.chunks = append(c.chunks, make([]way, setChunk*c.cfg.Ways))
 		}
+		c.arena = c.chunks[c.chunkPos] // a new slab or one retained across Reset
 		c.chunkPos++
 	}
 	s := c.arena[:c.cfg.Ways:c.cfg.Ways]
@@ -139,9 +139,7 @@ func (c *Cache) Reset() {
 	}
 	c.carved = c.carved[:0]
 	for _, slab := range c.chunks[:c.chunkPos] {
-		for i := range slab {
-			slab[i] = way{}
-		}
+		clear(slab)
 	}
 	c.arena = nil
 	c.chunkPos = 0
@@ -166,8 +164,9 @@ func (c *Cache) SetIndex(addr uint64) int {
 	return int((addr >> LineShift) & c.setMask)
 }
 
+// tagOf returns the packed, valid tag of the line holding addr.
 func (c *Cache) tagOf(addr uint64) uint64 {
-	return addr >> LineShift
+	return addr>>LineShift | tagValid
 }
 
 // Contains reports whether the line holding addr is present, without
@@ -176,7 +175,7 @@ func (c *Cache) Contains(addr uint64) bool {
 	set := c.sets[c.SetIndex(addr)]
 	tag := c.tagOf(addr)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag {
 			return true
 		}
 	}
@@ -189,7 +188,7 @@ func (c *Cache) Touch(addr uint64) bool {
 	set := c.sets[c.SetIndex(addr)]
 	tag := c.tagOf(addr)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag == tag {
 			c.tick++
 			set[i].lru = c.tick
 			return true
@@ -200,7 +199,12 @@ func (c *Cache) Touch(addr uint64) bool {
 
 // Insert fills the line holding addr, evicting the LRU way if the set is
 // full. The evicted line (if any) is reported to the eviction hook.
-func (c *Cache) Insert(addr uint64) {
+func (c *Cache) Insert(addr uint64) { c.fill(addr) }
+
+// fill is Insert reporting whether the line was present. A hit refreshes it
+// as Touch does, so at the last level a Touch and, on a miss, an Insert are
+// one call. One scan finds the line or the way to fill (see way).
+func (c *Cache) fill(addr uint64) bool {
 	si := c.SetIndex(addr)
 	set := c.sets[si]
 	if set == nil {
@@ -208,32 +212,23 @@ func (c *Cache) Insert(addr uint64) {
 	}
 	tag := c.tagOf(addr)
 	c.tick++
-	// Already present: refresh.
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	victim, oldest := 0, set[0].lru
+	for i, w := range set {
+		if w.tag == tag {
 			set[i].lru = c.tick
-			return
+			return true
 		}
-	}
-	// Free way.
-	for i := range set {
-		if !set[i].valid {
-			set[i] = way{valid: true, tag: tag, lru: c.tick}
-			return
-		}
-	}
-	// Evict LRU.
-	victim := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].lru < set[victim].lru {
+		if w.lru < oldest {
 			victim = i
 		}
+		oldest = min(oldest, w.lru)
 	}
-	evicted := set[victim].tag << LineShift
-	set[victim] = way{valid: true, tag: tag, lru: c.tick}
-	if c.onEvict != nil {
-		c.onEvict(evicted)
+	evicted := set[victim].tag
+	set[victim] = way{tag: tag, lru: c.tick}
+	if evicted != 0 && c.onEvict != nil {
+		c.onEvict((evicted &^ tagValid) << LineShift)
 	}
+	return false
 }
 
 // Invalidate removes the line holding addr if present, reporting whether it
@@ -242,21 +237,12 @@ func (c *Cache) Invalidate(addr uint64) bool {
 	set := c.sets[c.SetIndex(addr)]
 	tag := c.tagOf(addr)
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].valid = false
+		if set[i].tag == tag {
+			set[i] = way{}
 			return true
 		}
 	}
 	return false
-}
-
-// InvalidateAll empties the cache.
-func (c *Cache) InvalidateAll() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i].valid = false
-		}
-	}
 }
 
 // OccupancyOfSet returns how many valid ways set si holds (for tests and
@@ -264,19 +250,19 @@ func (c *Cache) InvalidateAll() {
 func (c *Cache) OccupancyOfSet(si int) int {
 	n := 0
 	for _, w := range c.sets[si] {
-		if w.valid {
+		if w.tag != 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// LinesInSet returns the line addresses currently valid in set si.
+// LinesInSet returns the line addresses valid in set si, in way order.
 func (c *Cache) LinesInSet(si int) []uint64 {
 	var out []uint64
 	for _, w := range c.sets[si] {
-		if w.valid {
-			out = append(out, w.tag<<LineShift)
+		if w.tag != 0 {
+			out = append(out, (w.tag&^tagValid)<<LineShift)
 		}
 	}
 	return out
@@ -352,6 +338,9 @@ type System struct {
 	cfg   SystemConfig
 	cores []corePriv
 	llc   *Cache
+	// filled lists the cores filled since Reset, in first-fill order:
+	// coherence-wide invalidations and Reset visit only their caches.
+	filled []int
 	// recentFills is a ring of line addresses recently filled into the
 	// LLC; the ambient channel-noise model evicts from it (in a real,
 	// saturated LLC, external pressure constantly evicts — the victim's
@@ -398,7 +387,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, llc: llc}
+	s := &System{cfg: cfg, llc: llc, filled: make([]int, 0, cfg.Cores)}
 	s.cores = make([]corePriv, cfg.Cores)
 	for i := range s.cores {
 		l1i, err := New(cfg.L1I)
@@ -420,11 +409,7 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	// evict victim code/data (§5.2).
 	s.llc.onEvict = func(line uint64) {
 		s.tel.llcEvictions.Inc()
-		for i := range s.cores {
-			s.cores[i].l1i.Invalidate(line)
-			s.cores[i].l1d.Invalidate(line)
-			s.cores[i].l2.Invalidate(line)
-		}
+		s.invalidatePrivate(line)
 	}
 	return s, nil
 }
@@ -446,11 +431,12 @@ func MustNewSystem(cfg SystemConfig) *System {
 // own registry. The eviction hook wiring is preserved.
 func (s *System) Reset() {
 	s.llc.Reset()
-	for i := range s.cores {
+	for _, i := range s.filled {
 		s.cores[i].l1i.Reset()
 		s.cores[i].l1d.Reset()
 		s.cores[i].l2.Reset()
 	}
+	s.filled = s.filled[:0]
 	s.fillPos = 0
 	s.fillCount = 0
 	s.tel.access = [4]*metrics.Counter{}
@@ -471,32 +457,34 @@ func (s *System) LLCSetIndex(addr uint64) int { return s.llc.SetIndex(addr) }
 // access performs a data-side access on core, returning the hit level after
 // filling all levels on the way down.
 func (s *System) access(core int, addr uint64, l1 *Cache) Level {
-	p := &s.cores[core]
-	switch {
-	case l1.Touch(addr):
+	if l1.Touch(addr) {
 		s.tel.access[LevelL1].Inc()
 		return LevelL1
-	case p.l2.Touch(addr):
+	}
+	// Every path below fills l1, and l2 unless it hits there, so a core's
+	// first fill is the one that finds its l2 uncarved.
+	p := &s.cores[core]
+	if len(p.l2.carved) == 0 {
+		s.filled = append(s.filled, core)
+	}
+	if p.l2.Touch(addr) {
 		s.tel.access[LevelL2].Inc()
 		l1.Insert(addr)
 		return LevelL2
-	case s.llc.Touch(addr):
-		s.tel.access[LevelLLC].Inc()
-		p.l2.Insert(addr)
-		l1.Insert(addr)
-		return LevelLLC
-	default:
-		s.tel.access[LevelMem].Inc()
-		s.llc.Insert(addr)
-		p.l2.Insert(addr)
-		l1.Insert(addr)
+	}
+	lvl := LevelLLC
+	if !s.llc.fill(addr) {
+		lvl = LevelMem
 		s.recentFills[s.fillPos] = LineAddr(addr)
 		s.fillPos = (s.fillPos + 1) % recentFillsCap
 		if s.fillCount < recentFillsCap {
 			s.fillCount++
 		}
-		return LevelMem
 	}
+	s.tel.access[lvl].Inc()
+	p.l2.Insert(addr)
+	l1.Insert(addr)
+	return lvl
 }
 
 // Load performs a data load on core and returns its latency in cycles and
@@ -535,7 +523,12 @@ func (s *System) PrefetchData(core int, addr uint64) {
 func (s *System) Flush(addr uint64) {
 	s.tel.flushes.Inc()
 	s.llc.Invalidate(addr)
-	for i := range s.cores {
+	s.invalidatePrivate(addr)
+}
+
+// invalidatePrivate removes the line containing addr from every private cache.
+func (s *System) invalidatePrivate(addr uint64) {
+	for _, i := range s.filled {
 		s.cores[i].l1i.Invalidate(addr)
 		s.cores[i].l1d.Invalidate(addr)
 		s.cores[i].l2.Invalidate(addr)

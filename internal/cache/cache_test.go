@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -125,6 +126,59 @@ func TestFlushIsCoherenceWide(t *testing.T) {
 		if lvl := s.Present(core, addr); lvl != LevelMem {
 			t.Fatalf("core %d still holds line at %v", core, lvl)
 		}
+	}
+}
+
+// TestCoherenceVisitsFilledCores: flushes and back-invalidations visit only
+// the cores whose private caches were filled since Reset, tracked in
+// first-fill order; Reset forgets them, and re-warming does not allocate.
+func TestCoherenceVisitsFilledCores(t *testing.T) {
+	s := MustNewSystem(I9900K(4))
+	addr := uint64(0x40_0000)
+	s.Fetch(3, addr)
+	s.Load(1, addr) // an LLC hit fills core 1's privates too
+	s.Load(3, addr)
+	if !slices.Equal(s.filled, []int{3, 1}) {
+		t.Fatalf("filled cores = %v, want [3 1]", s.filled)
+	}
+	s.Flush(addr)
+	for core := 0; core < 4; core++ {
+		if lvl := s.Present(core, addr); lvl != LevelMem {
+			t.Fatalf("core %d still holds line at %v", core, lvl)
+		}
+	}
+	s.Reset()
+	if len(s.filled) != 0 {
+		t.Fatalf("Reset kept filled cores %v", s.filled)
+	}
+	rewarm := func() {
+		s.Reset()
+		s.Load(2, addr)
+		s.Fetch(0, addr)
+		s.Flush(addr)
+	}
+	if avg := testing.AllocsPerRun(100, rewarm); avg != 0 {
+		t.Fatalf("reset and re-warm allocate %v/run, want 0", avg)
+	}
+}
+
+// TestLLCHitRefreshesLRU: an LLC hit (a line another core brought in)
+// refreshes the line's LRU stamp, so the next conflict miss in that set
+// evicts the least recently used other line instead.
+func TestLLCHitRefreshesLRU(t *testing.T) {
+	s := MustNewSystem(I9900K(2))
+	stride := uint64(s.LLC().Config().Sets() * LineSize)
+	ways := s.LLC().Config().Ways
+	line := func(i int) uint64 { return 0x7000_0000 + uint64(i)*stride }
+	for i := 0; i < ways; i++ {
+		s.Load(0, line(i))
+	}
+	if _, lvl := s.Load(1, line(0)); lvl != LevelLLC {
+		t.Fatalf("core 1 load of a core-0 line = %v, want LLC", lvl)
+	}
+	s.Load(0, line(ways))
+	if !s.LLC().Contains(line(0)) || s.LLC().Contains(line(1)) {
+		t.Fatal("conflict miss evicted the refreshed line instead of the LRU one")
 	}
 }
 

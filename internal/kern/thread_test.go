@@ -22,6 +22,30 @@ func settledGoroutines(t *testing.T, want int, what string) {
 	}
 }
 
+// steadyGoroutines returns runtime.NumGoroutine once it has read the same
+// value on several consecutive samples, so a goroutine that is still exiting
+// (one an earlier test or machine left behind) is not counted as part of a
+// baseline.
+func steadyGoroutines(t *testing.T) int {
+	t.Helper()
+	const samples = 3
+	deadline := time.Now().Add(5 * time.Second)
+	n, same := runtime.NumGoroutine(), 0
+	for same < samples {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine count never settled (last read %d)", n)
+		}
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
+}
+
 // TestThreadCoroutinesDoNotLeak checks that a thread body's coroutine lives
 // exactly as long as the thread. Over 200 machines, alternately fresh and
 // from a Pool, it is gone as soon as a body returns (before Shutdown), once
@@ -32,7 +56,7 @@ func settledGoroutines(t *testing.T, want int, what string) {
 func TestThreadCoroutinesDoNotLeak(t *testing.T) {
 	pool := NewPool(poolParams(2, 1))
 	for i := 0; i < 200; i++ {
-		base := runtime.NumGoroutine()
+		base := steadyGoroutines(t)
 		var m *Machine
 		if i%2 == 0 {
 			m = NewMachine(poolParams(2, uint64(i)))

@@ -4,7 +4,10 @@
 // is what makes every experiment deterministic and replayable.
 package timebase
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Time is an absolute instant on the simulated clock, in nanoseconds since
 // machine power-on. Time zero is the moment the simulated machine starts.
@@ -85,13 +88,18 @@ type Clock struct {
 // DefaultClock is the 4 GHz clock used by all experiments unless overridden.
 var DefaultClock = Clock{CyclesPerNano: 4}
 
-// CyclesToDuration converts a cycle count to simulated time.
+// CyclesToDuration converts a cycle count to simulated time, rounding up (a
+// partially used nanosecond is still spent). A power-of-two frequency shifts
+// instead of dividing: on a non-negative dividend both round the same way.
 func (c Clock) CyclesToDuration(cycles int64) Duration {
-	if c.CyclesPerNano <= 0 {
+	n, up := c.CyclesPerNano, cycles+c.CyclesPerNano-1
+	switch {
+	case n <= 0:
 		return Duration(cycles)
+	case up >= 0 && n&(n-1) == 0:
+		return Duration(up >> bits.TrailingZeros64(uint64(n)))
 	}
-	// Round up: a partially used nanosecond is still spent.
-	return Duration((cycles + c.CyclesPerNano - 1) / c.CyclesPerNano)
+	return Duration(up / n)
 }
 
 // DurationToCycles converts simulated time to a cycle count.

@@ -92,3 +92,36 @@ func TestMinMax(t *testing.T) {
 		t.Fatal("time min/max")
 	}
 }
+
+// TestCyclesToDurationMatchesDivision pins the shift path against the
+// division it replaces. Every count in [0, 1<<16] is checked exhaustively
+// for each frequency in 1..16 (powers of two shift, the rest divide): the
+// largest single conversion the models make, a cold first fetch plus a
+// 1400-cycle walk plus a 220-cycle miss plus the timestamp cost, is far
+// below 1<<16. Large and negative counts, where the rounded-up dividend is
+// negative or overflows, must keep the division's truncation too.
+func TestCyclesToDurationMatchesDivision(t *testing.T) {
+	edges := []int64{-1 << 63, -1<<63 + 1, -1 << 40, -65537, -17, -4, -3, -2, -1,
+		1<<62 - 1, 1 << 62, 1<<63 - 16, 1<<63 - 4, 1<<63 - 2, 1<<63 - 1}
+	for n := int64(1); n <= 16; n++ {
+		c := Clock{CyclesPerNano: n}
+		for cyc := int64(0); cyc <= 1<<16; cyc++ {
+			if got, want := c.CyclesToDuration(cyc), Duration((cyc+n-1)/n); got != want {
+				t.Fatalf("n=%d: CyclesToDuration(%d) = %d, want %d", n, cyc, got, want)
+			}
+		}
+		for _, cyc := range edges {
+			if got, want := c.CyclesToDuration(cyc), Duration((cyc+n-1)/n); got != want {
+				t.Fatalf("n=%d: CyclesToDuration(%d) = %d, want %d", n, cyc, got, want)
+			}
+		}
+	}
+	for _, n := range []int64{0, -1, -4, -1 << 63} {
+		c := Clock{CyclesPerNano: n}
+		for _, cyc := range append(edges, 0, 1, 4, 1<<16) {
+			if got := c.CyclesToDuration(cyc); got != Duration(cyc) {
+				t.Fatalf("n=%d: CyclesToDuration(%d) = %d, want the identity", n, cyc, got)
+			}
+		}
+	}
+}

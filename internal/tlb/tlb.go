@@ -35,11 +35,15 @@ type Config struct {
 // Sets returns the number of sets.
 func (c Config) Sets() int { return c.Entries / c.Ways }
 
+// entry packs the page number with vpnValid, so 0 is an invalid entry. As in
+// cache.Cache, an invalid entry has lru 0 and a valid one a stamp >= 1: a
+// set's first strict minimum of lru is its first free entry, else its LRU.
 type entry struct {
-	valid bool
-	vpn   uint64
-	lru   uint64
+	vpn uint64
+	lru uint64
 }
+
+const vpnValid = 1 << 63 // page numbers (addr >> PageShift) never reach bit 63
 
 // TLB is a set-associative, LRU translation buffer indexed by the low bits
 // of the virtual page number (the linear indexing Gras et al. reverse
@@ -77,13 +81,10 @@ func New(cfg Config) (*TLB, error) {
 // carve provisions the entries of set si on its first fill.
 func (t *TLB) carve(si int) []entry {
 	if len(t.arena) < t.cfg.Ways {
-		if t.chunkPos < len(t.chunks) {
-			t.arena = t.chunks[t.chunkPos]
-		} else {
-			slab := make([]entry, setChunk*t.cfg.Ways)
-			t.chunks = append(t.chunks, slab)
-			t.arena = slab
+		if t.chunkPos == len(t.chunks) {
+			t.chunks = append(t.chunks, make([]entry, setChunk*t.cfg.Ways))
 		}
+		t.arena = t.chunks[t.chunkPos]
 		t.chunkPos++
 	}
 	s := t.arena[:t.cfg.Ways:t.cfg.Ways]
@@ -102,9 +103,7 @@ func (t *TLB) Reset() {
 	}
 	t.carved = t.carved[:0]
 	for _, slab := range t.chunks[:t.chunkPos] {
-		for i := range slab {
-			slab[i] = entry{}
-		}
+		clear(slab)
 	}
 	t.arena = nil
 	t.chunkPos = 0
@@ -129,8 +128,9 @@ func (t *TLB) SetIndex(vpn uint64) int { return int(vpn & t.setMask) }
 
 // Contains reports whether vpn is cached, without touching LRU state.
 func (t *TLB) Contains(vpn uint64) bool {
+	key := vpn | vpnValid
 	for _, e := range t.sets[t.SetIndex(vpn)] {
-		if e.valid && e.vpn == vpn {
+		if e.vpn == key {
 			return true
 		}
 	}
@@ -140,8 +140,9 @@ func (t *TLB) Contains(vpn uint64) bool {
 // Touch looks up vpn; on hit it refreshes LRU and returns true.
 func (t *TLB) Touch(vpn uint64) bool {
 	set := t.sets[t.SetIndex(vpn)]
+	key := vpn | vpnValid
 	for i := range set {
-		if set[i].valid && set[i].vpn == vpn {
+		if set[i].vpn == key {
 			t.tick++
 			set[i].lru = t.tick
 			return true
@@ -151,40 +152,41 @@ func (t *TLB) Touch(vpn uint64) bool {
 }
 
 // Insert fills vpn, evicting the LRU entry of its set if needed.
-func (t *TLB) Insert(vpn uint64) {
+func (t *TLB) Insert(vpn uint64) { t.fill(vpn) }
+
+// fill is Insert reporting whether vpn was present. A hit refreshes it as
+// Touch does, so a Touch and, on a miss, an Insert are one call. One scan
+// finds vpn or the entry to fill (see entry).
+func (t *TLB) fill(vpn uint64) bool {
 	si := t.SetIndex(vpn)
 	set := t.sets[si]
 	if set == nil {
 		set = t.carve(si)
 	}
+	key := vpn | vpnValid
 	t.tick++
-	for i := range set {
-		if set[i].valid && set[i].vpn == vpn {
+	victim, oldest := 0, set[0].lru
+	for i, e := range set {
+		if e.vpn == key {
 			set[i].lru = t.tick
-			return
+			return true
 		}
-	}
-	for i := range set {
-		if !set[i].valid {
-			set[i] = entry{valid: true, vpn: vpn, lru: t.tick}
-			return
-		}
-	}
-	victim := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].lru < set[victim].lru {
+		if e.lru < oldest {
 			victim = i
 		}
+		oldest = min(oldest, e.lru)
 	}
-	set[victim] = entry{valid: true, vpn: vpn, lru: t.tick}
+	set[victim] = entry{vpn: key, lru: t.tick}
+	return false
 }
 
 // Invalidate drops vpn if present, reporting whether it was.
 func (t *TLB) Invalidate(vpn uint64) bool {
 	set := t.sets[t.SetIndex(vpn)]
+	key := vpn | vpnValid
 	for i := range set {
-		if set[i].valid && set[i].vpn == vpn {
-			set[i].valid = false
+		if set[i].vpn == key {
+			set[i] = entry{}
 			return true
 		}
 	}
@@ -192,12 +194,10 @@ func (t *TLB) Invalidate(vpn uint64) bool {
 }
 
 // Flush empties the TLB (CR3 write without PCID, or SGX AEX for enclave
-// pages).
+// pages). Only carved sets can hold entries.
 func (t *TLB) Flush() {
-	for _, set := range t.sets {
-		for i := range set {
-			set[i].valid = false
-		}
+	for _, si := range t.carved {
+		clear(t.sets[si])
 	}
 }
 
@@ -265,39 +265,29 @@ func I9900KTLBs() *CoreTLBs {
 // TranslateFetch charges the instruction-side translation of pc and returns
 // its latency in cycles, filling TLBs on the way.
 func (c *CoreTLBs) TranslateFetch(pc uint64) int64 {
-	vpn := VPN(pc)
-	switch {
-	case c.ITLB.Touch(vpn):
-		c.tel.itlbHits.Inc()
-		return c.Lat.L1Hit
-	case c.STLB.Touch(vpn):
-		c.tel.stlbHits.Inc()
-		c.ITLB.Insert(vpn)
-		return c.Lat.L2Hit
-	default:
-		c.tel.walks.Inc()
-		c.STLB.Insert(vpn)
-		c.ITLB.Insert(vpn)
-		return c.Lat.Walk
-	}
+	return c.translate(c.ITLB, c.tel.itlbHits, VPN(pc))
 }
 
 // TranslateData charges the data-side translation of addr and returns its
 // latency in cycles.
 func (c *CoreTLBs) TranslateData(addr uint64) int64 {
-	vpn := VPN(addr)
+	return c.translate(c.DTLB, c.tel.dtlbHits, VPN(addr))
+}
+
+// translate looks vpn up in the first-level TLB l1, then in the sTLB, and
+// fills each level that misses. No level's fill touches another level, so
+// each is looked up and filled in one scan (fill) rather than a Touch and,
+// once the miss is served, an Insert.
+func (c *CoreTLBs) translate(l1 *TLB, l1Hits *metrics.Counter, vpn uint64) int64 {
 	switch {
-	case c.DTLB.Touch(vpn):
-		c.tel.dtlbHits.Inc()
+	case l1.fill(vpn):
+		l1Hits.Inc()
 		return c.Lat.L1Hit
-	case c.STLB.Touch(vpn):
+	case c.STLB.fill(vpn):
 		c.tel.stlbHits.Inc()
-		c.DTLB.Insert(vpn)
 		return c.Lat.L2Hit
 	default:
 		c.tel.walks.Inc()
-		c.STLB.Insert(vpn)
-		c.DTLB.Insert(vpn)
 		return c.Lat.Walk
 	}
 }

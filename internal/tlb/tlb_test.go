@@ -102,6 +102,27 @@ func TestFlushAll(t *testing.T) {
 	}
 }
 
+// TestSTLBHitRefreshesLRU: an sTLB hit after an iTLB miss refreshes the
+// entry's LRU stamp, so the next walk into that sTLB set evicts the least
+// recently used other page instead.
+func TestSTLBHitRefreshesLRU(t *testing.T) {
+	c := I9900KTLBs()
+	stride := uint64(c.STLB.Config().Sets()) * PageSize
+	ways := c.STLB.Config().Ways
+	page := func(i int) uint64 { return 0x40_0000 + uint64(i)*stride }
+	for i := 0; i < ways; i++ {
+		c.TranslateFetch(page(i))
+	}
+	// The 8-way iTLB has dropped page 0 by now; the sTLB still holds it.
+	if lat := c.TranslateFetch(page(0)); lat != c.Lat.L2Hit {
+		t.Fatalf("translation of page 0 = %d, want sTLB hit %d", lat, c.Lat.L2Hit)
+	}
+	c.TranslateFetch(page(ways))
+	if !c.STLB.Contains(VPN(page(0))) || c.STLB.Contains(VPN(page(1))) {
+		t.Fatal("walk evicted the refreshed page instead of the LRU one")
+	}
+}
+
 // TestEvictionPagesEvict verifies the Gras-et-al-style eviction set: after
 // touching the congruent pages, the target's translation is gone.
 func TestEvictionPagesEvict(t *testing.T) {
