@@ -139,6 +139,10 @@ func (b *BTB) UpdateNonBranch(pc uint64) bool {
 	return false
 }
 
+// Allocated reports whether the entry table exists: until the first branch
+// update the BTB is empty and UpdateNonBranch does nothing.
+func (b *BTB) Allocated() bool { return b.entries != nil }
+
 // Invalidate drops the entry for pc if present.
 func (b *BTB) Invalidate(pc uint64) {
 	if b.entries == nil {

@@ -200,6 +200,56 @@ func (c *Core) Exec(ctx *Context, in isa.Inst) int64 {
 	return cyc
 }
 
+// PlainRun reports the plain run at the head of insts: the longest prefix
+// of ALU instructions, or of Nop instructions, that ctx retires at one
+// fixed cost. That excludes the first instruction of a stint (Seq == 0
+// pays ColdFirst), contexts that translate or fetch instructions (their
+// cost depends on TLB and cache state), and the warm-up boundary: a run
+// that starts cold ends at ColdDecay. It returns the run's length and the
+// cycles each of its instructions costs; n == 0 means insts[0] goes
+// through Exec.
+func (c *Core) PlainRun(ctx *Context, insts []isa.Inst) (n int, cyc int64) {
+	if len(insts) == 0 || ctx.Seq == 0 || ctx.UseITLB || ctx.FetchThroughCache {
+		return 0, 0
+	}
+	kind := insts[0].Kind
+	switch kind {
+	case isa.ALU:
+		cyc = c.P.ALU
+	case isa.Nop:
+		cyc = c.P.Nop
+	default:
+		return 0, 0
+	}
+	limit := len(insts)
+	if ctx.Seq < c.P.ColdDecay {
+		cyc += c.P.ColdPerInstr
+		if w := c.P.ColdDecay - ctx.Seq; w < int64(limit) {
+			limit = int(w)
+		}
+	}
+	for n < limit && insts[n].Kind == kind {
+		n++
+	}
+	return n, cyc
+}
+
+// RetirePlain retires insts, a prefix of a PlainRun, with the side effects
+// of as many Exec calls: the NightVision BTB update at each PC (skipped
+// while the BTB table is unallocated, where it is a no-op) and the
+// retirement counts.
+func (c *Core) RetirePlain(ctx *Context, insts []isa.Inst) {
+	if c.BTB.Allocated() {
+		for i := range insts {
+			c.BTB.UpdateNonBranch(insts[i].PC)
+		}
+	}
+	k := int64(len(insts))
+	ctx.Seq += k
+	ctx.Retired += k
+	c.retired.Add(k)
+}
+
 // execBranch resolves a control transfer against the BTB, applying the
 // prefetch side effect the BTB Train+Probe gadget of Figure 5.3 measures.
 func (c *Core) execBranch(in isa.Inst) int64 {

@@ -49,13 +49,17 @@ func (e *Env) maybeYield() {
 	}
 }
 
-// advance consumes d of CPU time, yielding at grant boundaries.
+// advance consumes d of CPU time, yielding at grant boundaries. A park
+// that switches the thread out and back in leaves end stale: the time off
+// CPU counts toward d. However stale end is, the clock never falls behind
+// the instant the thread was last switched in, so a thread preempted
+// mid-burn and resumed much later does not run in the machine's past.
 func (e *Env) advance(d timebase.Duration) {
 	t := e.t
 	end := t.clock.Add(d)
 	for t.clock < end {
 		e.maybeYield()
-		t.clock = timebase.MinTime(end, t.horizon)
+		t.clock = timebase.MaxTime(timebase.MinTime(end, t.horizon), t.schedIn)
 	}
 }
 
@@ -78,72 +82,73 @@ func (e *Env) Exec(in isa.Inst) {
 	e.t.clock = e.t.clock.Add(e.cycles(cyc))
 }
 
+// execBody executes insts[*pos:] in order, keeping *pos at the index of the
+// next instruction to execute at every park, so a specPeek reading it sees
+// the not-yet-executed suffix. It retires exactly as one Exec per
+// instruction would, but a plain run (cpu.Core.PlainRun) retires in closed
+// form: its instructions all cost the same d, so of the run's n the ones
+// that start before the horizon — ceil((horizon-clock)/d) of them — retire
+// in one RetirePlain call, and the next loop turn parks where Exec's
+// maybeYield would have.
+func (e *Env) execBody(insts []isa.Inst, pos *int) {
+	t := e.t
+	for i := *pos; i < len(insts); i = *pos {
+		e.maybeYield()
+		c := e.m.coreOf(t).cpu
+		n, cyc := c.PlainRun(&t.ctx, insts[i:])
+		if n == 0 {
+			cyc = c.Exec(&t.ctx, insts[i])
+			t.clock = t.clock.Add(e.cycles(cyc))
+			*pos = i + 1
+			continue
+		}
+		d := e.cycles(cyc)
+		// maybeYield left room > 0; instruction j starts at clock + j*d.
+		if room := t.horizon.Sub(t.clock); d > 0 && timebase.Duration(n-1)*d >= room {
+			n = int((room-1)/d) + 1
+		}
+		c.RetirePlain(&t.ctx, insts[i:i+n])
+		t.clock = t.clock.Add(timebase.Duration(n) * d)
+		*pos = i + n
+	}
+}
+
+// peekAt returns a specPeek over insts that reads the next instruction's
+// index from *pos.
+func peekAt(insts []isa.Inst, pos *int) func(n int) []isa.Inst {
+	return func(n int) []isa.Inst {
+		lo, hi := *pos, *pos+n
+		if hi > len(insts) {
+			hi = len(insts)
+		}
+		if lo >= hi {
+			return nil
+		}
+		return insts[lo:hi]
+	}
+}
+
 // ExecProgram executes all instructions of p in order, exposing the
-// not-yet-executed suffix to the kernel's speculative-smear model.
+// not-yet-executed suffix to the kernel's speculative-smear model, and
+// restores the previous specPeek when done. It costs what one Exec per
+// instruction would, but retires plain runs in closed form (execBody).
 func (e *Env) ExecProgram(p *isa.Program) {
 	i := 0
 	prev := e.t.specPeek
-	e.t.specPeek = func(n int) []isa.Inst {
-		hi := i + n
-		if hi > len(p.Insts) {
-			hi = len(p.Insts)
-		}
-		if i >= hi {
-			return nil
-		}
-		return p.Insts[i:hi]
-	}
-	for ; i < len(p.Insts); i++ {
-		e.Exec(p.Insts[i])
-	}
+	e.t.specPeek = peekAt(p.Insts, &i)
+	e.execBody(p.Insts, &i)
 	e.t.specPeek = prev
 }
 
-// RunLoopForever executes body in an infinite loop. Steady-state iterations
-// (two consecutive iterations with identical cost and no kernel
-// interaction) are fast-forwarded in O(1) up to just below the grant
-// horizon, keeping preemption boundaries instruction-exact while making
-// multi-second quiescent phases affordable.
+// RunLoopForever executes body in an infinite loop, exposing the rest of
+// the current iteration to the kernel's speculative-smear model.
+// Steady-state iterations are fast-forwarded in O(1) up to just below the
+// grant horizon (see loop), keeping preemption boundaries instruction-exact
+// while making multi-second quiescent phases affordable.
 func (e *Env) RunLoopForever(body []isa.Inst) {
-	t := e.t
 	i := 0
-	e.t.specPeek = func(n int) []isa.Inst {
-		hi := i + n
-		if hi > len(body) {
-			hi = len(body)
-		}
-		if i >= hi {
-			return nil
-		}
-		return body[i:hi]
-	}
-	var prevCost timebase.Duration = -1
-	var prevYields int64 = -1
-	for {
-		start := t.clock
-		yieldsBefore := e.m.yieldCount
-		for i = 0; i < len(body); i++ {
-			e.Exec(body[i])
-		}
-		cost := t.clock.Sub(start)
-		sawKernel := e.m.yieldCount != yieldsBefore
-		if !sawKernel && cost == prevCost && prevYields == yieldsBefore && cost > 0 {
-			// Steady state: bulk-skip whole iterations below the horizon.
-			if room := t.horizon.Sub(t.clock); room > cost {
-				n := int64(room/cost) - 1
-				if n > 0 {
-					t.clock = t.clock.Add(timebase.Duration(n) * cost)
-					t.ctx.Seq += n * int64(len(body))
-					t.ctx.Retired += n * int64(len(body))
-				}
-			}
-		}
-		if sawKernel {
-			prevCost, prevYields = -1, -1
-		} else {
-			prevCost, prevYields = cost, yieldsBefore
-		}
-	}
+	e.t.specPeek = peekAt(body, &i)
+	e.loop(body, &i, nil)
 }
 
 // RunLoopUntil executes body repeatedly until stop() reports true,
@@ -151,17 +156,28 @@ func (e *Env) RunLoopForever(body []isa.Inst) {
 // like RunLoopForever; this is safe because stop's value can only change
 // while some other thread runs, which always ends the current grant first.
 // Victims use it to busy-wait (accumulating vruntime, like the paper's
-// busy victim processes) until the attacker invokes them.
+// busy victim processes) until the attacker invokes them. Unlike
+// RunLoopForever it installs no specPeek: a poll loop feeds nothing to the
+// speculation model.
 func (e *Env) RunLoopUntil(body []isa.Inst, stop func() bool) {
+	var i int
+	e.loop(body, &i, stop)
+}
+
+// loop executes body repeatedly, from instruction 0 each time, until stop
+// reports true (never, for a nil stop). An iteration that costs what the
+// one before it cost, with no kernel interaction in or between them, marks
+// a steady state: the whole iterations that fit strictly below the horizon,
+// less one, are skipped in O(1) at that cost.
+func (e *Env) loop(body []isa.Inst, pos *int, stop func() bool) {
 	t := e.t
 	var prevCost timebase.Duration = -1
 	var prevYields int64 = -1
-	for !stop() {
+	for stop == nil || !stop() {
 		start := t.clock
 		yieldsBefore := e.m.yieldCount
-		for i := 0; i < len(body); i++ {
-			e.Exec(body[i])
-		}
+		*pos = 0
+		e.execBody(body, pos)
 		cost := t.clock.Sub(start)
 		sawKernel := e.m.yieldCount != yieldsBefore
 		if !sawKernel && cost == prevCost && prevYields == yieldsBefore && cost > 0 {

@@ -895,6 +895,7 @@ func (c *Core) switchTo(t *Thread, at timebase.Time) {
 	start := at.Add(cost)
 	t.task.State = sched.StateRunning
 	t.clock = start
+	t.schedIn = at
 	t.ctx.ResetSchedIn()
 	c.curr = t
 	c.rq.SetCurr(t.task)

@@ -97,6 +97,9 @@ type Thread struct {
 	// may run until (exclusive for starting new work; an instruction
 	// started before it retires).
 	horizon timebase.Time
+	// schedIn is when the thread was last switched in (before the
+	// switch-in latency); its clock never falls behind it.
+	schedIn timebase.Time
 
 	// core is the runqueue the thread belongs to.
 	core *Core
