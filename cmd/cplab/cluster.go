@@ -34,7 +34,7 @@ func clusterCmd(args []string) int {
 	idsCSV := fs.String("ids", "", "comma-separated experiment IDs (default: all, in paper order)")
 	retries := fs.Int("retries", 2, "guarded bumped-seed retries per experiment")
 	shard := fs.Int("shard", 4, "plan entries per shard")
-	parallel := fs.Int("parallel", 1, "campaign workers per cplabd job")
+	parallel := fs.Int("parallel", 1, "upper bound on campaign workers per cplabd job (the worker's CPU budget caps it)")
 	wall := fs.Duration("wall", 0, "wall-clock budget for this session; halts resumable (0 = unbounded)")
 	hang := fs.Duration("hang", 2*time.Minute, "cancel and requeue a shard job with no progress for this long")
 	poll := fs.Duration("poll", 250*time.Millisecond, "job polling cadence")

@@ -320,7 +320,7 @@ func campaignCmd(args []string, resumeOnly bool) int {
 	expWall := fs.Duration("expwall", 0, "wall-clock budget per experiment (0 = unbounded)")
 	wall := fs.Duration("wall", 0, "wall-clock budget for this session; halts resumable (0 = unbounded)")
 	haltAfter := fs.Int("haltafter", 0, "halt (resumable) after N experiments this session (0 = off)")
-	parallel := fs.Int("parallel", 1, "campaign workers (manifest is byte-identical at any width)")
+	parallel := fs.Int("parallel", 1, "upper bound on campaign workers, capped by the CPU budget (manifest is byte-identical at any width)")
 	force := fs.Bool("force", false, "discard an existing manifest and start over")
 	diskchaos := fs.Float64("diskchaos", 0, "inject ENOSPC/EIO into manifest writes with this probability (testing)")
 	diskchaosseed := fs.Uint64("diskchaosseed", 1, "seed for the -diskchaos fault schedule")

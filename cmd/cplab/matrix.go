@@ -33,7 +33,7 @@ func matrixCmd(args []string) int {
 	expWall := fs.Duration("expwall", 0, "wall-clock budget per cell (0 = unbounded)")
 	wall := fs.Duration("wall", 0, "wall-clock budget for this session; halts resumable (0 = unbounded)")
 	haltAfter := fs.Int("haltafter", 0, "halt (resumable) after N cells this session (0 = off)")
-	parallel := fs.Int("parallel", 1, "grid workers (manifest and report are byte-identical at any width)")
+	parallel := fs.Int("parallel", 1, "upper bound on grid workers, capped by the CPU budget (manifest and report are byte-identical at any width)")
 	force := fs.Bool("force", false, "discard an existing manifest and start over")
 	fs.Parse(args)
 	o, err := cf.options()

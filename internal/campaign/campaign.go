@@ -206,16 +206,18 @@ type job struct {
 }
 
 // RunParallel executes the plan with up to workers entries in flight at
-// once. Each entry runs in its own contained goroutine and reports its own
-// telemetry (Attempt.Telemetry); a sequencer on the calling goroutine folds
-// results into the manifest and commits them to the journal in strict plan
-// order. Because seeds are fixed up front, each entry's execution is
-// isolated, and commits are ordered, the manifest — and every committed
-// prefix of it — is byte-identical to a serial run's. Results that are
-// ready together are written to the journal and committed by one fsync
-// (group commit): while an fsync is slow the workers run on, so its cost
-// is shared by more records instead of being paid by each. The manifest
-// file is written once, when RunParallel returns, complete or halted.
+// once: workers is an upper bound, capped by the process-wide CPU budget
+// the pool's helpers draw from (package pool). Each entry runs in its own
+// contained goroutine and reports its own telemetry (Attempt.Telemetry);
+// the pool's in-order commit folds results into the manifest and commits
+// them to the journal in strict plan order. Because seeds are fixed up
+// front, each entry's execution is isolated, and commits are ordered, the
+// manifest — and every committed prefix of it — is byte-identical to a
+// serial run's. Results that are ready together are written to the
+// journal and committed by one fsync (group commit): while an fsync is
+// slow the workers run on, so its cost is shared by more records instead
+// of being paid by each. The manifest file is written once, when
+// RunParallel returns, complete or halted.
 //
 // Cancelling ctx stops dispatching new entries, drains the ones in flight,
 // commits the completed in-order prefix and returns ErrHalted — the same
@@ -223,8 +225,8 @@ type job struct {
 //
 // When a process-wide telemetry registry is installed (metrics.SetAmbient),
 // RunParallel counts entries, failures, skips, checkpoints and resume hits
-// there, on the sequencer; per-entry telemetry always comes from the entry
-// itself, never the shared registry.
+// there, in the in-order commit; per-entry telemetry always comes from the
+// entry itself, never the shared registry.
 func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, error) {
 	// Open the durable store before anything runs: a fresh campaign
 	// discards the prior store and seeds its journal; a resumed one
@@ -240,7 +242,7 @@ func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, err
 	}
 
 	// Resolve every campaign counter once up front: Counter() is a map
-	// lookup, and the sequencer otherwise pays it per checkpoint.
+	// lookup, and the commit otherwise pays it per checkpoint.
 	reg := metrics.Ambient()
 	mEntries := reg.Counter("campaign_entries_total")
 	mFailures := reg.Counter("campaign_failures_total")

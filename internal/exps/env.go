@@ -27,8 +27,9 @@ import (
 // An Env is used by one goroutine at a time, like the MachinePool and
 // TraceCapture it may carry. A driver that fans its independent trials out
 // (Trials) hands each trial a derived Env with fresh sinks and merges them
-// back in trial order; a helper goroutine gets such a derived Env, never
-// the caller's. The zero Env builds plain, unobserved machines, from a
+// back in trial order; a trial body gets such a derived Env, never the
+// caller's, whose sinks only the map's in-order commit touches, one
+// commit at a time. The zero Env builds plain, unobserved machines, from a
 // machine pool of its own that its first NewMachine installs.
 type Env struct {
 	// Faults configures fault injection in every machine (package fault);

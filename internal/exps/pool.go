@@ -47,8 +47,7 @@ func keyOf(kind Sched, p kern.Params) poolKey {
 // MachinePool keeps one kern.Pool per shell shape and hands out machines
 // of any configuration of that shape. A MachinePool is single-goroutine,
 // like the kern.Pools it wraps: give it to one Env at a time, and use a
-// PoolSet to share warm pools across the sequential entries of a parallel
-// campaign.
+// PoolSet to share warm pools across the goroutines of a parallel map.
 type MachinePool struct {
 	// pools maps shell shape → machine pool.
 	pools map[poolKey]*kern.Pool
@@ -114,13 +113,13 @@ func (mp *MachinePool) report(tel *poolTelemetry) {
 	mp.reported = now
 }
 
-// PoolSet shares MachinePools across the goroutine-per-entry structure of a
-// parallel campaign. Each entry checks one MachinePool out for its whole
-// run (creating it on first use, up to one per concurrent worker) and
-// checks it back in when it finishes — so pools migrate between entry
-// goroutines but are only ever used by one at a time, and a width-N
-// campaign converges on N warm pools whose free machines are reused for
-// the rest of the plan.
+// PoolSet shares MachinePools among the goroutines of a parallel map: the
+// entries of a parallel campaign, or the trials of one Trials call. Each
+// entry (or trial) checks one MachinePool out for its whole run (creating
+// it on first use, up to one per concurrent worker) and checks it back in
+// when it finishes — so pools migrate between goroutines but are only ever
+// used by one at a time, and a width-N map converges on N warm pools whose
+// free machines are reused for the rest of the run.
 type PoolSet struct {
 	mu   sync.Mutex
 	tel  poolTelemetry

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/pool"
 )
 
 // observeTrial feeds every sink kind of env the way trial i does in the
@@ -23,15 +24,15 @@ func observeTrial(env *Env, i int) {
 
 // TestTrialsOrderMergeAndHelperBound: results come back in trial order,
 // the merged sinks equal a serial run observing everything directly, a
-// nested map neither deadlocks nor pushes the process past GOMAXPROCS−1
-// helpers, and every helper slot is released on return.
+// nested map neither deadlocks nor pushes the process past the budget's
+// GOMAXPROCS−1 helper tokens, and every token is returned on return.
 func TestTrialsOrderMergeAndHelperBound(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			var peak atomic.Int32
 			notePeak := func() {
-				for n := helpers.Load(); n > peak.Load(); {
+				for n := int32(pool.Helpers()); n > peak.Load(); {
 					if peak.CompareAndSwap(peak.Load(), n) {
 						return
 					}
@@ -66,8 +67,8 @@ func TestTrialsOrderMergeAndHelperBound(t *testing.T) {
 			if p := peak.Load(); p > int32(procs-1) {
 				t.Fatalf("%d helpers ran at once, want at most GOMAXPROCS−1 = %d", p, procs-1)
 			}
-			if n := helpers.Load(); n != 0 {
-				t.Fatalf("%d helper slots still held after the map returned", n)
+			if n := pool.Helpers(); n != 0 {
+				t.Fatalf("%d helper tokens still held after the map returned", n)
 			}
 		})
 	}
@@ -76,7 +77,7 @@ func TestTrialsOrderMergeAndHelperBound(t *testing.T) {
 // TestTrialsReraisesLowestPanic: with two panicking trials, the map
 // re-raises the lower one's value even when the higher one panics first,
 // merges the sinks of exactly the trials up to it (its own partial sinks
-// included) and releases its helpers.
+// included) and returns its helpers' tokens.
 func TestTrialsReraisesLowestPanic(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
@@ -124,8 +125,8 @@ func TestTrialsReraisesLowestPanic(t *testing.T) {
 			if flat["trials_total"] != 3 || env.Profiler.Report().TotalEvents != 3 {
 				t.Fatalf("merged %d trials' counts and %d profile events, want 3 each", flat["trials_total"], env.Profiler.Report().TotalEvents)
 			}
-			if n := helpers.Load(); n != 0 {
-				t.Fatalf("%d helper slots still held after the map panicked", n)
+			if n := pool.Helpers(); n != 0 {
+				t.Fatalf("%d helper tokens still held after the map panicked", n)
 			}
 		})
 	}

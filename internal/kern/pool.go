@@ -17,8 +17,9 @@ import (
 // reuses the event arena, runqueue nodes, cache/TLB slabs, telemetry block
 // and flight ring of earlier cycles: the warm path allocates nothing.
 //
-// A Pool is single-goroutine, like the machines it manages: parallel
-// campaign workers each keep their own pool (see exps.PoolSet).
+// A Pool is single-goroutine, like the machines it manages: concurrent
+// campaign entries and trial helpers each check a pool of their own out
+// of an exps.PoolSet.
 type Pool struct {
 	// shape holds the normalized shell inputs; its other fields are zero.
 	shape Params

@@ -15,9 +15,9 @@ import (
 // the service never panics and never answers 5xx, and every 202 names a job
 // that GET /jobs/{id} serves; an accepted job then runs to a terminal state,
 // so a fuzzed resume manifest is consumed, not just decoded. Jobs run on the
-// fake-entry plan: it holds one cheap entry per id, and pool.Run clamps
-// workers to the plan size, so a fuzzed "parallel" cannot start more
-// workers than there are entries.
+// fake-entry plan: it holds one cheap entry per id, and pool.Run caps
+// workers by the plan size and by the process's CPU budget, so a fuzzed
+// "parallel" cannot start more than GOMAXPROCS workers.
 func FuzzSubmitSpec(f *testing.F) {
 	full := seedManifest(f, `{"ids":["alpha","beta"],"seed":1}`)
 	var partial map[string]any

@@ -52,8 +52,11 @@ type Spec struct {
 	SimBudget time.Duration `json:"simbudget,omitempty"`
 	// Retries is the guarded bumped-seed retry budget per experiment.
 	Retries int `json:"retries,omitempty"`
-	// Parallel is the number of campaign workers for this job (0 or 1 =
-	// serial; the manifest is byte-identical either way).
+	// Parallel is the upper bound on this job's campaign workers (0 or 1 =
+	// serial; the manifest is byte-identical at any width). The process's
+	// CPU budget caps it: workers beyond the caller start only while a
+	// helper token is free (package pool), so a job never runs more
+	// entries at once than GOMAXPROCS.
 	Parallel int `json:"parallel,omitempty"`
 	// Resume optionally seeds the job with a previously checkpointed
 	// manifest: before the job first runs, the manifest is written to the

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -491,5 +492,81 @@ func TestQueueLimit(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("over-limit submit: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestJobWidthBoundedByBudget: a job's "parallel" is an upper bound that
+// the process's CPU budget caps. Sixteen entries that block until
+// released, submitted with parallel 64 at GOMAXPROCS=2, never have more
+// than two entries running at once (labd_workers_busy).
+func TestJobWidthBoundedByBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	release := make(chan struct{})
+	cfg := testConfig(t.TempDir(), nil)
+	cfg.Entries = func(spec Spec) []campaign.Entry {
+		out := make([]campaign.Entry, len(spec.IDs))
+		for i, id := range spec.IDs {
+			out[i] = campaign.Entry{ID: id, Run: func(uint64) campaign.Attempt {
+				<-release
+				return campaign.Attempt{Rendered: id + "\n", Attempts: 1}
+			}}
+		}
+		return out
+	}
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Drain(ctx)
+	}()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+
+	busy := func() int {
+		var b strings.Builder
+		if err := srv.WriteMetrics(&b); err != nil {
+			t.Fatal(err)
+		}
+		var n int
+		for _, line := range strings.Split(b.String(), "\n") {
+			if _, err := fmt.Sscanf(line, "labd_workers_busy %d", &n); err == nil {
+				return n
+			}
+		}
+		t.Fatalf("no labd_workers_busy in /metrics:\n%s", b.String())
+		return 0
+	}
+
+	ids := make([]string, 16)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("entry-%02d", i)
+	}
+	view := submit(t, hs, Spec{IDs: ids, Parallel: 64})
+	peak := 0
+	for range ids {
+		// Wait for a blocked entry, give any others time to start, then
+		// sample and release one.
+		deadline := time.Now().Add(10 * time.Second)
+		for busy() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("no entry started")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond)
+		peak = max(peak, busy())
+		select {
+		case release <- struct{}{}:
+		case <-time.After(10 * time.Second):
+			t.Fatal("no entry took the release")
+		}
+	}
+	waitState(t, hs, view.ID, StateDone)
+	if peak > 2 {
+		t.Fatalf("labd_workers_busy reached %d with parallel 64, want at most GOMAXPROCS = 2", peak)
 	}
 }

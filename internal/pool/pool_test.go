@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -186,8 +187,10 @@ func TestSerialPathRunsInline(t *testing.T) {
 	}
 }
 
-// TestWorkerCountBounded: no more than `workers` run calls overlap.
+// TestWorkerCountBounded: no more than `workers` run calls overlap, even
+// when the CPU budget would allow more.
 func TestWorkerCountBounded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	const workers = 3
 	var cur, max atomic.Int32
 	err := Run(context.Background(), workers, 50,
@@ -223,8 +226,8 @@ func TestZeroJobs(t *testing.T) {
 }
 
 // TestSharedCommitStateNeedsNoLock: commit may mutate shared state without
-// synchronization (commits are serialized on the caller's goroutine); -race
-// verifies the claim.
+// synchronization (each commit happens before the next, whichever
+// goroutine runs it); -race verifies the claim.
 func TestSharedCommitStateNeedsNoLock(t *testing.T) {
 	sum := 0
 	var wg sync.WaitGroup
@@ -285,8 +288,10 @@ func TestRunFlushesEveryCommit(t *testing.T) {
 }
 
 // TestRunGroupsReadyResults: results that finish while a flush is
-// running are committed together and share the next flush.
+// running are committed together and share the next flush. It needs a
+// helper, so it runs with room for one in the CPU budget.
 func TestRunGroupsReadyResults(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const n = 20
 	var ran atomic.Int32
 	commits, flushes := 0, 0
@@ -317,7 +322,7 @@ func TestRunGroupsReadyResults(t *testing.T) {
 
 // TestRunFlushErrorSurfaces: a failed flush ends the run and is
 // returned. The first flush fails, so the checks hold however the
-// parallel sequencer batches results: flush runs exactly once, and no
+// parallel map batches results: flush runs exactly once, and no
 // commit lands after it.
 func TestRunFlushErrorSurfaces(t *testing.T) {
 	boom := errors.New("fsync failed")
@@ -342,5 +347,106 @@ func TestRunFlushErrorSurfaces(t *testing.T) {
 				t.Fatalf("%d commits landed after the failing flush", commits-atFlush)
 			}
 		})
+	}
+}
+
+// TestNestedMapsShareOneBudget: a width-4 map whose jobs each run a
+// width-4 map never runs more than GOMAXPROCS leaf jobs at once, commits
+// every level in order, and returns every helper token however the outer
+// map ends: normally, on a stop, a commit error, a cancel or a panic.
+func TestNestedMapsShareOneBudget(t *testing.T) {
+	const width, n = 4, 8
+	for _, procs := range []int{1, 2, 4} {
+		for _, end := range []string{"complete", "stop", "error", "cancel", "panic"} {
+			t.Run(fmt.Sprintf("GOMAXPROCS=%d/%s", procs, end), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				var cur, peak atomic.Int32
+				leaf := func(_ context.Context, j int) int {
+					c := cur.Add(1)
+					for m := peak.Load(); c > m && !peak.CompareAndSwap(m, c); m = peak.Load() {
+					}
+					time.Sleep(200 * time.Microsecond)
+					cur.Add(-1)
+					return j
+				}
+				var committed []int
+				boom := errors.New("boom")
+				outer := func() error {
+					return Run(ctx, width, n,
+						func(ctx context.Context, i int) []int {
+							if end == "cancel" && i == 2 {
+								cancel()
+							}
+							var got []int
+							err := Run(ctx, width, n,
+								func(ctx context.Context, j int) int {
+									if end == "panic" && i == 3 && j == 5 {
+										panic("leaf 3/5")
+									}
+									return leaf(ctx, j)
+								},
+								func(j, v int) (bool, error) {
+									if v != j || len(got) != j {
+										t.Errorf("inner map %d committed job %d (value %d) at position %d", i, j, v, len(got))
+									}
+									got = append(got, v)
+									return false, nil
+								}, nil)
+							if err != nil && end != "cancel" {
+								t.Errorf("inner map %d: %v", i, err)
+							}
+							return got
+						},
+						func(i int, got []int) (bool, error) {
+							if len(committed) != i {
+								t.Errorf("outer map committed job %d at position %d", i, len(committed))
+							}
+							if end != "cancel" && len(got) != n {
+								t.Errorf("outer job %d carried %d inner results, want %d", i, len(got), n)
+							}
+							committed = append(committed, i)
+							switch {
+							case end == "stop" && i == 3:
+								return true, nil
+							case end == "error" && i == 3:
+								return false, boom
+							}
+							return false, nil
+						}, nil)
+				}
+				var err error
+				val := func() (val any) {
+					defer func() { val = recover() }()
+					err = outer()
+					return nil
+				}()
+				switch end {
+				case "complete":
+					if err != nil || len(committed) != n {
+						t.Fatalf("Run: %v after %d commits, want nil after %d", err, len(committed), n)
+					}
+				case "stop", "error":
+					if len(committed) != 4 || (err != nil) != (end == "error") {
+						t.Fatalf("Run: %v after commits %v, want jobs 0..3", err, committed)
+					}
+				case "cancel":
+					if !errors.Is(err, context.Canceled) && len(committed) != n {
+						t.Fatalf("Run: %v after %d commits", err, len(committed))
+					}
+				case "panic":
+					if val != "leaf 3/5" {
+						t.Fatalf("re-raised %v, want the leaf's panic", val)
+					}
+				}
+				if p := peak.Load(); p > int32(procs) {
+					t.Fatalf("%d leaf jobs ran at once, want at most GOMAXPROCS = %d", p, procs)
+				}
+				if h := Helpers(); h != 0 {
+					t.Fatalf("%d helper tokens still held after the map returned", h)
+				}
+			})
+		}
 	}
 }
