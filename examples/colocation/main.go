@@ -21,8 +21,10 @@ func main() {
 	m := exps.NewMachine(exps.CFS, 99)
 	defer m.Shutdown()
 	m.StartBalancer()
-	rec := ktrace.NewRecorder()
-	m.AttachTracer(rec)
+	// Log the cores the victim runs on (the paper's eBPF instrumentation).
+	var cores []int
+	vf := &ktrace.Follow{OnCore: func(c int) { cores = append(cores, c) }}
+	m.AttachTracer(vf)
 
 	const target = 5 // reserve core 5 for the victim
 	plan := colocate.Prepare(m, target)
@@ -33,7 +35,7 @@ func main() {
 	// core.
 	victim := m.Spawn("victim", func(e *kern.Env) {
 		e.RunLoopForever(loopvictim.DefaultBody())
-	})
+	}, vf.Bind())
 	fmt.Printf("victim placed on core %d (landed on target: %v)\n",
 		victim.CoreID(), plan.VictimLandedOnTarget(victim))
 
@@ -53,5 +55,5 @@ func main() {
 
 	fmt.Printf("attack preemptions: %d\n", a.Stats().Preemptions)
 	fmt.Printf("victim stayed on core %d the whole time: %v\n",
-		target, plan.Stayed(rec.CoreLog[victim.ID()]))
+		target, plan.Stayed(cores))
 }

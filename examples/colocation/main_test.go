@@ -1,0 +1,35 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"testing"
+)
+
+// TestStdout pins the example's output: the run is deterministic, so
+// stdout must match testdata/colocation.out byte for byte. After an intended
+// change, regenerate it with
+//
+//	go run ./examples/colocation > examples/colocation/testdata/colocation.out
+func TestStdout(t *testing.T) {
+	want, err := os.ReadFile("testdata/colocation.out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.Create(t.TempDir() + "/stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	main()
+	os.Stdout = stdout
+	got, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("stdout differs from testdata/colocation.out:\n%s", got)
+	}
+}

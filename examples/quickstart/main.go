@@ -29,9 +29,14 @@ func main() {
 		e.RunLoopForever(loopvictim.DefaultBody())
 	}, kern.WithPin(0))
 
-	// Record scheduling events (the paper's eBPF instrumentation).
-	rec := ktrace.NewRecorder()
-	m.AttachTracer(rec)
+	// Histogram the victim's instructions retired per preemption as each
+	// preempted stint ends (the paper's eBPF instrumentation).
+	h := stats.NewHist()
+	m.AttachTracer(&ktrace.Follow{Thread: victim, OnStint: func(s ktrace.Stint) {
+		if s.Reason == kern.OutPreemptedWakeup {
+			h.Add(int(s.Retired))
+		}
+	}})
 
 	// The attacker: hibernate once, then nap ε=2µs between 10µs
 	// side-channel measurements until the fairness tripwire fires.
@@ -54,9 +59,5 @@ func main() {
 	fmt.Printf("expected preemptions: ~%d at ΔI≈10µs\n", sp.ExpectedPreemptions(10*timebase.Microsecond))
 	fmt.Printf("achieved preemptions: %d in one burst\n", st.BurstLengths[0])
 
-	h := stats.NewHist()
-	for _, s := range rec.StepsOf(victim) {
-		h.Add(int(s))
-	}
 	fmt.Printf("\nvictim instructions retired per preemption (n=%d):\n%s", h.Total(), h)
 }

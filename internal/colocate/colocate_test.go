@@ -78,11 +78,10 @@ func TestVictimLandsOnReservedCore(t *testing.T) {
 func TestVictimStaysDuringAttack(t *testing.T) {
 	m := newMachine(t, 8)
 	m.StartBalancer()
-	rec := ktrace.NewRecorder()
-	m.AttachTracer(rec)
+	vlog := coreLog(m)
 	p := Prepare(m, 5)
 	m.RunFor(2 * timebase.Millisecond)
-	v := m.Spawn("victim", func(e *kern.Env) { e.RunLoopForever(loop()) })
+	m.Spawn("victim", func(e *kern.Env) { e.RunLoopForever(loop()) }, vlog.Bind())
 	// The attacker naps on the same core; the balancer keeps running.
 	m.Spawn("attacker", func(e *kern.Env) {
 		e.SetTimerSlack(1)
@@ -93,8 +92,8 @@ func TestVictimStaysDuringAttack(t *testing.T) {
 		}
 	}, kern.WithPin(5))
 	m.RunFor(100 * timebase.Millisecond)
-	if !p.Stayed(rec.CoreLog[v.ID()]) {
-		t.Fatalf("victim migrated: core log %v", rec.CoreLog[v.ID()])
+	if !p.Stayed(vlog.cores) {
+		t.Fatalf("victim migrated: core log %v", vlog.cores)
 	}
 }
 
@@ -124,15 +123,14 @@ func TestCordonRejectsDummyPins(t *testing.T) {
 func TestCordonBlocksAttackerFollow(t *testing.T) {
 	m := newCordonedMachine(t, 4, Cordon(2, "victim"))
 	m.StartBalancer()
-	rec := ktrace.NewRecorder()
-	m.AttachTracer(rec)
+	vlog, alog := coreLog(m), coreLog(m)
 	// Busy background on every non-reserved core: the victim's idlest
 	// admissible core is the cordoned one.
 	for i := 0; i < 3; i++ {
 		m.Spawn("worker", func(e *kern.Env) { e.RunLoopForever(loop()) })
 	}
 	m.RunFor(timebase.Millisecond)
-	v := m.Spawn("victim", func(e *kern.Env) { e.RunLoopForever(loop()) })
+	v := m.Spawn("victim", func(e *kern.Env) { e.RunLoopForever(loop()) }, vlog.Bind())
 	if v.CoreID() != 2 {
 		t.Fatalf("victim placed on %d, want reserved core 2", v.CoreID())
 	}
@@ -142,20 +140,20 @@ func TestCordonBlocksAttackerFollow(t *testing.T) {
 			e.Nanosleep(2 * timebase.Microsecond)
 			e.Burn(10 * timebase.Microsecond)
 		}
-	}, kern.WithPin(2))
+	}, kern.WithPin(2), alog.Bind())
 	if att.Pinned() != -1 || att.CoreID() == 2 {
 		t.Fatalf("attacker reached the cordoned core: pinned=%d core=%d",
 			att.Pinned(), att.CoreID())
 	}
 	m.RunFor(20 * timebase.Millisecond)
-	for _, c := range rec.CoreLog[att.ID()] {
+	for _, c := range alog.cores {
 		if c == 2 {
 			t.Fatal("attacker scheduled on the cordoned core")
 		}
 	}
 	p := &Plan{TargetCore: 2}
-	if !p.Stayed(rec.CoreLog[v.ID()]) {
-		t.Fatalf("victim migrated off the reserved core: %v", rec.CoreLog[v.ID()])
+	if !p.Stayed(vlog.cores) {
+		t.Fatalf("victim migrated off the reserved core: %v", vlog.cores)
 	}
 }
 
@@ -165,16 +163,15 @@ func TestCordonBlocksAttackerFollow(t *testing.T) {
 func TestCordonRefusesBalancerMigration(t *testing.T) {
 	m := newCordonedMachine(t, 2, Cordon(0, "victim"))
 	m.StartBalancer()
-	rec := ktrace.NewRecorder()
-	m.AttachTracer(rec)
-	workers := make([]*kern.Thread, 0, 4)
+	workers := make([]*coreTrace, 0, 4)
 	for i := 0; i < 4; i++ {
-		w := m.Spawn("worker", func(e *kern.Env) { e.RunLoopForever(loop()) })
+		w := coreLog(m)
+		m.Spawn("worker", func(e *kern.Env) { e.RunLoopForever(loop()) }, w.Bind())
 		workers = append(workers, w)
 	}
 	m.RunFor(20 * timebase.Millisecond)
 	for _, w := range workers {
-		for _, c := range rec.CoreLog[w.ID()] {
+		for _, c := range w.cores {
 			if c == 0 {
 				t.Fatal("foreign worker migrated onto the cordoned core")
 			}
@@ -196,4 +193,18 @@ func TestStayedHelper(t *testing.T) {
 	if p.Stayed([]int{2, 3, 2}) {
 		t.Fatal("migration missed")
 	}
+}
+
+// coreTrace is the log of the cores one thread ran on, one entry per sched-in.
+type coreTrace struct {
+	ktrace.Follow
+	cores []int
+}
+
+// coreLog attaches an empty core log to m; point it at a thread with Bind.
+func coreLog(m *kern.Machine) *coreTrace {
+	l := &coreTrace{}
+	l.OnCore = func(c int) { l.cores = append(l.cores, c) }
+	m.AttachTracer(l)
+	return l
 }

@@ -108,8 +108,12 @@ func TestBurstScalesInverselyWithDeltaI(t *testing.T) {
 func TestMethodTimerAlsoPreempts(t *testing.T) {
 	m := newCFSMachine(t, 7)
 	victim := spawnLoopVictim(m, 0)
-	rec := ktrace.NewRecorder()
-	m.AttachTracer(rec)
+	var steps []int64
+	m.AttachTracer(&ktrace.Follow{Thread: victim, OnStint: func(s ktrace.Stint) {
+		if s.Reason == kern.OutPreemptedWakeup {
+			steps = append(steps, s.Retired)
+		}
+	}})
 	a := NewAttacker(Config{
 		Method:         MethodTimer,
 		Epsilon:        20 * timebase.Microsecond, // covers the 8µs measurement
@@ -126,7 +130,6 @@ func TestMethodTimerAlsoPreempts(t *testing.T) {
 	if st.Preemptions < 100 {
 		t.Fatalf("timer method achieved %d preemptions", st.Preemptions)
 	}
-	steps := rec.StepsOf(victim)
 	if len(steps) < 100 {
 		t.Fatalf("steps recorded = %d", len(steps))
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kern"
+	"repro/internal/ktrace"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/timebase"
@@ -74,16 +75,17 @@ func ablationProbe(env *Env, seed uint64, slack timebase.Duration, opts ...Machi
 	// reason — with wakeup preemption disabled the interleave only
 	// happens at tick preemptions, and the resolution collapses).
 	var steps []int64
-	m.AttachTracer(&stintFold{thread: victim, fn: func(d timebase.Duration, _ kern.SchedOutReason, retired int64) {
-		if d < 60*timebase.Millisecond {
-			steps = append(steps, retired)
+	m.AttachTracer(&ktrace.Follow{Thread: victim, OnStint: func(s ktrace.Stint) {
+		if s.End.Sub(s.Start) < 60*timebase.Millisecond {
+			steps = append(steps, s.Retired)
 		}
 	}})
-	bf := &burstFold{}
-	m.AttachTracer(bf)
-	bf.thread = m.Spawn("attacker", ablationAttack(slack), kern.WithPin(0))
+	var bursts ktrace.Bursts
+	att := &ktrace.Follow{OnWake: bursts.Add}
+	m.AttachTracer(att)
+	m.Spawn("attacker", ablationAttack(slack), kern.WithPin(0), att.Bind())
 	m.RunFor(2 * timebase.Second)
-	return [2]int64{stats.MedianInt64(bf.bursts()), stats.MedianInt64(steps)}
+	return [2]int64{stats.MedianInt64(bursts.Runs()), stats.MedianInt64(steps)}
 }
 
 // ablationPair runs the probe attack twice, as two trials: the baseline

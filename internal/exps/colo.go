@@ -71,15 +71,16 @@ func runColoTrial(env *Env, seed uint64, trial int, body kern.Func) coloTrial {
 	m := env.NewMachine(CFS, seed)
 	defer m.Shutdown()
 	m.StartBalancer()
-	rec := ktrace.NewRecorder()
-	m.AttachTracer(rec)
+	var cores []int
+	vf := &ktrace.Follow{OnCore: func(c int) { cores = append(cores, c) }}
+	m.AttachTracer(vf)
 
 	target := trial % Cores // reserve a different core each trial
 	plan := colocate.Prepare(m, target)
 	m.RunFor(5 * timebase.Millisecond)
 
 	// Invoke the (unpinned!) victim: placement picks the idle core.
-	victim := m.Spawn("victim", body)
+	victim := m.Spawn("victim", body, vf.Bind())
 	out := coloTrial{landed: plan.VictimLandedOnTarget(victim)}
 	// Pin the attacker to the target core and attack.
 	a := core.NewAttacker(core.Config{
@@ -94,7 +95,7 @@ func runColoTrial(env *Env, seed uint64, trial int, body kern.Func) coloTrial {
 	m.Spawn("attacker", a.Run, kern.WithPin(plan.TargetCore))
 	m.RunFor(200 * timebase.Millisecond)
 
-	out.stayed = plan.Stayed(rec.CoreLog[victim.ID()])
+	out.stayed = plan.Stayed(cores)
 	out.preemptions = a.Stats().Preemptions
 	return out
 }

@@ -33,10 +33,16 @@ func RunFig41(env *Env, seed uint64) *Fig41Result {
 	victim := m.Spawn("victim", func(e *kern.Env) {
 		e.RunLoopForever(loopvictim.DefaultBody())
 	}, kern.WithPin(0))
-	rec := ktrace.NewRecorder()
-	m.AttachTracer(rec)
-
 	res := &Fig41Result{}
+	// Δ as the failed Equation 2.2 check saw it.
+	failed := false
+	att := &ktrace.Follow{OnWake: func(w ktrace.WakeRec) {
+		if !w.Preempted && !failed {
+			failed = true
+			res.DeltaAtFailure = timebase.Duration(w.CurrVruntime - w.WokenVruntime)
+		}
+	}}
+	m.AttachTracer(att)
 	a := core.NewAttacker(core.Config{
 		Epsilon:        2 * timebase.Microsecond,
 		Hibernate:      70 * timebase.Millisecond,
@@ -49,19 +55,12 @@ func RunFig41(env *Env, seed uint64) *Fig41Result {
 			return true
 		},
 	})
-	att := m.Spawn("attacker", a.Run, kern.WithPin(0))
+	m.Spawn("attacker", a.Run, kern.WithPin(0), att.Bind())
 	m.RunFor(3 * timebase.Second)
 
 	res.Preemptions = a.Stats().Preemptions
 	if len(res.Deltas) > 0 {
 		res.SlackAtWake = res.Deltas[0]
-	}
-	// Δ as the failed Equation 2.2 check saw it.
-	for _, w := range rec.Wakes {
-		if w.Thread == att && !w.Preempted {
-			res.DeltaAtFailure = timebase.Duration(w.CurrVruntime - w.WokenVruntime)
-			break
-		}
 	}
 	return res
 }

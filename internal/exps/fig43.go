@@ -7,6 +7,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/kern"
+	"repro/internal/ktrace"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/timebase"
@@ -116,13 +117,13 @@ func runFig43One(env *Env, cfg Fig43Config, eps timebase.Duration, seed uint64) 
 	}, victimOpts...)
 
 	h := stats.NewHist()
-	m.AttachTracer(&stintFold{thread: victim, fn: func(d timebase.Duration, reason kern.SchedOutReason, retired int64) {
+	m.AttachTracer(&ktrace.Follow{Thread: victim, OnStint: func(s ktrace.Stint) {
 		// Exclude the burst-leading stint (the victim ran freely through
 		// the attacker's whole hibernation); the paper's measurement
 		// window likewise starts "from when the attacker begins
 		// launching interrupts".
-		if reason == kern.OutPreemptedWakeup && d <= 50*timebase.Microsecond {
-			h.Add(int(retired))
+		if s.Reason == kern.OutPreemptedWakeup && s.End.Sub(s.Start) <= 50*timebase.Microsecond {
+			h.Add(int(s.Retired))
 		}
 	}})
 

@@ -65,16 +65,28 @@ func RunFig46(env *Env, cfg Fig46Config) *Fig46Result {
 	m := env.NewMachine(CFS, cfg.Seed)
 	defer m.Shutdown()
 
-	rec := ktrace.NewRecorder()
-	rec.SampleVruntime = true
-	m.AttachTracer(rec)
+	// Follow the three threads: each keeps its vruntime series, and all
+	// three append to one labelled stint list in scheduling order.
+	res := &Fig46Result{Config: cfg}
+	var stints []labelledStint
+	follow := func(label byte, series *[]ktrace.VSample) *ktrace.Follow {
+		f := &ktrace.Follow{
+			OnVruntime: func(s ktrace.VSample) { *series = append(*series, s) },
+			OnStint: func(s ktrace.Stint) {
+				stints = append(stints, labelledStint{label: label, start: s.Start, end: s.End, retired: s.Retired})
+			},
+		}
+		m.AttachTracer(f)
+		return f
+	}
+	noise, victim, attacker := follow('N', &res.NSeries), follow('V', &res.VSeries), follow('A', &res.ASeries)
 
 	// The pre-existing noise thread: pure compute, no system calls.
-	noise := m.Spawn("noise", func(e *kern.Env) {
+	m.Spawn("noise", func(e *kern.Env) {
 		b := isa.NewBuilder("noise", 0x004a_0000, 4)
 		b.ALU(64)
 		e.RunLoopForever(b.Build().Insts)
-	}, kern.WithPin(0))
+	}, kern.WithPin(0), noise.Bind())
 	m.RunFor(cfg.NoiseHeadStart)
 
 	// The victim: its loop touches the marker line every few instructions
@@ -86,9 +98,9 @@ func RunFig46(env *Env, cfg Fig46Config) *Fig46Result {
 		vb.Load(victimMarkerLine)
 	}
 	victimBody := vb.Build().Insts
-	victim := m.Spawn("victim", func(e *kern.Env) {
+	m.Spawn("victim", func(e *kern.Env) {
 		e.RunLoopForever(victimBody)
-	}, kern.WithPin(0))
+	}, kern.WithPin(0), victim.Bind())
 
 	// The attacker: Flush+Reload presence oracle on the marker line.
 	var samples []presenceSample
@@ -104,17 +116,9 @@ func RunFig46(env *Env, cfg Fig46Config) *Fig46Result {
 			return true
 		},
 	})
-	m.Spawn("attacker", a.Run, kern.WithPin(0))
+	m.Spawn("attacker", a.Run, kern.WithPin(0), attacker.Bind())
 	m.RunFor(cfg.AttackFor)
-
-	res := &Fig46Result{Config: cfg, Preemptions: a.Stats().Preemptions}
-	res.VSeries = rec.VSeriesOf(victim.ID())
-	res.NSeries = rec.VSeriesOf(noise.ID())
-	for _, t := range m.Threads() {
-		if t.Name() == "attacker" {
-			res.ASeries = rec.VSeriesOf(t.ID())
-		}
-	}
+	res.Preemptions = a.Stats().Preemptions
 
 	// Convergence: first time victim vruntime reaches the noise thread's.
 	nv := func(at timebase.Time) int64 {
@@ -138,29 +142,19 @@ func RunFig46(env *Env, cfg Fig46Config) *Fig46Result {
 	// first attacker stint after convergence (the regime the paper's
 	// zoom-in shows; convergence itself may happen while the attacker
 	// hibernates).
-	labels := map[int]byte{victim.ID(): 'V', noise.ID(): 'N'}
-	for _, t := range m.Threads() {
-		if t.Name() == "attacker" {
-			labels[t.ID()] = 'A'
-		}
-	}
 	var pat []byte
 	seenA := false
-	for _, st := range rec.Stints {
-		if st.Start < res.ConvergeAt {
-			continue
-		}
-		l, ok := labels[st.Thread.ID()]
-		if !ok {
+	for _, st := range stints {
+		if st.start < res.ConvergeAt {
 			continue
 		}
 		if !seenA {
-			if l != 'A' {
+			if st.label != 'A' {
 				continue
 			}
 			seenA = true
 		}
-		pat = append(pat, l)
+		pat = append(pat, st.label)
 	}
 	res.PatternFull = string(pat)
 	// Evaluate the alternation within one attack burst (between
@@ -174,8 +168,16 @@ func RunFig46(env *Env, cfg Fig46Config) *Fig46Result {
 	// Oracle accuracy: compare each presence sample with the scheduler's
 	// ground truth (which of V/N ran immediately before the attacker's
 	// stint).
-	res.OracleAccuracy = oracleAccuracy(rec, labels, samples)
+	res.OracleAccuracy = oracleAccuracy(stints, samples)
 	return res
+}
+
+// labelledStint is one stint of the victim ('V'), noise ('N') or attacker
+// ('A') thread.
+type labelledStint struct {
+	label      byte
+	start, end timebase.Time
+	retired    int64
 }
 
 // presenceSample is one "victim ran last?" oracle reading.
@@ -189,15 +191,14 @@ type presenceSample struct {
 // §4.3), how many had the victim as the last thread to actually retire
 // instructions before the sample. Zero-step stints don't count as running —
 // nothing executed, so there is nothing to observe or record.
-func oracleAccuracy(rec *ktrace.Recorder, labels map[int]byte, samples []presenceSample) float64 {
+func oracleAccuracy(stints []labelledStint, samples []presenceSample) float64 {
 	si := 0
 	lastVN := byte(0)
 	recorded, correct := 0, 0
 	for _, s := range samples {
-		for si < len(rec.Stints) && rec.Stints[si].End <= s.At {
-			st := rec.Stints[si]
-			if l := labels[st.Thread.ID()]; (l == 'V' || l == 'N') && st.Retired > 0 {
-				lastVN = l
+		for si < len(stints) && stints[si].end <= s.At {
+			if st := stints[si]; st.label != 'A' && st.retired > 0 {
+				lastVN = st.label
 			}
 			si++
 		}

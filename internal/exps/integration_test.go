@@ -21,8 +21,9 @@ func TestEndToEndColocatedAESAttack(t *testing.T) {
 	m := (&Env{}).NewMachine(CFS, 20260706)
 	defer m.Shutdown()
 	m.StartBalancer()
-	rec := ktrace.NewRecorder()
-	m.AttachTracer(rec)
+	var cores []int
+	vf := &ktrace.Follow{OnCore: func(c int) { cores = append(cores, c) }}
+	m.AttachTracer(vf)
 
 	const target = 9
 	plan := colocate.Prepare(m, target)
@@ -37,7 +38,7 @@ func TestEndToEndColocatedAESAttack(t *testing.T) {
 	prog, _ := aes.BuildProgram(ek, pt, aes.DefaultLayout)
 
 	// Spawn unpinned: placement must find the reserved core.
-	victim := SpawnInvokedVictimOpts(m, "aes-victim", prog)
+	victim := SpawnInvokedVictimOpts(m, "aes-victim", prog, vf.Bind())
 	if !plan.VictimLandedOnTarget(victim.Thread) {
 		t.Fatalf("victim landed on core %d, want %d", victim.Thread.CoreID(), target)
 	}
@@ -85,7 +86,7 @@ func TestEndToEndColocatedAESAttack(t *testing.T) {
 	if !victim.Done() {
 		t.Fatal("victim never finished under attack")
 	}
-	if !plan.Stayed(rec.CoreLog[victim.Thread.ID()]) {
+	if !plan.Stayed(cores) {
 		t.Fatal("victim migrated during the attack")
 	}
 	if len(tr.samples) < 30 {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/kern"
-	"repro/internal/ktrace"
 	"repro/internal/timebase"
 	"repro/internal/victim/base64"
 )
@@ -27,8 +26,6 @@ func TestDebugSGXOnce(t *testing.T) {
 	}
 	victim := SpawnInvokedVictim(m, "sgx-victim", prog, 0,
 		kern.WithEnclave(), kern.WithITLB(), kern.WithFetchThroughCache())
-	rec := ktrace.NewRecorder()
-	m.AttachTracer(rec)
 
 	var bits []int
 	var esCode, esLUT0, esLUT1 *attack.EvictionSet

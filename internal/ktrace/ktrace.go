@@ -1,9 +1,11 @@
 // Package ktrace is the reproduction's stand-in for the paper's eBPF
-// instrumentation (§4.3): it records scheduling events — which thread was
-// switched in where and when, how many instructions it retired per stint,
-// and the vruntime of threads at kernel exits — so experiments can measure
-// temporal resolution (instructions retired per preemption), count
-// consecutive preemptions, and plot vruntime progressions (Figure 4.6).
+// instrumentation (§4.3). Like eBPF it keeps no event log: a Follow hands
+// one thread's scheduling events to the caller as they happen — its stints
+// with instructions retired, its wakeups with the Equation 2.2 outcome, its
+// vruntime at kernel exits and the cores it runs on — and the caller folds
+// them into what it measures: temporal resolution (instructions retired per
+// preemption), consecutive-preemption bursts, vruntime progressions
+// (Figure 4.6) or whether a thread ever left its core.
 package ktrace
 
 import (
@@ -43,151 +45,105 @@ type VSample struct {
 	Vruntime int64
 }
 
-// Recorder implements kern.Tracer and accumulates scheduling history.
-type Recorder struct {
-	// Stints are completed on-CPU intervals, in order.
-	Stints []Stint
-	// Wakes are wakeups with preemption outcomes, in order.
-	Wakes []WakeRec
-	// VSamples are vruntime samples at every sched-in/out, in order.
-	VSamples []VSample
-	// CoreLog maps thread ID to the sequence of cores it ran on.
-	CoreLog map[int][]int
+// Follow is a kern.Tracer that streams Thread's scheduling events to its
+// funcs as they happen; nil funcs are skipped. It keeps only the thread's
+// open stint.
+type Follow struct {
+	Thread *kern.Thread
+	// OnCore receives the core of each stint as it begins, so a stint still
+	// open when the run stops counts.
+	OnCore func(core int)
+	// OnVruntime receives the thread's vruntime at each sched-in, stamped
+	// with the scheduling decision's time, and at each sched-out.
+	OnVruntime func(VSample)
+	// OnStint receives each stint as it ends. A sched-out with no sched-in
+	// before it (the tracer attached mid-stint) ends no stint.
+	OnStint func(Stint)
+	// OnWake receives each wakeup with its preemption outcome.
+	OnWake func(WakeRec)
 
-	// SampleVruntime enables VSamples collection (off by default: the
-	// vruntime figures need it, the histogram figures do not).
-	SampleVruntime bool
-
-	// open holds per-thread open stints by value — a pointer per stint
-	// would make every sched-in an allocation on the simulator's hot path.
-	open map[int]Stint
-	base map[int]int64 // retired count at stint start
+	open  bool
+	stint Stint
+	base  int64 // retired count at stint start
 }
 
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{
-		CoreLog: make(map[int][]int),
-		open:    make(map[int]Stint),
-		base:    make(map[int]int64),
-	}
+// Bind returns a spawn option that points f at the thread being spawned,
+// so f also sees the sched-in Spawn makes when it places the thread on an
+// idle core.
+func (f *Follow) Bind() kern.SpawnOption {
+	return func(t *kern.Thread) { f.Thread = t }
 }
 
 // SchedIn implements kern.Tracer.
-func (r *Recorder) SchedIn(t *kern.Thread, core int, decideAt, startAt timebase.Time) {
-	r.open[t.ID()] = Stint{Thread: t, Core: core, Start: startAt}
-	r.base[t.ID()] = t.Retired()
-	r.CoreLog[t.ID()] = append(r.CoreLog[t.ID()], core)
-	if r.SampleVruntime {
-		r.VSamples = append(r.VSamples, VSample{At: decideAt, ThreadID: t.ID(), Vruntime: t.Task().Vruntime})
+func (f *Follow) SchedIn(t *kern.Thread, core int, decideAt, startAt timebase.Time) {
+	if t != f.Thread {
+		return
+	}
+	f.open, f.stint, f.base = true, Stint{Thread: t, Core: core, Start: startAt}, t.Retired()
+	if f.OnCore != nil {
+		f.OnCore(core)
+	}
+	if f.OnVruntime != nil {
+		f.OnVruntime(VSample{At: decideAt, ThreadID: t.ID(), Vruntime: t.Task().Vruntime})
 	}
 }
 
 // SchedOut implements kern.Tracer.
-func (r *Recorder) SchedOut(t *kern.Thread, core int, at timebase.Time, reason kern.SchedOutReason) {
-	if s, ok := r.open[t.ID()]; ok {
-		s.End = at
-		s.Reason = reason
-		s.Retired = t.Retired() - r.base[t.ID()]
-		r.Stints = append(r.Stints, s)
-		delete(r.open, t.ID())
+func (f *Follow) SchedOut(t *kern.Thread, _ int, at timebase.Time, reason kern.SchedOutReason) {
+	if t != f.Thread {
+		return
 	}
-	if r.SampleVruntime {
-		r.VSamples = append(r.VSamples, VSample{At: at, ThreadID: t.ID(), Vruntime: t.Task().Vruntime})
+	if f.open {
+		f.open = false
+		if f.OnStint != nil {
+			s := f.stint
+			s.End, s.Reason, s.Retired = at, reason, t.Retired()-f.base
+			f.OnStint(s)
+		}
+	}
+	if f.OnVruntime != nil {
+		f.OnVruntime(VSample{At: at, ThreadID: t.ID(), Vruntime: t.Task().Vruntime})
 	}
 }
 
 // Wake implements kern.Tracer.
-func (r *Recorder) Wake(t *kern.Thread, core int, at timebase.Time, preempted bool, curr *kern.Thread) {
-	rec := WakeRec{Thread: t, Core: core, At: at, Preempted: preempted, Curr: curr,
+func (f *Follow) Wake(t *kern.Thread, core int, at timebase.Time, preempted bool, curr *kern.Thread) {
+	if t != f.Thread || f.OnWake == nil {
+		return
+	}
+	w := WakeRec{Thread: t, Core: core, At: at, Preempted: preempted, Curr: curr,
 		WokenVruntime: t.Task().Vruntime}
 	if curr != nil {
-		rec.CurrVruntime = curr.Task().Vruntime
+		w.CurrVruntime = curr.Task().Vruntime
 	}
-	r.Wakes = append(r.Wakes, rec)
+	f.OnWake(w)
 }
 
-// Reset discards recorded history (open stints survive).
-func (r *Recorder) Reset() {
-	r.Stints = r.Stints[:0]
-	r.Wakes = r.Wakes[:0]
-	r.VSamples = r.VSamples[:0]
-	for k := range r.CoreLog {
-		delete(r.CoreLog, k)
+// Bursts splits a thread's wake outcomes into runs of consecutive
+// successful preemptions, each ended by a failed preemption (the fairness
+// tripwire firing). Feed it from a Follow's OnWake.
+type Bursts struct {
+	runs   []int64
+	cur    int64
+	active bool
+}
+
+// Add folds one wake outcome.
+func (b *Bursts) Add(w WakeRec) {
+	if w.Preempted {
+		b.cur++
+		b.active = true
+	} else if b.active {
+		b.runs = append(b.runs, b.cur)
+		b.cur, b.active = 0, false
 	}
 }
 
-// StepsOf returns the instructions-retired-per-preemption samples for
-// thread t: the retired deltas of t's stints that ended in a wakeup
-// preemption. This is the quantity histogrammed in Figures 4.3 and 4.7.
-func (r *Recorder) StepsOf(t *kern.Thread) []int64 {
-	var out []int64
-	for _, s := range r.Stints {
-		if s.Thread == t && s.Reason == kern.OutPreemptedWakeup {
-			out = append(out, s.Retired)
-		}
-	}
-	return out
-}
-
-// PreemptionBursts splits thread t's wake outcomes into runs of consecutive
-// successful preemptions, each run terminated by a failed preemption (the
-// fairness tripwire firing). A still-open trailing run is included, so
+// Runs returns the runs so far, a still-open trailing run included, so
 // callers running one burst per trial can take the first element.
-func (r *Recorder) PreemptionBursts(t *kern.Thread) []int64 {
-	var bursts []int64
-	var cur int64
-	active := false
-	for _, w := range r.Wakes {
-		if w.Thread != t {
-			continue
-		}
-		if w.Preempted {
-			cur++
-			active = true
-		} else if active {
-			bursts = append(bursts, cur)
-			cur = 0
-			active = false
-		}
+func (b *Bursts) Runs() []int64 {
+	if b.active {
+		return append(b.runs[:len(b.runs):len(b.runs)], b.cur)
 	}
-	if active {
-		bursts = append(bursts, cur)
-	}
-	return bursts
-}
-
-// PreemptionsOf counts thread t's successful wakeup preemptions.
-func (r *Recorder) PreemptionsOf(t *kern.Thread) int64 {
-	var n int64
-	for _, w := range r.Wakes {
-		if w.Thread == t && w.Preempted {
-			n++
-		}
-	}
-	return n
-}
-
-// VSeriesOf returns the vruntime progression samples of a thread ID.
-func (r *Recorder) VSeriesOf(id int) []VSample {
-	var out []VSample
-	for _, s := range r.VSamples {
-		if s.ThreadID == id {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// InterleavePattern renders the sched-in order of the given threads as a
-// string of their labels (e.g. "VAVANA..."), for the ((V|N)A)+ analysis of
-// Figure 4.6.
-func (r *Recorder) InterleavePattern(labels map[int]byte) string {
-	var b []byte
-	for _, s := range r.Stints {
-		if l, ok := labels[s.Thread.ID()]; ok {
-			b = append(b, l)
-		}
-	}
-	return string(b)
+	return b.runs
 }

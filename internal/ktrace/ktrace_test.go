@@ -24,11 +24,14 @@ func body() []isa.Inst {
 	return b.Build().Insts
 }
 
-func runAttack(t *testing.T, m *kern.Machine, rec *Recorder) (victim, attacker *kern.Thread) {
+// runAttack runs one burst of about 100 preemptions of a loop victim,
+// handing both threads' events to their follows.
+func runAttack(t *testing.T, m *kern.Machine, victim, attacker *Follow) {
 	t.Helper()
-	victim = m.Spawn("victim", func(e *kern.Env) { e.RunLoopForever(body()) }, kern.WithPin(0))
-	m.AttachTracer(rec)
-	attacker = m.Spawn("attacker", func(e *kern.Env) {
+	m.AttachTracer(victim)
+	m.AttachTracer(attacker)
+	m.Spawn("victim", func(e *kern.Env) { e.RunLoopForever(body()) }, kern.WithPin(0), victim.Bind())
+	m.Spawn("attacker", func(e *kern.Env) {
 		e.SetTimerSlack(1)
 		e.Nanosleep(30 * timebase.Millisecond)
 		for i := 0; i < 100; i++ {
@@ -38,22 +41,26 @@ func runAttack(t *testing.T, m *kern.Machine, rec *Recorder) (victim, attacker *
 			}
 			e.Burn(10 * timebase.Microsecond)
 		}
-	}, kern.WithPin(0))
+	}, kern.WithPin(0), attacker.Bind())
 	m.RunFor(500 * timebase.Millisecond)
-	return victim, attacker
 }
 
-func TestRecorderStintsAndSteps(t *testing.T) {
-	m := newMachine(t)
-	rec := NewRecorder()
-	victim, _ := runAttack(t, m, rec)
+func TestFollowStintsAndSteps(t *testing.T) {
+	var stints []Stint
+	var steps []int64
+	victim := &Follow{OnStint: func(s Stint) {
+		stints = append(stints, s)
+		if s.Reason == kern.OutPreemptedWakeup {
+			steps = append(steps, s.Retired)
+		}
+	}}
+	runAttack(t, newMachine(t), victim, &Follow{})
 
-	steps := rec.StepsOf(victim)
 	if len(steps) < 90 {
 		t.Fatalf("steps = %d, want ~100", len(steps))
 	}
 	// Stints must be well-formed.
-	for _, s := range rec.Stints {
+	for _, s := range stints {
 		if s.End < s.Start {
 			t.Fatalf("stint ends before it starts: %+v", s)
 		}
@@ -63,44 +70,33 @@ func TestRecorderStintsAndSteps(t *testing.T) {
 	}
 }
 
-func TestRecorderWakesAndBursts(t *testing.T) {
-	m := newMachine(t)
-	rec := NewRecorder()
-	_, attacker := runAttack(t, m, rec)
-
-	if n := rec.PreemptionsOf(attacker); n < 90 {
-		t.Fatalf("preemptions = %d", n)
-	}
-	bursts := rec.PreemptionBursts(attacker)
-	if len(bursts) != 1 || bursts[0] < 90 {
-		t.Fatalf("bursts = %v", bursts)
-	}
-	// Wake records carry vruntime snapshots.
-	for _, w := range rec.Wakes {
-		if w.Thread == attacker && w.Preempted {
+func TestFollowWakesAndBursts(t *testing.T) {
+	var bursts Bursts
+	var preemptions int64
+	attacker := &Follow{OnWake: func(w WakeRec) {
+		bursts.Add(w)
+		if w.Preempted {
+			preemptions++
+			// Wake records carry vruntime snapshots.
 			if w.CurrVruntime-w.WokenVruntime <= 0 {
 				t.Fatal("preempting wake without positive vruntime gap")
 			}
 		}
+	}}
+	runAttack(t, newMachine(t), &Follow{}, attacker)
+
+	if preemptions < 90 {
+		t.Fatalf("preemptions = %d", preemptions)
+	}
+	if runs := bursts.Runs(); len(runs) != 1 || runs[0] < 90 {
+		t.Fatalf("bursts = %v", runs)
 	}
 }
 
-func TestVSamplesOnlyWhenEnabled(t *testing.T) {
-	m := newMachine(t)
-	rec := NewRecorder()
-	runAttack(t, m, rec)
-	if len(rec.VSamples) != 0 {
-		t.Fatal("vruntime samples collected while disabled")
-	}
-
-	m2 := newMachine(t)
-	rec2 := NewRecorder()
-	rec2.SampleVruntime = true
-	victim, _ := runAttack(t, m2, rec2)
-	if len(rec2.VSamples) == 0 {
-		t.Fatal("no vruntime samples")
-	}
-	series := rec2.VSeriesOf(victim.ID())
+func TestFollowVruntimeSeries(t *testing.T) {
+	var series []VSample
+	victim := &Follow{OnVruntime: func(s VSample) { series = append(series, s) }}
+	runAttack(t, newMachine(t), victim, &Follow{})
 	if len(series) == 0 {
 		t.Fatal("no victim series")
 	}
@@ -111,30 +107,20 @@ func TestVSamplesOnlyWhenEnabled(t *testing.T) {
 	}
 }
 
+// TestInterleavePattern: two follows appending to one list see the
+// threads' stints in scheduling order, VAVA... during the burst.
 func TestInterleavePattern(t *testing.T) {
-	m := newMachine(t)
-	rec := NewRecorder()
-	victim, attacker := runAttack(t, m, rec)
-	pat := rec.InterleavePattern(map[int]byte{victim.ID(): 'V', attacker.ID(): 'A'})
+	var pat []byte
+	label := func(l byte) *Follow { return &Follow{OnStint: func(Stint) { pat = append(pat, l) }} }
+	runAttack(t, newMachine(t), label('V'), label('A'))
 	if len(pat) < 100 {
 		t.Fatalf("pattern too short: %d", len(pat))
 	}
-	// During the burst the pattern alternates VAVA...
 	mid := pat[20:60]
 	for i := 1; i < len(mid); i++ {
 		if mid[i] == mid[i-1] {
 			t.Fatalf("pattern not alternating at %d: %q", i, mid)
 		}
-	}
-}
-
-func TestReset(t *testing.T) {
-	m := newMachine(t)
-	rec := NewRecorder()
-	runAttack(t, m, rec)
-	rec.Reset()
-	if len(rec.Stints) != 0 || len(rec.Wakes) != 0 || len(rec.CoreLog) != 0 {
-		t.Fatal("reset incomplete")
 	}
 }
 
