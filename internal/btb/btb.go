@@ -58,9 +58,13 @@ type BTB struct {
 	}
 }
 
-// lookupNames are the lookup-outcome counter names, built once: every core
-// instruments its BTB at each machine construction and pool fork.
-var lookupNames = metrics.FamilyNames("btb_lookup_total", "outcome", "hit", "miss")
+// The BTB's metric names, interned once: every core instruments its BTB at
+// each machine construction and pool fork.
+var (
+	lookupNames           = metrics.FamilyNames("btb_lookup_total", "outcome", "hit", "miss")
+	nameBranchUpdates     = metrics.Intern("btb_branch_updates_total")
+	nameNonbranchInvalids = metrics.Intern("btb_nonbranch_invalidations_total")
+)
 
 // InstrumentMetrics wires BTB telemetry into a registry: prediction
 // hits/misses, branch-resolution updates, and NightVision invalidations
@@ -70,9 +74,13 @@ func (b *BTB) InstrumentMetrics(r *metrics.Registry) {
 	var fam [2]*metrics.Counter
 	r.CounterFamily(fam[:], lookupNames)
 	b.tel.hits, b.tel.misses = fam[0], fam[1]
-	b.tel.branchUpdates = r.Counter("btb_branch_updates_total")
-	b.tel.nvInvalidates = r.Counter("btb_nonbranch_invalidations_total")
+	b.tel.branchUpdates = r.CounterOf(nameBranchUpdates)
+	b.tel.nvInvalidates = r.CounterOf(nameNonbranchInvalids)
 }
+
+// ShareMetrics gives b the handles peer's InstrumentMetrics resolved: the
+// same wiring as instrumenting b into peer's registry, without a lookup.
+func (b *BTB) ShareMetrics(peer *BTB) { b.tel = peer.tel }
 
 // New returns an empty BTB. It panics if Entries is not a power of two.
 func New(cfg Config) *BTB {

@@ -359,15 +359,20 @@ type System struct {
 	}
 }
 
-// accessNames are the per-level access counter names, built once: a
-// machine instruments its hierarchy at every construction and pool fork.
-var accessNames = func() []string {
-	levels := make([]string, len(System{}.tel.access))
-	for lvl := range levels {
-		levels[lvl] = Level(lvl).String()
-	}
-	return metrics.FamilyNames("cache_access_total", "level", levels...)
-}()
+// The hierarchy's metric names, interned once: a machine instruments its
+// hierarchy at every construction and pool fork.
+var (
+	accessNames = func() []metrics.Name {
+		levels := make([]string, len(System{}.tel.access))
+		for lvl := range levels {
+			levels[lvl] = Level(lvl).String()
+		}
+		return metrics.FamilyNames("cache_access_total", "level", levels...)
+	}()
+	nameLLCEvictions = metrics.Intern("cache_llc_capacity_evictions_total")
+	nameFlushes      = metrics.Intern("cache_flush_total")
+	nameDisturbs     = metrics.Intern("cache_disturb_evictions_total")
+)
 
 // InstrumentMetrics wires the hierarchy into a telemetry registry: accesses
 // by hit level, LLC capacity evictions (inclusive back-invalidations),
@@ -375,9 +380,9 @@ var accessNames = func() []string {
 // write-only — instrumentation cannot change any access outcome.
 func (s *System) InstrumentMetrics(r *metrics.Registry) {
 	r.CounterFamily(s.tel.access[:], accessNames)
-	s.tel.llcEvictions = r.Counter("cache_llc_capacity_evictions_total")
-	s.tel.flushes = r.Counter("cache_flush_total")
-	s.tel.disturbs = r.Counter("cache_disturb_evictions_total")
+	s.tel.llcEvictions = r.CounterOf(nameLLCEvictions)
+	s.tel.flushes = r.CounterOf(nameFlushes)
+	s.tel.disturbs = r.CounterOf(nameDisturbs)
 }
 
 // NewSystem builds the hierarchy described by cfg, reporting an error for

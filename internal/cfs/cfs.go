@@ -56,18 +56,40 @@ type CFS struct {
 	}
 }
 
+// The policy's metric names, interned once: every core's runqueue
+// instruments itself at each machine construction and pool fork.
+var (
+	namePlaceClamped = metrics.Intern(`cfs_wake_place_total{placement="clamped"}`)
+	namePlaceKept    = metrics.Intern(`cfs_wake_place_total{placement="kept"}`)
+	nameWakeGrant    = metrics.Intern(`cfs_wakeup_preempt_total{decision="grant"}`)
+	nameWakeDeny     = metrics.Intern(`cfs_wakeup_preempt_total{decision="deny"}`)
+	nameTickPreempt  = metrics.Intern("cfs_tick_preempt_total")
+	nameBudgetLead   = metrics.Intern("cfs_preempt_lead_vruntime")
+)
+
 // InstrumentMetrics wires the policy's decision points into a telemetry
 // registry: Equation 2.1 placements (clamped to the floor vs kept),
 // Equation 2.2 outcomes, tick preemptions, and a histogram of the vruntime
 // lead a woken task had over the incumbent on granted preemptions — the
 // preemption budget the attack spends (§4.1).
 func (c *CFS) InstrumentMetrics(r *metrics.Registry) {
-	c.tel.placeClamped = r.Counter(`cfs_wake_place_total{placement="clamped"}`)
-	c.tel.placeKept = r.Counter(`cfs_wake_place_total{placement="kept"}`)
-	c.tel.wakeGrant = r.Counter(`cfs_wakeup_preempt_total{decision="grant"}`)
-	c.tel.wakeDeny = r.Counter(`cfs_wakeup_preempt_total{decision="deny"}`)
-	c.tel.tickPreempt = r.Counter("cfs_tick_preempt_total")
-	c.tel.budgetLead = r.Histogram("cfs_preempt_lead_vruntime", metrics.DurationBuckets)
+	c.tel.placeClamped = r.CounterOf(namePlaceClamped)
+	c.tel.placeKept = r.CounterOf(namePlaceKept)
+	c.tel.wakeGrant = r.CounterOf(nameWakeGrant)
+	c.tel.wakeDeny = r.CounterOf(nameWakeDeny)
+	c.tel.tickPreempt = r.CounterOf(nameTickPreempt)
+	c.tel.budgetLead = r.HistogramOf(nameBudgetLead, metrics.DurationBuckets)
+}
+
+// ShareMetrics gives c the handles peer's InstrumentMetrics resolved, as
+// instrumenting c into peer's registry would, and reports whether peer is
+// a CFS queue; otherwise c is left alone.
+func (c *CFS) ShareMetrics(peer sched.Scheduler) bool {
+	p, ok := peer.(*CFS)
+	if ok {
+		c.tel = p.tel
+	}
+	return ok
 }
 
 // New returns an empty runqueue with the given tunables.

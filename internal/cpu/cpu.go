@@ -101,13 +101,26 @@ type Core struct {
 	retired *metrics.Counter
 }
 
+// nameRetired is the retired-instruction counter's name, interned once.
+var nameRetired = metrics.Intern("cpu_instructions_total")
+
 // InstrumentMetrics wires the core's microarchitecture into a telemetry
 // registry: a machine-wide retired-instruction counter plus the TLB and BTB
 // counters (the cache system is instrumented once, by its owner).
 func (c *Core) InstrumentMetrics(r *metrics.Registry) {
-	c.retired = r.Counter("cpu_instructions_total")
+	c.retired = r.CounterOf(nameRetired)
 	c.TLBs.InstrumentMetrics(r)
 	c.BTB.InstrumentMetrics(r)
+}
+
+// ShareMetrics gives c, its TLBs and its BTB the handles peer's
+// InstrumentMetrics resolved: the same wiring as instrumenting c into
+// peer's registry, without a lookup. A machine resolves one core and
+// shares its handles with the rest.
+func (c *Core) ShareMetrics(peer *Core) {
+	c.retired = peer.retired
+	c.TLBs.ShareMetrics(peer.TLBs)
+	c.BTB.ShareMetrics(peer.BTB)
 }
 
 // Reset returns the core's private microarchitecture (TLBs, BTB) to its

@@ -257,6 +257,17 @@ type Set struct {
 	cMigDenied *metrics.Counter
 }
 
+// The set's metric names, interned once: a defended machine builds its set
+// at every construction and pool fork.
+var (
+	nameSlack     = metrics.Intern(`defense_timer_delay_total{path="nanosleep"}`)
+	namePeriodic  = metrics.Intern(`defense_timer_delay_total{path="periodic"}`)
+	nameRedirects = metrics.Intern("defense_wake_redirect_total")
+	nameCapped    = metrics.Intern("defense_preempt_capped_total")
+	namePinReject = metrics.Intern("defense_pin_rejected_total")
+	nameMigDenied = metrics.Intern("defense_migration_denied_total")
+)
+
 // New builds the defense set for a machine with the given core count, a
 // dedicated random stream (fork it from the machine seed so defended runs
 // are reproducible), and a telemetry registry (nil disables the event
@@ -291,12 +302,12 @@ func New(cfg Config, cores int, r *rng.RNG, reg *metrics.Registry) (*Set, error)
 		winStart: map[int]timebase.Time{},
 		winCount: map[int]int{},
 	}
-	s.cSlack = reg.Counter(`defense_timer_delay_total{path="nanosleep"}`)
-	s.cPeriodic = reg.Counter(`defense_timer_delay_total{path="periodic"}`)
-	s.cRedirects = reg.Counter("defense_wake_redirect_total")
-	s.cCapped = reg.Counter("defense_preempt_capped_total")
-	s.cPinReject = reg.Counter("defense_pin_rejected_total")
-	s.cMigDenied = reg.Counter("defense_migration_denied_total")
+	s.cSlack = reg.CounterOf(nameSlack)
+	s.cPeriodic = reg.CounterOf(namePeriodic)
+	s.cRedirects = reg.CounterOf(nameRedirects)
+	s.cCapped = reg.CounterOf(nameCapped)
+	s.cPinReject = reg.CounterOf(namePinReject)
+	s.cMigDenied = reg.CounterOf(nameMigDenied)
 	return s, nil
 }
 

@@ -74,6 +74,18 @@ type EEVDF struct {
 	}
 }
 
+// The policy's metric names, interned once: every core's runqueue
+// instruments itself at each machine construction and pool fork.
+var (
+	nameSleeperCredit = metrics.Intern("eevdf_sleeper_credit_total")
+	nameLagClamped    = metrics.Intern("eevdf_place_lag_clamped_total")
+	nameWakeGrant     = metrics.Intern(`eevdf_wakeup_preempt_total{decision="grant"}`)
+	nameWakeDenyElig  = metrics.Intern(`eevdf_wakeup_preempt_total{decision="deny-ineligible"}`)
+	nameWakeDeny      = metrics.Intern(`eevdf_wakeup_preempt_total{decision="deny"}`)
+	nameTickPreempt   = metrics.Intern("eevdf_tick_preempt_total")
+	namePlacedLag     = metrics.Intern("eevdf_place_lag_vruntime")
+)
+
 // InstrumentMetrics wires the policy's decision points into a telemetry
 // registry: sleeper-credit applications (the §4.5 heuristic the attack
 // exploits), lag clamps at placement, wakeup-preemption outcomes (denials
@@ -81,13 +93,24 @@ type EEVDF struct {
 // histogram of the lag granted at wake placement — the emergent preemption
 // budget.
 func (e *EEVDF) InstrumentMetrics(r *metrics.Registry) {
-	e.tel.sleeperCredit = r.Counter("eevdf_sleeper_credit_total")
-	e.tel.lagClamped = r.Counter("eevdf_place_lag_clamped_total")
-	e.tel.wakeGrant = r.Counter(`eevdf_wakeup_preempt_total{decision="grant"}`)
-	e.tel.wakeDenyElig = r.Counter(`eevdf_wakeup_preempt_total{decision="deny-ineligible"}`)
-	e.tel.wakeDeny = r.Counter(`eevdf_wakeup_preempt_total{decision="deny"}`)
-	e.tel.tickPreempt = r.Counter("eevdf_tick_preempt_total")
-	e.tel.placedLag = r.Histogram("eevdf_place_lag_vruntime", metrics.DurationBuckets)
+	e.tel.sleeperCredit = r.CounterOf(nameSleeperCredit)
+	e.tel.lagClamped = r.CounterOf(nameLagClamped)
+	e.tel.wakeGrant = r.CounterOf(nameWakeGrant)
+	e.tel.wakeDenyElig = r.CounterOf(nameWakeDenyElig)
+	e.tel.wakeDeny = r.CounterOf(nameWakeDeny)
+	e.tel.tickPreempt = r.CounterOf(nameTickPreempt)
+	e.tel.placedLag = r.HistogramOf(namePlacedLag, metrics.DurationBuckets)
+}
+
+// ShareMetrics gives e the handles peer's InstrumentMetrics resolved, as
+// instrumenting e into peer's registry would, and reports whether peer is
+// an EEVDF queue; otherwise e is left alone.
+func (e *EEVDF) ShareMetrics(peer sched.Scheduler) bool {
+	p, ok := peer.(*EEVDF)
+	if ok {
+		e.tel = p.tel
+	}
+	return ok
 }
 
 // New returns an empty runqueue with the given tunables.

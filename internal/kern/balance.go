@@ -95,15 +95,3 @@ func (m *Machine) migrate(src, dst *Core, t *Thread, at timebase.Time) {
 	m.tel.migrations.Inc()
 	dst.armTick(at)
 }
-
-// MigrationsOf is a test/experiment helper: it counts how many times thread
-// t changed cores, according to the supplied per-SchedIn core log.
-func MigrationsOf(coreLog []int) int {
-	n := 0
-	for i := 1; i < len(coreLog); i++ {
-		if coreLog[i] != coreLog[i-1] {
-			n++
-		}
-	}
-	return n
-}

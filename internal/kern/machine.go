@@ -397,10 +397,20 @@ func (m *Machine) init(p Params) {
 	}
 	if reg != nil {
 		m.caches.InstrumentMetrics(reg)
-		for _, c := range m.cores {
-			c.cpu.InstrumentMetrics(reg)
-			if ins, ok := c.rq.(metrics.Instrumented); ok {
+		instrument := func(rq sched.Scheduler) {
+			if ins, ok := rq.(metrics.Instrumented); ok {
 				ins.InstrumentMetrics(reg)
+			}
+		}
+		// Every core reports under the same names, so the first core
+		// resolves its handles and the rest copy them.
+		first := m.cores[0]
+		first.cpu.InstrumentMetrics(reg)
+		instrument(first.rq)
+		for _, c := range m.cores[1:] {
+			c.cpu.ShareMetrics(first.cpu)
+			if s, ok := c.rq.(metricsSharer); !ok || !s.ShareMetrics(first.rq) {
+				instrument(c.rq)
 			}
 		}
 	}

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/cfs"
+	"repro/internal/eevdf"
+	"repro/internal/isa"
 	"repro/internal/metrics"
 	"repro/internal/sched"
 	"repro/internal/timebase"
@@ -177,5 +179,82 @@ func TestFlightRecorderWraps(t *testing.T) {
 	dump := m.DumpState()
 	if want := fmt.Sprintf("last %d of %d", flightDepth, fr.n); !strings.Contains(dump, want) {
 		t.Fatalf("dump header missing %q:\n%s", want, dump)
+	}
+}
+
+// TestSharedCoreHandles: the first core resolves the per-core handles and
+// the others copy them, so work on any other core still lands in the
+// registry; a runqueue of another policy than the first core's resolves its
+// own. The machine alternates CFS and EEVDF queues and runs only on cores 2
+// (CFS) and 3 (EEVDF): a loop of loads and a taken branch fetched through
+// the iTLB, beside a spinner that the tick preempts.
+func TestSharedCoreHandles(t *testing.T) {
+	built := 0
+	p := DefaultParams(4, func() sched.Scheduler {
+		built++
+		if built%2 == 0 {
+			return eevdf.New(sched.DefaultParams(4))
+		}
+		return cfs.New(sched.DefaultParams(4))
+	})
+	p.Metrics = metrics.New()
+	m := NewMachine(p)
+	defer m.Shutdown()
+	b := isa.NewBuilder("loop", 0x400000, 4)
+	b.ALU(8).Load(0x10000).CondJump(0x400000, true)
+	body := b.Build().Insts
+	for _, core := range []int{2, 3} {
+		m.Spawn(fmt.Sprint("loop", core), func(e *Env) { e.RunLoopForever(body) }, WithPin(core), WithITLB())
+		m.Spawn(fmt.Sprint("spin", core), func(e *Env) {
+			for {
+				e.Burn(100 * timebase.Microsecond)
+			}
+		}, WithPin(core))
+	}
+	m.RunFor(20 * timebase.Millisecond)
+	for _, base := range []string{"cpu_instructions_total", "tlb_hits_total", "btb_lookup_total",
+		"cache_access_total", "cfs_tick_preempt_total", "eevdf_tick_preempt_total"} {
+		if p.Metrics.Total(base) == 0 {
+			t.Errorf("%s = 0 with work only on cores 2 and 3", base)
+		}
+	}
+}
+
+// telemetrySink keeps BenchmarkPooledMachineTelemetry's Counts live.
+var telemetrySink map[string]int64
+
+// BenchmarkPooledMachineTelemetry times the telemetry layer of a campaign
+// entry on a warm pool: a fresh registry, a pooled 16-core CFS machine
+// wired into it by Get and parked by Shutdown, and the entry's Counts.
+func BenchmarkPooledMachineTelemetry(b *testing.B) {
+	p := poolParams(16, 1)
+	pool := NewPool(p)
+	pool.Get(p).Shutdown()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Metrics = metrics.New()
+		pool.Get(p).Shutdown()
+		telemetrySink = p.Metrics.Counts()
+	}
+}
+
+// TestPooledTelemetryAllocs pins what wiring a pooled 16-core machine into
+// a fresh registry allocates: a handful of blocks per registry (index,
+// instrument list, counter slab, histograms), never one per metric name or
+// per core. With telemetry off a warm Get+Shutdown allocates nothing.
+func TestPooledTelemetryAllocs(t *testing.T) {
+	p := poolParams(16, 1)
+	pool := NewPool(p)
+	pool.Get(p).Shutdown()
+	if avg := testing.AllocsPerRun(20, func() {
+		p.Metrics = metrics.New()
+		pool.Get(p).Shutdown()
+	}); avg > 20 {
+		t.Errorf("pooled Get+Shutdown into a fresh registry allocates %v/run, want at most 20", avg)
+	}
+	p.Metrics = nil
+	if avg := testing.AllocsPerRun(20, func() { pool.Get(p).Shutdown() }); avg != 0 {
+		t.Errorf("pooled Get+Shutdown without telemetry allocates %v/run, want 0", avg)
 	}
 }

@@ -123,12 +123,3 @@ func TestInterleavePattern(t *testing.T) {
 		}
 	}
 }
-
-func TestMigrationsOf(t *testing.T) {
-	if kern.MigrationsOf([]int{0, 0, 1, 1, 0}) != 2 {
-		t.Fatal("migration count")
-	}
-	if kern.MigrationsOf(nil) != 0 {
-		t.Fatal("empty log")
-	}
-}

@@ -39,21 +39,24 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	if len(r.counters) > 0 {
-		s.Counters = make(map[string]int64, len(r.counters))
-		for name, c := range r.counters {
-			s.Counters[name] = c.v
-		}
-	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]int64, len(r.gauges))
-		for name, g := range r.gauges {
-			s.Gauges[name] = g.v
-		}
-	}
-	if len(r.hists) > 0 {
-		s.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
-		for name, h := range r.hists {
+	for _, n := range r.names {
+		name := n.name
+		switch sl := &r.byID[n.id]; sl.kind {
+		case counterKind:
+			if s.Counters == nil {
+				s.Counters = map[string]int64{}
+			}
+			s.Counters[name] = sl.c.v
+		case gaugeKind:
+			if s.Gauges == nil {
+				s.Gauges = map[string]int64{}
+			}
+			s.Gauges[name] = sl.g.v
+		case histogramKind:
+			if s.Histograms == nil {
+				s.Histograms = map[string]HistogramSnapshot{}
+			}
+			h := sl.h
 			hs := HistogramSnapshot{Sum: h.sum, Count: h.n}
 			cum := int64(0)
 			for i, b := range h.bounds {
@@ -87,38 +90,32 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	bw := bufio.NewWriter(w)
 
-	// Group metric names by base so one TYPE line covers all label
-	// variants of a metric.
-	type family struct {
-		kind  string
-		names []string
-	}
-	families := map[string]*family{}
+	// Group instruments by family so one TYPE line covers all label
+	// variants of a metric; a family has one kind (see claim).
+	families := map[string][]*interned{}
 	var bases []string
-	for name, kind := range r.kind {
-		base, _ := SplitName(name)
-		f, ok := families[base]
-		if !ok {
-			f = &family{kind: kind}
-			families[base] = f
+	for _, n := range r.names {
+		base := n.base.name
+		if _, ok := families[base]; !ok {
 			bases = append(bases, base)
 		}
-		f.names = append(f.names, name)
+		families[base] = append(families[base], n)
 	}
 	sort.Strings(bases)
 
 	for _, base := range bases {
 		f := families[base]
-		sort.Strings(f.names)
-		fmt.Fprintf(bw, "# TYPE %s %s\n", base, f.kind)
-		for _, name := range f.names {
-			switch f.kind {
-			case "counter":
-				fmt.Fprintf(bw, "%s %d\n", name, r.counters[name].v)
-			case "gauge":
-				fmt.Fprintf(bw, "%s %d\n", name, r.gauges[name].v)
-			case "histogram":
-				h := r.hists[name]
+		sort.Slice(f, func(i, j int) bool { return f[i].name < f[j].name })
+		fmt.Fprintf(bw, "# TYPE %s %s\n", base, r.byID[f[0].id].kind)
+		for _, n := range f {
+			name := n.name
+			switch s := &r.byID[n.id]; s.kind {
+			case counterKind:
+				fmt.Fprintf(bw, "%s %d\n", name, s.c.v)
+			case gaugeKind:
+				fmt.Fprintf(bw, "%s %d\n", name, s.g.v)
+			case histogramKind:
+				h := s.h
 				cum := int64(0)
 				for i, b := range h.bounds {
 					cum += h.counts[i]

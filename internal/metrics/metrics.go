@@ -20,7 +20,18 @@
 // fixed label set inline: "kern_sched_out_total{reason=\"blocked\"}".
 // Instruments are get-or-create: requesting the same name twice returns the
 // same instrument, which is how per-core model instances share one
-// machine-wide counter.
+// machine-wide counter. Every label variant of a family (the base name
+// before '{') is one kind: a name can never be claimed as two kinds, nor a
+// family as two.
+//
+// Names are interned process-wide (Intern, FamilyNames): each gets a dense
+// id, validated once, and a registry keeps its instruments in a slice
+// indexed by that id. Hot sites intern their fixed names once per process,
+// in package variables, and resolve them with CounterOf, HistogramOf and
+// CounterFamily, so wiring a machine into a fresh registry hashes no
+// string, takes no lock and allocates per registry, not per name. The
+// string-keyed Counter, Gauge and Histogram intern on each call. Ids never
+// reach an export.
 package metrics
 
 import (
@@ -136,22 +147,49 @@ var (
 // like the simulation kernel it serves, it assumes a single driving
 // goroutine (or externally sequenced access, as the campaign runner
 // provides).
+//
+// Instruments are found by interned name id (see Name), not by hashing:
+// byID holds, per id, the instrument registered under that name and, for
+// a family's base name, the kind the family is registered as. Ids follow
+// process-wide intern order, so no export reads them: every export sorts
+// by name.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	kind     map[string]string
+	byID  []slot
+	names []*interned // registered names, in registration order
+	slab  []Counter   // the chunk new counters are carved from
 }
 
-// New returns an empty registry.
-func New() *Registry {
-	return &Registry{
-		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
-		kind:     map[string]string{},
-	}
+// slot is one name id's entry in a registry: the instrument registered
+// under the name (the pointer of its kind is set), and the kind of the
+// family the name is the base of.
+type slot struct {
+	c      *Counter
+	g      *Gauge
+	h      *Histogram
+	kind   kind
+	family kind
 }
+
+type kind uint8
+
+const (
+	noKind kind = iota
+	counterKind
+	gaugeKind
+	histogramKind
+)
+
+func (k kind) String() string {
+	return [...]string{"none", "counter", "gauge", "histogram"}[k]
+}
+
+// counterSlab is how many counters one slab chunk holds, and the initial
+// capacity of a registry's name list: enough for a pooled 16-core
+// machine's whole handle set.
+const counterSlab = 64
+
+// New returns an empty registry.
+func New() *Registry { return &Registry{} }
 
 // Instrumented is implemented by model components that can wire themselves
 // into a registry (schedulers, caches, cores).
@@ -159,18 +197,42 @@ type Instrumented interface {
 	InstrumentMetrics(*Registry)
 }
 
-// claim validates the name and records its instrument kind, panicking on a
-// cross-kind collision (a programming error: two layers registered the same
-// name as different instrument types).
-func (r *Registry) claim(name, kind string) {
-	base, _ := SplitName(name)
-	if !validBase(base) {
-		panic(fmt.Sprintf("metrics: invalid metric name %q", name))
+// slot returns n's slot, or nil when no name of n's id or above is
+// registered.
+func (r *Registry) slot(n *interned) *slot {
+	if n.id < len(r.byID) {
+		return &r.byID[n.id]
 	}
-	if prev, ok := r.kind[name]; ok && prev != kind {
-		panic(fmt.Sprintf("metrics: %q already registered as a %s, not a %s", name, prev, kind))
+	return nil
+}
+
+// claim registers n as a k and returns its slot for the caller to fill,
+// panicking when n's family is already registered as another kind (a
+// programming error: two layers registered one family as different
+// instrument types). Every label variant of a family shares the family's
+// kind, so one Prometheus TYPE line covers them; a name registered as
+// another kind is such a clash too, since the name is in its own family.
+func (r *Registry) claim(n *interned, k kind) *slot {
+	if n.id >= len(r.byID) {
+		// Cover every id handed out so far; append amortizes the growth
+		// when names are interned one by one as they register.
+		r.byID = append(r.byID, make([]slot, max(internedCount(), n.id+1)-len(r.byID))...)
 	}
-	r.kind[name] = kind
+	fam := &r.byID[n.base.id].family
+	if *fam != noKind && *fam != k {
+		if n.base == n {
+			panic(fmt.Sprintf("metrics: %q already registered as a %s, not a %s", n.name, *fam, k))
+		}
+		panic(fmt.Sprintf("metrics: %q: family %q already registered as a %s, not a %s", n.name, n.base.name, *fam, k))
+	}
+	*fam = k
+	if r.names == nil {
+		r.names = make([]*interned, 0, counterSlab)
+	}
+	r.names = append(r.names, n)
+	s := &r.byID[n.id]
+	s.kind = k
+	return s
 }
 
 // Counter returns (creating on first use) the named counter. A nil registry
@@ -179,38 +241,36 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	r.claim(name, "counter")
-	c := &Counter{}
-	r.counters[name] = c
-	return c
+	return r.CounterOf(Intern(name))
 }
 
-// FamilyNames builds the names of a labelled counter family over a single
-// label, in the order of values: names[i] is base{label="values[i]"}.
-// Build a family once per package, at init; resolve it per registry with
-// CounterFamily. Values are identifier-like, so quoting is plain
-// concatenation.
-func FamilyNames(base, label string, values ...string) []string {
-	names := make([]string, len(values))
-	for i, v := range values {
-		names[i] = base + "{" + label + `="` + v + `"}`
+// CounterOf is Counter for an interned name.
+func (r *Registry) CounterOf(n Name) *Counter {
+	if r == nil {
+		return nil
 	}
-	return names
+	if s := r.slot(n.n); s != nil && s.c != nil {
+		return s.c
+	}
+	s := r.claim(n.n, counterKind)
+	if len(r.slab) == cap(r.slab) {
+		r.slab = make([]Counter, 0, counterSlab)
+	}
+	r.slab = r.slab[:len(r.slab)+1]
+	s.c = &r.slab[len(r.slab)-1]
+	return s.c
 }
 
 // CounterFamily resolves one counter per family name (see FamilyNames)
 // into fam, in order. Hot sites resolve the family once per machine (and
-// per pool fork) and index it with an enum — no label formatting, map
-// lookup or allocation per event (the kernel's per-kind event counters and
+// per pool fork) and index it with an enum — no label formatting, name
+// hashing or allocation per event (the kernel's per-kind event counters and
 // the cache's per-level access counters work this way). A nil registry
 // fills fam with nil, no-op handles, so the disabled path stays indexable
 // and zero-cost.
-func (r *Registry) CounterFamily(fam []*Counter, names []string) {
-	for i, name := range names {
-		fam[i] = r.Counter(name)
+func (r *Registry) CounterFamily(fam []*Counter, names []Name) {
+	for i, n := range names {
+		fam[i] = r.CounterOf(n)
 	}
 }
 
@@ -220,13 +280,18 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	if g, ok := r.gauges[name]; ok {
-		return g
+	return r.gauge(Intern(name).n)
+}
+
+// gauge is Gauge for an interned name: no hot site resolves a gauge, so
+// unlike CounterOf and HistogramOf it is not exported.
+func (r *Registry) gauge(n *interned) *Gauge {
+	if s := r.slot(n); s != nil && s.g != nil {
+		return s.g
 	}
-	r.claim(name, "gauge")
-	g := &Gauge{}
-	r.gauges[name] = g
-	return g
+	s := r.claim(n, gaugeKind)
+	s.g = &Gauge{}
+	return s.g
 }
 
 // Histogram returns (creating on first use) the named histogram with the
@@ -236,50 +301,60 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	if h, ok := r.hists[name]; ok {
-		return h
+	return r.HistogramOf(Intern(name), bounds)
+}
+
+// HistogramOf is Histogram for an interned name.
+func (r *Registry) HistogramOf(n Name, bounds []int64) *Histogram {
+	if r == nil {
+		return nil
 	}
-	r.claim(name, "histogram")
+	if s := r.slot(n.n); s != nil && s.h != nil {
+		return s.h
+	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("metrics: histogram %q bounds not ascending", name))
+			panic(fmt.Sprintf("metrics: histogram %q bounds not ascending", n.n.name))
 		}
 	}
-	h := &Histogram{
-		bounds: append([]int64(nil), bounds...),
-		counts: make([]int64, len(bounds)+1),
-	}
-	r.hists[name] = h
-	return h
+	s := r.claim(n.n, histogramKind)
+	// Bounds and bucket counts share one backing array.
+	buf := make([]int64, 2*len(bounds)+1)
+	copy(buf, bounds)
+	s.h = &Histogram{bounds: buf[:len(bounds):len(bounds)], counts: buf[len(bounds):]}
+	return s.h
 }
 
 // Merge adds src's instruments into r, as if every observation src saw had
 // been made on r directly: counters and histogram buckets, sums and counts
 // add, and a gauge — a level, not a tally — takes src's value. Instruments
 // src registered but never moved are registered on r too, so r's Flatten
-// keys match a run that used r throughout. A name src and r register as
+// keys match a run that used r throughout. A family src and r register as
 // different kinds panics, as registering it on r would; so do histograms
 // of one name with different bounds. A nil src or r is a no-op.
 func (r *Registry) Merge(src *Registry) {
 	if r == nil || src == nil {
 		return
 	}
-	for name, c := range src.counters {
-		r.Counter(name).Add(c.v)
-	}
-	for name, g := range src.gauges {
-		r.Gauge(name).Set(g.v)
-	}
-	for name, h := range src.hists {
-		dst := r.Histogram(name, h.bounds)
-		if !slices.Equal(dst.bounds, h.bounds) {
-			panic(fmt.Sprintf("metrics: histogram %q merged with different bounds", name))
+	for _, n := range src.names {
+		s := &src.byID[n.id]
+		switch s.kind {
+		case counterKind:
+			r.CounterOf(Name{n}).Add(s.c.v)
+		case gaugeKind:
+			r.gauge(n).Set(s.g.v)
+		case histogramKind:
+			h := s.h
+			dst := r.HistogramOf(Name{n}, h.bounds)
+			if !slices.Equal(dst.bounds, h.bounds) {
+				panic(fmt.Sprintf("metrics: histogram %q merged with different bounds", n.name))
+			}
+			for i, c := range h.counts {
+				dst.counts[i] += c
+			}
+			dst.sum += h.sum
+			dst.n += h.n
 		}
-		for i, n := range h.counts {
-			dst.counts[i] += n
-		}
-		dst.sum += h.sum
-		dst.n += h.n
 	}
 }
 
@@ -288,9 +363,9 @@ func (r *Registry) Names() []string {
 	if r == nil {
 		return nil
 	}
-	out := make([]string, 0, len(r.kind))
-	for name := range r.kind {
-		out = append(out, name)
+	out := make([]string, len(r.names))
+	for i, n := range r.names {
+		out[i] = n.name
 	}
 	sort.Strings(out)
 	return out
@@ -303,12 +378,28 @@ func (r *Registry) Total(base string) int64 {
 		return 0
 	}
 	var t int64
-	for name, c := range r.counters {
-		if b, _ := SplitName(name); b == base {
-			t += c.v
+	for _, n := range r.names {
+		if s := &r.byID[n.id]; s.kind == counterKind && n.base.name == base {
+			t += s.c.v
 		}
 	}
 	return t
+}
+
+// each calls f with every value Flatten renders: counters and gauges
+// verbatim, and each histogram's _sum and _count.
+func (r *Registry) each(f func(name string, v int64)) {
+	for _, n := range r.names {
+		switch s := &r.byID[n.id]; s.kind {
+		case counterKind:
+			f(n.name, s.c.v)
+		case gaugeKind:
+			f(n.name, s.g.v)
+		case histogramKind:
+			f(Suffixed(n.name, "_sum"), s.h.sum)
+			f(Suffixed(n.name, "_count"), s.h.n)
+		}
+	}
 }
 
 // Flatten renders counters and gauges verbatim plus each histogram's _sum
@@ -316,20 +407,11 @@ func (r *Registry) Total(base string) int64 {
 // manifests (Go's JSON encoder emits map keys sorted, keeping manifests
 // byte-stable). A nil or empty registry returns nil.
 func (r *Registry) Flatten() map[string]int64 {
-	if r == nil || len(r.kind) == 0 {
+	if r == nil || len(r.names) == 0 {
 		return nil
 	}
-	out := make(map[string]int64, len(r.counters)+len(r.gauges)+2*len(r.hists))
-	for name, c := range r.counters {
-		out[name] = c.v
-	}
-	for name, g := range r.gauges {
-		out[name] = g.v
-	}
-	for name, h := range r.hists {
-		out[Suffixed(name, "_sum")] = h.sum
-		out[Suffixed(name, "_count")] = h.n
-	}
+	out := make(map[string]int64, len(r.names))
+	r.each(func(name string, v int64) { out[name] = v })
 	return out
 }
 
@@ -337,28 +419,18 @@ func (r *Registry) Flatten() map[string]int64 {
 // delta since an empty registry, Delta(nil, r.Flatten()), in one pass. It
 // returns nil when every value is zero.
 func (r *Registry) Counts() map[string]int64 {
+	if r == nil {
+		return nil
+	}
 	var out map[string]int64
-	add := func(name string, v int64) {
+	r.each(func(name string, v int64) {
 		if v != 0 {
 			if out == nil {
 				out = map[string]int64{}
 			}
 			out[name] = v
 		}
-	}
-	if r == nil {
-		return nil
-	}
-	for name, c := range r.counters {
-		add(name, c.v)
-	}
-	for name, g := range r.gauges {
-		add(name, g.v)
-	}
-	for name, h := range r.hists {
-		add(Suffixed(name, "_sum"), h.sum)
-		add(Suffixed(name, "_count"), h.n)
-	}
+	})
 	return out
 }
 

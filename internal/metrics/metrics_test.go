@@ -113,6 +113,46 @@ func TestKindCollisionPanics(t *testing.T) {
 	r.Gauge("x")
 }
 
+// TestFamilyKindCollisionPanics: every label variant of a family is one
+// kind, so the family's Prometheus TYPE line holds for all of them.
+// Registering a second variant, or the bare base name, as another kind
+// panics and leaves the registry exportable.
+func TestFamilyKindCollisionPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		first, then func(*Registry)
+	}{
+		{"labelled variants",
+			func(r *Registry) { r.Counter(`x_total{a="1"}`).Inc() },
+			func(r *Registry) { r.Gauge(`x_total{a="2"}`) }},
+		{"base after variant",
+			func(r *Registry) { r.Histogram(`x_total{a="1"}`, DepthBuckets) },
+			func(r *Registry) { r.Counter("x_total") }},
+		{"variant after base",
+			func(r *Registry) { r.Gauge("x_total").Set(3) },
+			func(r *Registry) { r.Histogram(`x_total{a="2"}`, DepthBuckets) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := New()
+			tc.first(r)
+			func() {
+				defer func() {
+					if rec := recover(); rec == nil || !strings.Contains(fmt.Sprint(rec), "already registered") {
+						t.Fatalf("recovered %v, want a cross-kind panic", rec)
+					}
+				}()
+				tc.then(r)
+			}()
+			if len(r.Names()) != 1 {
+				t.Fatalf("names %q: the rejected variant must not register", r.Names())
+			}
+			if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 func TestInvalidNamePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -397,6 +437,9 @@ func TestMergeKindClashPanics(t *testing.T) {
 		{"gauge into counter",
 			func(r *Registry) { r.Counter("x") },
 			func(r *Registry) { r.Gauge("x").Set(1) }, "already registered"},
+		{"gauge variant into counter family",
+			func(r *Registry) { r.Counter(`x{k="a"}`) },
+			func(r *Registry) { r.Gauge(`x{k="b"}`).Set(1) }, "already registered"},
 		{"histogram bounds",
 			func(r *Registry) { r.Histogram("x", []int64{1, 2}) },
 			func(r *Registry) { r.Histogram("x", []int64{1, 3}).Observe(1) }, "different bounds"},

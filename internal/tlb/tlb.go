@@ -236,9 +236,13 @@ type CoreTLBs struct {
 	}
 }
 
-// hitNames are the per-level hit counter names, built once: every core
-// instruments its TLBs at each machine construction and pool fork.
-var hitNames = metrics.FamilyNames("tlb_hits_total", "level", "itlb", "dtlb", "stlb")
+// The TLBs' metric names, interned once: every core instruments its TLBs
+// at each machine construction and pool fork.
+var (
+	hitNames    = metrics.FamilyNames("tlb_hits_total", "level", "itlb", "dtlb", "stlb")
+	nameWalks   = metrics.Intern("tlb_walks_total")
+	nameFlushes = metrics.Intern("tlb_flush_total")
+)
 
 // InstrumentMetrics wires translation telemetry into a registry: first- and
 // second-level hits, full page-table walks, and whole-TLB flushes. Every
@@ -247,9 +251,13 @@ func (c *CoreTLBs) InstrumentMetrics(r *metrics.Registry) {
 	var fam [3]*metrics.Counter
 	r.CounterFamily(fam[:], hitNames)
 	c.tel.itlbHits, c.tel.dtlbHits, c.tel.stlbHits = fam[0], fam[1], fam[2]
-	c.tel.walks = r.Counter("tlb_walks_total")
-	c.tel.flushes = r.Counter("tlb_flush_total")
+	c.tel.walks = r.CounterOf(nameWalks)
+	c.tel.flushes = r.CounterOf(nameFlushes)
 }
+
+// ShareMetrics gives c the handles peer's InstrumentMetrics resolved: the
+// same wiring as instrumenting c into peer's registry, without a lookup.
+func (c *CoreTLBs) ShareMetrics(peer *CoreTLBs) { c.tel = peer.tel }
 
 // I9900KTLBs returns TLB geometry approximating the test machine: 8-way
 // 128-entry L1 iTLB, 4-way 64-entry L1 dTLB, 12-way 1536-entry unified sTLB.
