@@ -72,6 +72,20 @@ func TestCampaignByteIdenticalWithSpans(t *testing.T) {
 		if got, want := tiers[obs.TierEntry], len(strings.Split(testIDs, ",")); got != want {
 			t.Fatalf("entry spans = %d, want %d", got, want)
 		}
+		// Each entry's span scope reaches the machines it builds, whichever
+		// worker ran it: every machine phase nests under an entry.
+		byID := make(map[uint64]*obs.Span, len(lg.Spans))
+		for _, s := range lg.Spans {
+			byID[s.ID] = s
+		}
+		for _, s := range lg.Spans {
+			if s.Tier != obs.TierMachine {
+				continue
+			}
+			if p := byID[s.Parent]; p == nil || p.Tier != obs.TierEntry {
+				t.Fatalf("width %s: machine span %q (id %d) has parent %d, not an entry span", width, s.Name, s.ID, s.Parent)
+			}
+		}
 	}
 }
 

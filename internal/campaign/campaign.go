@@ -42,8 +42,9 @@ var ErrHalted = errors.New("campaign halted before completion (resumable)")
 
 // Entry is one experiment in the campaign plan. Run executes it under the
 // given base seed and reports the attempt; a nil Run marks the entry
-// skipped (unknown experiment). Run is invoked on a dedicated goroutine and
-// may panic — the campaign contains it.
+// skipped (unknown experiment). Run is invoked on the pool worker that
+// picked the entry (on a goroutine of its own under Config.ExpWall) and may
+// panic — the campaign contains it.
 type Entry struct {
 	ID  string
 	Run func(seed uint64) Attempt
@@ -144,7 +145,7 @@ func New(cfg Config, entries []Entry) (*Campaign, error) {
 		Seed:    cfg.Seed,
 		Note:    cfg.Note,
 		IDs:     idsOf(entries),
-		Entries: map[string]*Record{},
+		Entries: make(map[string]*Record, len(entries)),
 	}
 	return c, nil
 }
@@ -207,8 +208,8 @@ type job struct {
 
 // RunParallel executes the plan with up to workers entries in flight at
 // once: workers is an upper bound, capped by the process-wide CPU budget
-// the pool's helpers draw from (package pool). Each entry runs in its own
-// contained goroutine and reports its own telemetry (Attempt.Telemetry);
+// the pool's helpers draw from (package pool). Each entry runs contained on
+// the worker that picked it and reports its own telemetry (Attempt.Telemetry);
 // the pool's in-order commit folds results into the manifest and commits
 // them to the journal in strict plan order. Because seeds are fixed up
 // front, each entry's execution is isolated, and commits are ordered, the
@@ -272,7 +273,7 @@ func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, err
 	// record; the commit loop decrements it as they land, so "is the plan
 	// complete?" (Manifest.Complete) costs O(1) per commit instead of a
 	// scan of the whole plan.
-	var jobs []job
+	jobs := make([]job, 0, len(c.man.IDs))
 	pending := 0
 	for i, id := range c.man.IDs {
 		rec := c.man.Entries[id]
@@ -308,8 +309,13 @@ func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, err
 			if j.skip {
 				return Attempt{}
 			}
-			c.logf("campaign: %s (seed %d, session %d)", j.id, j.seed, j.session)
-			start := time.Now()
+			// Format and time only for a configured log: boxing logf's
+			// arguments costs allocations on every entry otherwise.
+			var start time.Time
+			if c.cfg.Log != nil {
+				c.logf("campaign: %s (seed %d, session %d)", j.id, j.seed, j.session)
+				start = time.Now()
+			}
 			var esp *obs.Span
 			if octx.Enabled() {
 				esp = octx.Tracer.Start(j.id, obs.TierEntry, root)
@@ -328,7 +334,9 @@ func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, err
 				}
 				esp.Finish()
 			}
-			c.logf("campaign: %s finished in %v", j.id, time.Since(start).Round(time.Millisecond))
+			if c.cfg.Log != nil {
+				c.logf("campaign: %s finished in %v", j.id, time.Since(start).Round(time.Millisecond))
+			}
 			return att
 		},
 		func(i int, att Attempt) (bool, error) {
@@ -424,42 +432,20 @@ func (c *Campaign) haltOnDiskErr(err error) error {
 	return fmt.Errorf("campaign: disk fault: %v: %w", err, ErrHalted)
 }
 
-// contain runs one entry on its own goroutine with panic recovery and the
-// per-entry wall budget. A timed-out runner is abandoned, not killed: the
-// deterministic simulation holds nothing that needs unwinding. An entry
-// that panics outside its own recovery, or times out, records no
-// telemetry — its counts died with it.
-//
-// For a traced campaign, octx — the entry's span context — is the one
-// goroutine-scoped value left: it is scoped to the entry goroutine so the
-// machines built there phase under the entry's span (obs.ScopeAmbient).
+// contain runs one entry under panic recovery and the per-entry wall
+// budget. Without a budget the entry runs on the calling goroutine — the
+// pool worker that picked it — so an entry costs no goroutine, channel or
+// wakeup. With one, the entry runs on a goroutine of its own, because only
+// a goroutine can be abandoned: a timed-out runner is left behind, not
+// killed (the deterministic simulation holds nothing that needs
+// unwinding). An entry that panics outside its own recovery, or times out,
+// records no telemetry — its counts died with it.
 func (c *Campaign) contain(id string, e Entry, seed uint64, octx *obs.Ctx) Attempt {
-	ch := make(chan Attempt, 1)
-	go func() {
-		var restoreObs func()
-		if octx != nil {
-			restoreObs = obs.ScopeAmbient(octx)
-		}
-		var att Attempt
-		defer func() {
-			if r := recover(); r != nil {
-				err, ok := r.(error)
-				if !ok {
-					err = fmt.Errorf("%v", r)
-				}
-				att = Attempt{Attempts: 1, Err: fmt.Errorf("entry %s panicked outside its guarded runner: %w", id, err)}
-			}
-			if octx != nil {
-				octx.ClosePhase() // a panicking entry still logs its open machine phase
-				restoreObs()
-			}
-			ch <- att
-		}()
-		att = e.Run(seed)
-	}()
 	if c.cfg.ExpWall <= 0 {
-		return <-ch
+		return runContained(id, e, seed, octx)
 	}
+	ch := make(chan Attempt, 1)
+	go func() { ch <- runContained(id, e, seed, octx) }()
 	timer := time.NewTimer(c.cfg.ExpWall)
 	defer timer.Stop()
 	select {
@@ -468,6 +454,30 @@ func (c *Campaign) contain(id string, e Entry, seed uint64, octx *obs.Ctx) Attem
 	case <-timer.C:
 		return Attempt{Attempts: 1, Err: fmt.Errorf("entry %s exceeded its wall budget %s (runner abandoned)", id, c.cfg.ExpWall)}
 	}
+}
+
+// runContained runs e on the calling goroutine and turns a panic into a
+// failed attempt. For a traced campaign, octx — the entry's span context —
+// is the one goroutine-scoped value left: it is scoped to this goroutine
+// for the entry's run so the machines built here phase under the entry's
+// span (obs.ScopeAmbient). Whether the entry returns or panics, its open
+// machine phase is closed and the goroutine's prior scope restored, so a
+// worker leaves each entry exactly as it found it.
+func runContained(id string, e Entry, seed uint64, octx *obs.Ctx) (att Attempt) {
+	if octx != nil {
+		defer obs.ScopeAmbient(octx)()
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err, ok := r.(error)
+			if !ok {
+				err = fmt.Errorf("%v", r)
+			}
+			att = Attempt{Attempts: 1, Err: fmt.Errorf("entry %s panicked outside its guarded runner: %w", id, err)}
+		}
+		octx.ClosePhase() // a panicking entry still logs its open machine phase
+	}()
+	return e.Run(seed)
 }
 
 // buildRecord folds an attempt into the entry's record.

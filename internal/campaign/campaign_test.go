@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/kern"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/timebase"
 )
 
@@ -57,28 +59,59 @@ func TestRunCompletesAndCheckpoints(t *testing.T) {
 	}
 }
 
+// TestPanicContainment: a panicking entry becomes a failed record and the
+// campaign presses on, at width 1 (the entry panics on the caller's own
+// goroutine) and width 2. Traced, the caller's goroutine is left as it was
+// found: the entry's span scope is gone once RunParallel returns, even
+// though the entry that installed it panicked.
 func TestPanicContainment(t *testing.T) {
-	boom := Entry{ID: "boom", Run: func(uint64) Attempt {
-		panic("scheduler exploded")
-	}}
-	c, err := New(Config{Seed: 1}, []Entry{okEntry("a"), boom, okEntry("z")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	man, err := c.Run()
-	if err != nil {
-		t.Fatal(err) // the campaign itself must survive the panic
-	}
-	rec := man.Entries["boom"]
-	if rec.Status != StatusFailed || rec.Failure == nil {
-		t.Fatalf("panicking entry: %+v", rec)
-	}
-	if !strings.Contains(rec.Failure.Msg, "scheduler exploded") {
-		t.Fatalf("failure msg %q", rec.Failure.Msg)
-	}
-	// Later entries still ran.
-	if man.Entries["z"].Status != StatusOK {
-		t.Fatalf("entry after panic: %+v", man.Entries["z"])
+	for _, width := range []int{1, 2} {
+		for _, traced := range []bool{false, true} {
+			t.Run(fmt.Sprintf("width%d/traced=%v", width, traced), func(t *testing.T) {
+				cfg := Config{Seed: 1}
+				if traced {
+					tr, err := obs.New(obs.Config{Proc: "test", Trace: "t", Path: filepath.Join(t.TempDir(), "spans.jsonl")})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer tr.Close()
+					cfg.Obs = &obs.Ctx{Tracer: tr}
+					// A scope the caller already holds must survive too.
+					defer obs.ScopeAmbient(&obs.Ctx{Tracer: tr})()
+				}
+				before := obs.Ambient()
+				boom := Entry{ID: "boom", Run: func(uint64) Attempt {
+					if traced && obs.Ambient() == before {
+						t.Error("traced entry runs without its own span scope")
+					}
+					panic("scheduler exploded")
+				}}
+				c, err := New(cfg, []Entry{okEntry("a"), boom, okEntry("y"), okEntry("z")})
+				if err != nil {
+					t.Fatal(err)
+				}
+				man, err := c.RunParallel(context.Background(), width)
+				if err != nil {
+					t.Fatal(err) // the campaign itself must survive the panic
+				}
+				rec := man.Entries["boom"]
+				if rec.Status != StatusFailed || rec.Failure == nil {
+					t.Fatalf("panicking entry: %+v", rec)
+				}
+				if !strings.Contains(rec.Failure.Msg, "scheduler exploded") {
+					t.Fatalf("failure msg %q", rec.Failure.Msg)
+				}
+				// Later entries still ran.
+				for _, id := range []string{"y", "z"} {
+					if man.Entries[id].Status != StatusOK {
+						t.Fatalf("entry after panic: %+v", man.Entries[id])
+					}
+				}
+				if after := obs.Ambient(); after != before {
+					t.Fatalf("caller's ambient span context changed across RunParallel: %p, was %p", after, before)
+				}
+			})
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package gls provides goroutine-scoped storage. Its one user is the span
 // context of a traced campaign entry (obs.ScopeAmbient): the campaign
-// engine scopes each entry's context to the entry's contained goroutine so
-// the machines built there parent their phase spans under that entry.
+// engine scopes each entry's context to the goroutine running the entry —
+// the pool worker that picked it — for the length of the run, so the
+// machines built there parent their phase spans under that entry.
 //
 // Everything else a run needs — faults, defense, budgets, telemetry
 // registry, profiler, machine pool, trace capture — travels as an explicit

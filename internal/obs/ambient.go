@@ -13,10 +13,11 @@ import "repro/internal/gls"
 // falling back to the process-wide default the driving binary installs
 // (SetAmbient). Machine phases are the exception: exps.NewMachine reads
 // Ambient(), and the campaign engine scopes each traced entry's context to
-// its contained goroutine (ScopeAmbient), so parallel entries parent their
-// machine phases under their own entry spans. That scope is the last
-// goroutine-scoped value in the harness; with no traced campaign running it
-// costs one atomic load per machine.
+// the goroutine running the entry for the length of its run (ScopeAmbient),
+// so parallel entries parent their machine phases under their own entry
+// spans; the worker's prior scope is restored when the entry ends. That
+// scope is the last goroutine-scoped value in the harness; with no traced
+// campaign running it costs one atomic load per machine.
 //
 // The phase fields track the machine-tier span currently open on the
 // owning goroutine; exps.NewMachine begins one per constructed machine

@@ -329,23 +329,14 @@ func (c *CoreTLBs) FlushAll() {
 func EvictionPagesFor(t *TLB, target uint64, arenaBase uint64, n int) []uint64 {
 	want := t.SetIndex(VPN(target))
 	stride := uint64(t.cfg.Sets()) * PageSize
-	// Align the arena start so its pages sweep all sets, then offset to the
-	// matching set.
+	// Round the arena start up to a multiple of the stride (the set count
+	// is a power of two), so page want past it indexes the target's set,
+	// and so does every stride after that.
 	base := arenaBase &^ (stride - 1)
 	if base < arenaBase {
 		base += stride
 	}
 	first := base + uint64(want)*PageSize
-	if t.SetIndex(VPN(first)) != want {
-		// Defensive: recompute by scanning (handles arenas smaller than a
-		// full stride).
-		for p := base; ; p += PageSize {
-			if t.SetIndex(VPN(p)) == want && VPN(p) != VPN(target) {
-				first = p
-				break
-			}
-		}
-	}
 	out := make([]uint64, 0, n)
 	for p := first; len(out) < n; p += stride {
 		if VPN(p) != VPN(target) {

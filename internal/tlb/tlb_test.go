@@ -123,6 +123,53 @@ func TestSTLBHitRefreshesLRU(t *testing.T) {
 	}
 }
 
+// TestEvictionPagesForEverySet checks the eviction-set arithmetic over every
+// iTLB and sTLB set and over unaligned arena bases, including arenas that
+// hold the target itself: exactly n pages, each congruent to the target,
+// pairwise distinct, and never the target's page.
+func TestEvictionPagesForEverySet(t *testing.T) {
+	c := I9900KTLBs()
+	bases := []uint64{
+		0x7000_0000_0000,            // stride-aligned
+		0x7000_0000_0000 + 1,        // one byte past alignment
+		0x7000_0000_0000 + PageSize, // page-aligned, not stride-aligned
+		0x7000_0000_0000 - 3*PageSize - 17,
+		0x40_0000 - 5*PageSize - 1, // a low arena
+		0,
+	}
+	for _, tb := range []*TLB{c.ITLB, c.STLB} {
+		sets := tb.Config().Sets()
+		for set := 0; set < sets; set++ {
+			for _, base := range bases {
+				// A target in set `set`, sitting in the arena's first few
+				// strides so the walk has to step over it.
+				stride := uint64(sets) * PageSize
+				target := (base &^ (stride - 1)) + stride + uint64(set)*PageSize + 0x123
+				for _, n := range []int{1, tb.Config().Ways + 1} {
+					pages := EvictionPagesFor(tb, target, base, n)
+					if len(pages) != n {
+						t.Fatalf("%s set %d base %#x: %d pages, want %d", tb.Config().Name, set, base, len(pages), n)
+					}
+					seen := map[uint64]bool{}
+					for _, p := range pages {
+						switch {
+						case tb.SetIndex(VPN(p)) != set:
+							t.Fatalf("%s set %d base %#x: page %#x in set %d", tb.Config().Name, set, base, p, tb.SetIndex(VPN(p)))
+						case VPN(p) == VPN(target):
+							t.Fatalf("%s set %d base %#x: eviction set holds the target page %#x", tb.Config().Name, set, base, p)
+						case seen[VPN(p)]:
+							t.Fatalf("%s set %d base %#x: page %#x twice", tb.Config().Name, set, base, p)
+						case p < base:
+							t.Fatalf("%s set %d base %#x: page %#x below the arena", tb.Config().Name, set, base, p)
+						}
+						seen[VPN(p)] = true
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestEvictionPagesEvict verifies the Gras-et-al-style eviction set: after
 // touching the congruent pages, the target's translation is gone.
 func TestEvictionPagesEvict(t *testing.T) {
