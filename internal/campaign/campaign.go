@@ -127,9 +127,12 @@ type Campaign struct {
 	man     *Manifest
 	logMu   sync.Mutex
 	// fresh marks a campaign built by New: opening its checkpointer
-	// discards the prior store instead of reconciling with it.
-	fresh bool
-	cp    *Checkpointer
+	// discards the prior store instead of reconciling with it. covered
+	// marks a resumed one whose journal, as Resume read it, already holds
+	// every recovered record: opening its checkpointer keeps the journal
+	// without reading it again.
+	fresh, covered bool
+	cp             *Checkpointer
 	// unsynced are the records written to the journal since the last
 	// flush: not yet committed, not yet shown to OnRecord.
 	unsynced []*Record
@@ -160,7 +163,7 @@ func Resume(cfg Config, entries []Entry) (*Campaign, error) {
 	if cfg.Path == "" {
 		return nil, fmt.Errorf("campaign: resume needs a manifest path")
 	}
-	man, _, err := LoadRecovered(cfg.fs(), cfg.Path)
+	man, _, covered, err := loadRecovered(cfg.fs(), cfg.Path)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +182,7 @@ func Resume(cfg Config, entries []Entry) (*Campaign, error) {
 			return nil, fmt.Errorf("campaign: manifest %s plans %q at position %d, not %q", cfg.Path, man.IDs[i], i, id)
 		}
 	}
-	return &Campaign{cfg: cfg, entries: indexEntries(entries), man: man}, nil
+	return &Campaign{cfg: cfg, entries: indexEntries(entries), man: man, covered: covered}, nil
 }
 
 // Manifest returns the campaign's (live) manifest.
@@ -234,7 +237,7 @@ func (c *Campaign) RunParallel(ctx context.Context, workers int) (*Manifest, err
 	// reconciles the journal with the recovered state, so the journal
 	// alone holds every committed record before the first append.
 	if c.cfg.Path != "" && c.cp == nil {
-		cp, err := NewCheckpointer(c.cfg.fs(), c.cfg.Path, c.man, c.fresh)
+		cp, err := openCheckpointer(c.cfg.fs(), c.cfg.Path, c.man, c.fresh, c.covered)
 		if err != nil {
 			return c.man, c.haltOnDiskErr(err)
 		}

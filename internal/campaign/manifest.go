@@ -104,8 +104,8 @@ type Manifest struct {
 	Entries map[string]*Record `json:"entries"`
 	// Sum is the manifest's self-checksum: "crc32c:%08x" over the manifest
 	// serialized with Sum empty. It is recomputed on load from the parsed
-	// content (Go's JSON serialization is deterministic: struct field
-	// order, sorted map keys, shortest float form), so a flipped byte
+	// content (the serialization is deterministic: struct field order,
+	// sorted map keys, shortest float form — encode.go), so a flipped byte
 	// anywhere in the payload is caught even when the JSON still parses.
 	// Empty Sum (pre-durability manifests) skips verification.
 	Sum string `json:"sum,omitempty"`
@@ -113,28 +113,26 @@ type Manifest struct {
 
 // checksum computes the manifest's canonical self-checksum value.
 func (m *Manifest) checksum() (string, error) {
-	shadow := *m
-	shadow.Sum = ""
-	base, err := json.MarshalIndent(&shadow, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("crc32c:%08x", durable.Checksum(base)), nil
+	var e encoder
+	_, sum, err := e.sealed(m)
+	return sum, err
 }
 
 // Encode seals and serializes the manifest: Sum is refreshed from the
-// current content and the exact checkpoint bytes are returned.
+// current content and the exact checkpoint bytes are returned. One
+// encoding does both: sum is the last member and omitted when empty, so
+// the sealed bytes are the checksummed ones with `,\n  "sum": "…"` spliced
+// in before the closing "\n}".
 func (m *Manifest) Encode() ([]byte, error) {
-	sum, err := m.checksum()
+	var e encoder
+	base, sum, err := e.sealed(m)
 	if err != nil {
 		return nil, err
 	}
 	m.Sum = sum
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+	data := append(base[:len(base)-len("\n}")], ",\n  \"sum\": \""...)
+	data = append(data, sum...)
+	return append(data, "\"\n}\n"...), nil
 }
 
 // decodeManifest parses and validates manifest bytes. Damage — unparseable

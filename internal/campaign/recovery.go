@@ -54,7 +54,7 @@ type Health struct {
 // Inspect validates the recovery sources for the manifest at path without
 // modifying anything on disk — the dry-run behind `cplab fsck`.
 func Inspect(f durable.FS, path string) *Health {
-	h, _ := inspect(f, path)
+	h, _, _ := inspect(f, path)
 	return h
 }
 
@@ -62,36 +62,41 @@ func Inspect(f durable.FS, path string) *Health {
 // with its journal, without modifying anything on disk. A missing store
 // returns fs.ErrNotExist; one with no usable source a *durable.CorruptError.
 func Committed(f durable.FS, path string) (*Manifest, error) {
-	h, man := inspect(f, path)
+	h, man, _ := inspect(f, path)
 	if man == nil {
 		return nil, unusable(h)
 	}
 	return man, nil
 }
 
-// inspect validates both sources and folds the usable ones.
-func inspect(f durable.FS, path string) (*Health, *Manifest) {
-	h := &Health{Path: path}
-	man := loadSource(f, path, &h.Manifest)
-	wal := loadWALSource(f, WALPath(path), &h.WAL)
+// inspect validates both sources and folds the usable ones. covers
+// reports that the journal, read whole, already holds every served record
+// — what NewCheckpointer would otherwise re-read the journal to learn.
+func inspect(f durable.FS, path string) (h *Health, man *Manifest, covers bool) {
+	h = &Health{Path: path}
+	man = loadSource(f, path, &h.Manifest)
+	wal, walWhole := loadWALSource(f, WALPath(path), &h.WAL)
 	switch {
 	case wal == nil:
 	case man == nil:
-		man = wal
+		man, covers = wal, walWhole
 	case !headerOf(wal).matches(man):
 		// Stale litter from an earlier campaign at the same path.
 		h.WAL.OK, h.WAL.Err = false, "plan differs from the manifest's; excluded from recovery"
 	default:
+		won := 0
 		for id, rec := range wal.Entries {
 			if cur := man.Entries[id]; cur == nil || rec.Sessions >= cur.Sessions {
 				man.Entries[id] = rec
+				won++
 			}
 		}
+		covers = walWhole && won == len(man.Entries)
 	}
 	if man != nil {
 		h.Records, h.Complete = len(man.Entries), man.Complete()
 	}
-	return h, man
+	return h, man, covers
 }
 
 // loadSource strictly loads one manifest-format source, recording its
@@ -115,31 +120,33 @@ func loadSource(f durable.FS, path string, sh *SourceHealth) *Manifest {
 }
 
 // loadWALSource rebuilds a manifest from a journal, recording its health.
-func loadWALSource(f durable.FS, path string, sh *SourceHealth) *Manifest {
+// The bool reports that every line of the journal was undamaged and folded.
+func loadWALSource(f durable.FS, path string, sh *SourceHealth) (*Manifest, bool) {
 	d, err := durable.ReadLog(f, path)
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			sh.Present, sh.Err = true, err.Error()
 		}
-		return nil
+		return nil, false
 	}
 	sh.Present, sh.Torn = true, d.TornTail
 	if d.Torn {
 		sh.Err = fmt.Sprintf("damaged at line %d: %s (valid prefix kept)", d.TornLine, d.TornReason)
 	}
-	hdr, folded, _ := foldWAL(d)
+	hdr, folded, lines := foldWAL(d)
 	if hdr == nil {
 		if sh.Err == "" {
 			sh.Err = "no valid plan header"
 		}
-		return nil
+		return nil, false
 	}
 	if hdr.Version != ManifestVersion {
 		sh.Err = fmt.Sprintf("journal version %d, want %d", hdr.Version, ManifestVersion)
-		return nil
+		return nil, false
 	}
 	sh.OK, sh.Records = true, len(folded)
-	return &Manifest{Version: hdr.Version, Seed: hdr.Seed, Note: hdr.Note, IDs: hdr.IDs, Entries: folded}
+	return &Manifest{Version: hdr.Version, Seed: hdr.Seed, Note: hdr.Note, IDs: hdr.IDs, Entries: folded},
+		whole(d, hdr, lines)
 }
 
 // unusable is the error for a store with nothing to serve. A journal torn
@@ -162,7 +169,15 @@ func unusable(h *Health) error {
 // missing store returns fs.ErrNotExist; a store where both sources are
 // damaged returns a *durable.CorruptError.
 func LoadRecovered(f durable.FS, path string) (*Manifest, *Health, error) {
-	h, man := inspect(f, path)
+	man, h, _, err := loadRecovered(f, path)
+	return man, h, err
+}
+
+// loadRecovered is LoadRecovered that also reports whether the journal
+// covers the recovered state (inspect's covers), so opening the store on
+// it need not read the journal again.
+func loadRecovered(f durable.FS, path string) (*Manifest, *Health, bool, error) {
+	h, man, covers := inspect(f, path)
 	quarantine := func(p string, sh *SourceHealth) {
 		if dst, err := durable.Quarantine(f, p); err == nil {
 			sh.Quarantined = dst
@@ -175,9 +190,9 @@ func LoadRecovered(f durable.FS, path string) (*Manifest, *Health, error) {
 		quarantine(WALPath(path), &h.WAL)
 	}
 	if man == nil {
-		return nil, h, unusable(h)
+		return nil, h, false, unusable(h)
 	}
-	return man, h, nil
+	return man, h, covers, nil
 }
 
 // Repair recovers the committed state at path and rewrites both the
@@ -186,11 +201,11 @@ func LoadRecovered(f durable.FS, path string) (*Manifest, *Health, error) {
 // as .quarantined files). It returns the recovered manifest and the
 // pre-repair health.
 func Repair(f durable.FS, path string) (*Manifest, *Health, error) {
-	man, h, err := LoadRecovered(f, path)
+	man, h, covers, err := loadRecovered(f, path)
 	if err != nil {
 		return nil, h, err
 	}
-	cp, err := NewCheckpointer(f, path, man, false)
+	cp, err := openCheckpointer(f, path, man, false, covers)
 	if err != nil {
 		return nil, h, err
 	}

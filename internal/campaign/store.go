@@ -69,6 +69,8 @@ type Checkpointer struct {
 	fs   durable.FS
 	path string
 	wal  *durable.Log
+	// enc encodes journal payloads, reusing its buffers across records.
+	enc encoder
 }
 
 // NewCheckpointer opens the durable store for a manifest at path.
@@ -84,6 +86,13 @@ type Checkpointer struct {
 // session's) is rewritten from man — appends after a damaged line would
 // never be read back. A journal that covers man is kept and appended to.
 func NewCheckpointer(f durable.FS, path string, man *Manifest, fresh bool) (*Checkpointer, error) {
+	return openCheckpointer(f, path, man, fresh, false)
+}
+
+// openCheckpointer is NewCheckpointer for a caller that may already know
+// the journal covers man — recovery's fold saw it whole (loadRecovered) —
+// in which case the journal is kept without being read again.
+func openCheckpointer(f durable.FS, path string, man *Manifest, fresh, covered bool) (*Checkpointer, error) {
 	cp := &Checkpointer{fs: f, path: path, wal: durable.NewLog(f, WALPath(path))}
 	// Sweep this store's own crash litter (never the whole directory —
 	// other stores' tmp files are theirs to sweep).
@@ -97,6 +106,9 @@ func NewCheckpointer(f durable.FS, path string, man *Manifest, fresh bool) (*Che
 			return nil, fmt.Errorf("campaign: discard %s: %w", path, err)
 		}
 		return cp, cp.rewriteWAL(man)
+	}
+	if covered {
+		return cp, nil
 	}
 	d, err := durable.ReadLog(f, cp.wal.Path())
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -112,7 +124,7 @@ func NewCheckpointer(f durable.FS, path string, man *Manifest, fresh bool) (*Che
 // holds every record of man, each at least as recent.
 func walCovers(d *durable.LogData, man *Manifest) bool {
 	hdr, folded, lines := foldWAL(d)
-	if d.Torn || hdr == nil || lines != len(d.Payloads)-1 || !hdr.matches(man) {
+	if !whole(d, hdr, lines) || !hdr.matches(man) {
 		return false
 	}
 	for id, rec := range man.Entries {
@@ -123,24 +135,31 @@ func walCovers(d *durable.LogData, man *Manifest) bool {
 	return true
 }
 
+// whole reports that foldWAL used every line of an undamaged journal.
+func whole(d *durable.LogData, hdr *walHeader, lines int) bool {
+	return !d.Torn && hdr != nil && lines == len(d.Payloads)-1
+}
+
 // rewriteWAL resets the journal to the plan header plus the manifest's
-// committed records in plan order.
+// committed records in plan order, encoded into one buffer.
 func (cp *Checkpointer) rewriteWAL(man *Manifest) error {
-	hdr, err := json.Marshal(headerOf(man))
-	if err != nil {
-		return err
-	}
-	payloads := [][]byte{hdr}
+	e := &cp.enc
+	e.reset(false)
+	e.header(headerOf(man))
+	ends := []int{len(e.b)}
 	for _, id := range man.IDs {
-		rec := man.Entries[id]
-		if rec == nil {
-			continue
+		if rec := man.Entries[id]; rec != nil {
+			e.record(rec)
+			ends = append(ends, len(e.b))
 		}
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		payloads = append(payloads, line)
+	}
+	if e.err != nil {
+		return e.err
+	}
+	payloads := make([][]byte, len(ends))
+	start := 0
+	for i, end := range ends {
+		payloads[i], start = e.b[start:end], end
 	}
 	if err := cp.wal.Reset(payloads...); err != nil {
 		return fmt.Errorf("campaign: rewrite journal: %w", err)
@@ -165,11 +184,12 @@ func (cp *Checkpointer) Commit(man *Manifest, recs ...*Record) error {
 // is committed by the next Sync. A campaign writes each record as it
 // lands and syncs once per batch (group commit).
 func (cp *Checkpointer) Write(rec *Record) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
+	cp.enc.reset(false)
+	cp.enc.record(rec)
+	if cp.enc.err != nil {
+		return cp.enc.err
 	}
-	if err := cp.wal.Write(line); err != nil {
+	if err := cp.wal.Write(cp.enc.b); err != nil {
 		return fmt.Errorf("campaign: journal: %w", err)
 	}
 	return nil

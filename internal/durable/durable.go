@@ -32,6 +32,7 @@ type FS interface {
 	// WriteFile creates/truncates path with data. No implied sync.
 	WriteFile(path string, data []byte, perm os.FileMode) error
 	// Append appends data to path, creating it if missing. No implied sync.
+	// Like io.Writer, it must not retain data: the journal reuses it.
 	Append(path string, data []byte, perm os.FileMode) error
 	// Sync fsyncs the file's contents.
 	Sync(path string) error

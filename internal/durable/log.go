@@ -16,8 +16,6 @@ package durable
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -43,7 +41,11 @@ type Log struct {
 	perm os.FileMode
 	// dirty: lines were written since the last Sync. created: a Write
 	// created the file, so the next Sync also fsyncs its directory.
-	dirty, created bool
+	// exists: this Log has written or reset the file, so no Write needs
+	// to Stat it to learn whether it creates it.
+	dirty, created, exists bool
+	// line is the encoding buffer, reused by every Write.
+	line []byte
 }
 
 // NewLog returns a journal handle at path. Nothing is touched until
@@ -55,12 +57,25 @@ func NewLog(f FS, path string) *Log {
 // Path returns the journal's file path.
 func (l *Log) Path() string { return l.path }
 
-// encodeLine renders one journal line for payload.
-func encodeLine(payload []byte) ([]byte, error) {
+// appendLine appends the journal line for payload to b.
+func appendLine(b, payload []byte) ([]byte, error) {
 	if bytes.IndexByte(payload, '\n') >= 0 {
-		return nil, fmt.Errorf("durable: journal payload contains a newline")
+		return b, fmt.Errorf("durable: journal payload contains a newline")
 	}
-	return []byte(fmt.Sprintf("%s %08x %s\n", logMagic, crc32.Checksum(payload, castagnoli), payload)), nil
+	b = append(b, logMagic+" "...)
+	b = appendHex32(b, crc32.Checksum(payload, castagnoli))
+	b = append(b, ' ')
+	b = append(b, payload...)
+	return append(b, '\n'), nil
+}
+
+// appendHex32 appends v as eight lower-case hex digits.
+func appendHex32(b []byte, v uint32) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 28; shift >= 0; shift -= 4 {
+		b = append(b, digits[v>>shift&0xf])
+	}
+	return b
 }
 
 // Reset atomically rewrites the whole journal to exactly the given
@@ -68,18 +83,17 @@ func encodeLine(payload []byte) ([]byte, error) {
 // campaign opens its journal and how repair resynchronizes a journal that
 // fell behind its manifest or was torn.
 func (l *Log) Reset(payloads ...[]byte) error {
-	var buf bytes.Buffer
+	var buf []byte
 	for _, p := range payloads {
-		line, err := encodeLine(p)
-		if err != nil {
+		var err error
+		if buf, err = appendLine(buf, p); err != nil {
 			return err
 		}
-		buf.Write(line)
 	}
-	if err := WriteFileAtomic(l.fs, l.path, buf.Bytes(), l.perm); err != nil {
+	if err := WriteFileAtomic(l.fs, l.path, buf, l.perm); err != nil {
 		return err
 	}
-	l.dirty, l.created = false, false
+	l.dirty, l.created, l.exists = false, false, true
 	return nil
 }
 
@@ -95,18 +109,21 @@ func (l *Log) Append(payload []byte) error {
 // committed only by the next Sync, so several writes can share one fsync.
 // A failed write does not by itself make the next Sync fsync.
 func (l *Log) Write(payload []byte) error {
-	line, err := encodeLine(payload)
+	line, err := appendLine(l.line[:0], payload)
 	if err != nil {
 		return err
 	}
+	l.line = line
 	created := false
-	if _, err := l.fs.Stat(l.path); err != nil {
-		created = true
+	if !l.exists {
+		if _, err := l.fs.Stat(l.path); err != nil {
+			created = true
+		}
 	}
 	if err := l.fs.Append(l.path, line, l.perm); err != nil {
 		return fmt.Errorf("durable: append %s: %w", l.path, err)
 	}
-	l.dirty = true
+	l.dirty, l.exists = true, true
 	l.created = l.created || created
 	return nil
 }
@@ -192,16 +209,14 @@ func decodeLine(line []byte) ([]byte, string) {
 	if sp != 8 {
 		return nil, "malformed checksum field"
 	}
-	// The field must be byte-equal to what encodeLine writes: a lenient
+	// The field must be byte-equal to what appendLine writes: a lenient
 	// hex parse accepts a case flip, so a damaged checksum field could
 	// still validate.
 	field, payload := rest[:8], rest[9:]
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
-	var canon [8]byte
-	hex.Encode(canon[:], sum[:])
-	if !bytes.Equal(field, canon[:]) {
-		return nil, fmt.Sprintf("checksum mismatch (want %q, got %s)", field, canon[:])
+	var buf [8]byte
+	canon := appendHex32(buf[:0], crc32.Checksum(payload, castagnoli))
+	if !bytes.Equal(field, canon) {
+		return nil, fmt.Sprintf("checksum mismatch (want %q, got %s)", field, string(canon))
 	}
 	return payload, ""
 }

@@ -25,7 +25,7 @@ func readLogBytes(t *testing.T, raw []byte) *LogData {
 
 func mustEncode(t testing.TB, payload []byte) []byte {
 	t.Helper()
-	line, err := encodeLine(payload)
+	line, err := appendLine(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func mustEncode(t testing.TB, payload []byte) []byte {
 func TestReadLogRejectsNonCanonicalChecksum(t *testing.T) {
 	line := string(mustEncode(t, []byte(`{"id":"a"}`)))
 	if line != "cpwal1 a84a902b {\"id\":\"a\"}\n" {
-		t.Fatalf("encodeLine changed: %q", line)
+		t.Fatalf("appendLine changed: %q", line)
 	}
 	for _, bad := range []string{
 		strings.Replace(line, "a84a902b", "A84a902b", 1),

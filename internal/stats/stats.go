@@ -7,7 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -170,7 +170,7 @@ func Summarize(xs []int64) Summary {
 		return Summary{}
 	}
 	s := append([]int64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	var sum float64
 	for _, x := range s {
 		sum += float64(x)
@@ -197,7 +197,7 @@ func MedianInt64(xs []int64) int64 {
 		return 0
 	}
 	s := append([]int64(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	return s[len(s)/2]
 }
 
